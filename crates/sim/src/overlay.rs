@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::RngExt as _;
 
 use crate::node::{NodeId, NodeSlab};
-use crate::peersampling::{ps_exchange, PeerSamplingPolicy, PsView};
+use crate::peersampling::{ps_exchange_with, PeerSamplingPolicy, PeerSelection, PsView, ViewEntry};
 
 /// Which peer-sampling implementation to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,37 +82,31 @@ pub struct Overlay {
     config: OverlayConfig,
     /// Per-slot partial views (only used by [`OverlayKind::Shuffle`]).
     views: Vec<PsView>,
-    /// Reverse descriptor index: `holders[s]` lists the view slots whose
-    /// views currently hold a descriptor for node slot `s`. Kept exact by
-    /// every view mutation, it makes churn handling O(changed): removing
-    /// a node scrubs its descriptor from exactly the views that hold it,
-    /// instead of every view sweeping for dead entries every round.
+    /// Reverse descriptor index, read only by [`Overlay::remove_node`] and
+    /// derived from `views` on demand. While `holders_stale` is unset,
+    /// `holders[s]` ⊇ the view slots whose view holds a descriptor for
+    /// node slot `s`; extra slots are harmless (scrubbing a view that does
+    /// not hold the id is a no-op), missing ones would leave a dead
+    /// descriptor behind.
     holders: Vec<Vec<u32>>,
+    /// Set whenever views changed without `holders` following: initially,
+    /// and by every [`Overlay::maintain`]. Cleared by the rebuild.
+    holders_stale: bool,
     /// Optional network partition: per-slot group ids; nodes can only
     /// gossip within their group while set.
     partition: Option<Vec<u32>>,
     /// Scratch buffers reused across [`Overlay::maintain`] calls.
     ids_scratch: Vec<NodeId>,
-    diff_a: Vec<NodeId>,
-    diff_b: Vec<NodeId>,
+    exchange_scratch: Vec<ViewEntry>,
 }
 
-/// Marks `holder` as holding a descriptor for `target` (idempotent).
-fn idx_insert(holders: &mut [Vec<u32>], target: usize, holder: u32) {
-    if let Some(list) = holders.get_mut(target) {
-        if !list.contains(&holder) {
-            list.push(holder);
-        }
+/// The index list of node slot `target`, grown on demand: a descriptor may
+/// name a slot beyond every slot registered so far.
+fn holder_list(holders: &mut Vec<Vec<u32>>, target: usize) -> &mut Vec<u32> {
+    if holders.len() <= target {
+        holders.resize_with(target + 1, Vec::new);
     }
-}
-
-/// Unmarks `holder` for `target`.
-fn idx_remove(holders: &mut [Vec<u32>], target: usize, holder: u32) {
-    if let Some(list) = holders.get_mut(target) {
-        if let Some(pos) = list.iter().position(|h| *h == holder) {
-            list.swap_remove(pos);
-        }
-    }
+    &mut holders[target]
 }
 
 impl Overlay {
@@ -122,10 +116,10 @@ impl Overlay {
             config,
             views: Vec::new(),
             holders: Vec::new(),
+            holders_stale: true,
             partition: None,
             ids_scratch: Vec::new(),
-            diff_a: Vec::new(),
-            diff_b: Vec::new(),
+            exchange_scratch: Vec::new(),
         }
     }
 
@@ -140,7 +134,7 @@ impl Overlay {
             exchange_len,
             healing,
             swap,
-            selection: crate::peersampling::PeerSelection::Tail,
+            selection: PeerSelection::Tail,
         }
     }
 
@@ -182,55 +176,71 @@ impl Overlay {
     }
 
     /// Registers a (possibly recycled) node: initialises its view with up
-    /// to `degree` random live peers (fresh descriptors).
+    /// to `degree` random live peers (fresh descriptors). Oracle overlays
+    /// keep no per-node state.
     pub fn register_node<N>(&mut self, id: NodeId, slab: &NodeSlab<N>, rng: &mut StdRng) {
-        if self.views.len() <= id.slot() {
-            self.views.resize(id.slot() + 1, PsView::new());
-            self.holders.resize(id.slot() + 1, Vec::new());
-        }
-        let me = id.slot() as u32;
-        // Unmark whatever the recycled slot's previous view held.
-        for old in self.views[id.slot()].ids().collect::<Vec<_>>() {
-            idx_remove(&mut self.holders, old.slot(), me);
-        }
-        self.views[id.slot()] = PsView::new();
         if self.config.kind == OverlayKind::Oracle {
             return;
         }
-        let view = &mut self.views[id.slot()];
+        let slot = id.slot();
+        if self.views.len() <= slot {
+            self.views.resize(slot + 1, PsView::new());
+        }
+        let view = &mut self.views[slot];
+        *view = PsView::new();
         for _ in 0..self.config.degree * 3 {
             if view.len() >= self.config.degree {
                 break;
             }
-            match slab.random_other(id, rng) {
-                Some(other) => {
-                    view.insert(other, 0);
-                    idx_insert(&mut self.holders, other.slot(), me);
+            let Some(other) = slab.random_other(id, rng) else {
+                break;
+            };
+            view.insert(other, 0);
+            if !self.holders_stale {
+                let list = holder_list(&mut self.holders, other.slot());
+                if !list.contains(&(slot as u32)) {
+                    list.push(slot as u32);
                 }
-                None => break,
             }
         }
     }
 
     /// Forgets a node: clears its own view and scrubs its descriptor from
-    /// exactly the views holding it (via the reverse index), in O(changed)
-    /// rather than by a global sweep.
+    /// the views holding it, found through the reverse index rather than
+    /// by a global sweep. The first removal after a
+    /// [`maintain`](Overlay::maintain) rebuilds the index in one O(n·c)
+    /// pass; the other removals and registrations of the same churn batch
+    /// keep it current and cost O(changed).
     pub fn remove_node(&mut self, id: NodeId) {
-        let me = id.slot() as u32;
+        if self.config.kind == OverlayKind::Oracle {
+            return;
+        }
+        if self.holders_stale {
+            self.rebuild_holders();
+        }
         if let Some(view) = self.views.get_mut(id.slot()) {
-            let targets: Vec<NodeId> = view.ids().collect();
             *view = PsView::new();
-            for target in targets {
-                idx_remove(&mut self.holders, target.slot(), me);
-            }
         }
         if let Some(holding) = self.holders.get_mut(id.slot()) {
-            for holder in std::mem::take(holding) {
+            for holder in holding.drain(..) {
                 if let Some(view) = self.views.get_mut(holder as usize) {
                     view.remove_id(id);
                 }
             }
         }
+    }
+
+    /// Derives `holders` from `views`, reusing the lists' allocations.
+    fn rebuild_holders(&mut self) {
+        self.holders.iter_mut().for_each(Vec::clear);
+        for (holder, view) in self.views.iter().enumerate() {
+            for target in view.ids() {
+                // A view's ids are unique but two may share a slot (a dead
+                // generation and its successor); the duplicate is harmless.
+                holder_list(&mut self.holders, target.slot()).push(holder as u32);
+            }
+        }
+        self.holders_stale = false;
     }
 
     /// Draws a random live neighbour of `of`, or `None` if the node is
@@ -329,98 +339,54 @@ impl Overlay {
 
     /// Runs one round of overlay maintenance (shuffle overlays only):
     /// ages descriptors, re-bootstraps empty views, and performs one
-    /// peer-sampling exchange per node (healing + swapping per the derived
+    /// peer-sampling exchange per node with the oldest live, reachable
+    /// descriptor of its view (healing + swapping per the derived
     /// [`PeerSamplingPolicy`]).
     ///
     /// Dead descriptors are *not* swept here: [`Overlay::remove_node`]
-    /// scrubs them eagerly through the reverse holder index when the churn
-    /// event happens, so per-round maintenance cost does not depend on
-    /// past churn.
+    /// scrubs them when the churn event happens. Nor is the reverse index
+    /// it uses kept up: a round only marks it stale, so a churn-free round
+    /// pays nothing for it and per-round cost does not depend on past
+    /// churn.
     pub fn maintain<N>(&mut self, slab: &NodeSlab<N>, rng: &mut StdRng) {
         if self.config.kind == OverlayKind::Oracle {
             return;
         }
         let policy = self.sampling_policy();
+        self.holders_stale = true;
         let mut ids = std::mem::take(&mut self.ids_scratch);
         slab.collect_ids(&mut ids);
-        if let Some(max_slot) = ids.iter().map(|id| id.slot()).max() {
-            if self.views.len() <= max_slot {
-                self.views.resize(max_slot + 1, PsView::new());
-                self.holders.resize(max_slot + 1, Vec::new());
-            }
-        }
-        {
-            let views = &mut self.views;
-            let holders = &mut self.holders;
-            for id in &ids {
-                let view = &mut views[id.slot()];
-                view.increase_ages();
-                // Re-bootstrap an empty view (the service's recovery path).
-                let mut attempts = 0;
-                while view.is_empty() && attempts < 16 {
-                    attempts += 1;
-                    if let Some(other) = slab.random_other(*id, rng) {
-                        view.insert(other, 0);
-                        idx_insert(holders, other.slot(), id.slot() as u32);
-                    } else {
-                        break;
-                    }
-                }
-            }
+        if self.views.len() < slab.slot_count() {
+            self.views.resize(slab.slot_count(), PsView::new());
         }
         for id in &ids {
-            let id = *id;
-            let partner = {
-                let view = &self.views[id.slot()];
-                let candidates: Vec<NodeId> = view
-                    .ids()
-                    .filter(|p| *p != id && slab.contains(*p) && self.reachable(id, *p))
-                    .collect();
-                if candidates.is_empty() {
-                    continue;
+            let view = &mut self.views[id.slot()];
+            view.increase_ages();
+            // Re-bootstrap an empty view (the service's recovery path).
+            let mut attempts = 0;
+            while view.is_empty() && attempts < 16 {
+                attempts += 1;
+                if let Some(other) = slab.random_other(*id, rng) {
+                    view.insert(other, 0);
+                } else {
+                    break;
                 }
-                match policy.selection {
-                    crate::peersampling::PeerSelection::Random => {
-                        candidates[rng.random_range(0..candidates.len())]
-                    }
-                    crate::peersampling::PeerSelection::Tail => {
-                        // Oldest reachable descriptor.
-                        let view = &self.views[id.slot()];
-                        view.entries()
-                            .iter()
-                            .filter(|e| candidates.contains(&e.id))
-                            .max_by_key(|e| e.age)
-                            .map(|e| e.id)
-                            .expect("candidates checked non-empty")
-                    }
-                }
-            };
-            if partner.slot() >= self.views.len() || partner.slot() == id.slot() {
+            }
+        }
+        for &id in &ids {
+            // Tail selection: the last of the oldest eligible descriptors.
+            // A live partner other than `id` occupies a slot of its own.
+            let Some(partner) = self.views[id.slot()]
+                .entries()
+                .iter()
+                .filter(|e| e.id != id && slab.contains(e.id) && self.reachable(id, e.id))
+                .max_by_key(|e| e.age)
+                .map(|e| e.id)
+            else {
                 continue;
-            }
-            let a_slot = id.slot();
-            let b_slot = partner.slot();
-            self.diff_a.clear();
-            self.diff_a.extend(self.views[a_slot].ids());
-            self.diff_b.clear();
-            self.diff_b.extend(self.views[b_slot].ids());
-            let (a, b) = pair_views(&mut self.views, a_slot, b_slot);
-            ps_exchange(id, a, partner, b, &policy, rng);
-            // Update the reverse index from the exchange's view deltas
-            // (O(degree) per exchange — same order as the exchange).
-            for (slot, before) in [(a_slot, &self.diff_a), (b_slot, &self.diff_b)] {
-                let after = &self.views[slot];
-                for old in before {
-                    if !after.ids().any(|x| x == *old) {
-                        idx_remove(&mut self.holders, old.slot(), slot as u32);
-                    }
-                }
-                for new in after.ids() {
-                    if !before.contains(&new) {
-                        idx_insert(&mut self.holders, new.slot(), slot as u32);
-                    }
-                }
-            }
+            };
+            let (a, b) = pair_views(&mut self.views, id.slot(), partner.slot());
+            ps_exchange_with(id, a, partner, b, &policy, rng, &mut self.exchange_scratch);
         }
         self.ids_scratch = ids;
     }
@@ -458,6 +424,111 @@ mod tests {
         (slab, ids)
     }
 
+    fn shuffle_overlay_of(
+        n: usize,
+        degree: usize,
+        seed: u64,
+    ) -> (NodeSlab<u32>, Vec<NodeId>, Overlay, StdRng) {
+        let (slab, ids) = slab_of(n);
+        let mut overlay = Overlay::new(OverlayConfig::shuffle(degree));
+        let mut rng = seeded_rng(seed);
+        for id in &ids {
+            overlay.register_node(*id, &slab, &mut rng);
+        }
+        (slab, ids, overlay, rng)
+    }
+
+    /// The documented index invariant: every descriptor held by a view is
+    /// listed under its target's slot.
+    fn index_covers_views(overlay: &Overlay) -> bool {
+        overlay.views.iter().enumerate().all(|(holder, view)| {
+            view.ids().all(|target| {
+                overlay
+                    .holders
+                    .get(target.slot())
+                    .is_some_and(|list| list.contains(&(holder as u32)))
+            })
+        })
+    }
+
+    /// FNV-1a over every view's `(slot, generation, age)` entries in
+    /// order, then the next RNG draw.
+    fn trajectory_hash(overlay: &Overlay, rng: &mut StdRng) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut mix = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for view in &overlay.views {
+            mix(view.len() as u64);
+            for e in view.entries() {
+                mix(e.id.slot() as u64);
+                mix(u64::from(e.id.generation()));
+                mix(u64::from(e.age));
+            }
+        }
+        mix(rng.random::<u64>());
+        h
+    }
+
+    /// Entry order and RNG draws are observable (the next exchange
+    /// shuffles the entries), so an optimisation of `maintain`,
+    /// `build_buffer` or `select` must reproduce both exactly. The
+    /// constants were recorded at commit 8e4ddd4, before the reverse index
+    /// became derived and `select` lost its second sort.
+    #[test]
+    fn golden_trajectories_are_pinned() {
+        let golden = |n, degree, rounds, seed| {
+            let (slab, _, mut overlay, mut rng) = shuffle_overlay_of(n, degree, seed);
+            for _ in 0..rounds {
+                overlay.maintain(&slab, &mut rng);
+            }
+            trajectory_hash(&overlay, &mut rng)
+        };
+        assert_eq!(golden(2000, 20, 30, 42), 0x1aad_bd80_45c9_517f);
+        assert_eq!(golden(200, 8, 3, 7), 0xe12f_f6db_9287_e35a);
+    }
+
+    /// Descriptors registered before their target's index slot existed
+    /// used to be dropped from the index, so removing the highest slots
+    /// right after registration left their descriptors in live views.
+    #[test]
+    fn remove_node_scrubs_descriptors_registered_before_their_target() {
+        let (mut slab, ids, mut overlay, _) = shuffle_overlay_of(200, 8, 11);
+        for id in &ids[180..] {
+            slab.remove(*id);
+            overlay.remove_node(*id);
+        }
+        let dead = slab
+            .ids()
+            .flat_map(|id| overlay.view(id))
+            .filter(|n| !slab.contains(*n))
+            .count();
+        assert_eq!(dead, 0, "dead descriptors survived in live views");
+    }
+
+    /// Oracle overlays keep no per-slot state, whatever is asked of them.
+    #[test]
+    fn oracle_overlay_allocates_no_per_slot_state() {
+        let (mut slab, ids) = slab_of(50);
+        let mut overlay = Overlay::new(OverlayConfig::oracle());
+        let mut rng = seeded_rng(12);
+        let before = rng.clone().random::<u64>();
+        for id in &ids {
+            overlay.register_node(*id, &slab, &mut rng);
+        }
+        overlay.maintain(&slab, &mut rng);
+        slab.remove(ids[3]);
+        overlay.remove_node(ids[3]);
+        assert!(overlay.views.is_empty() && overlay.holders.is_empty());
+        assert_eq!(
+            rng.random::<u64>(),
+            before,
+            "oracle overlay drew from the RNG"
+        );
+    }
+
     #[test]
     fn oracle_returns_random_other_nodes() {
         let (slab, ids) = slab_of(10);
@@ -486,12 +557,7 @@ mod tests {
 
     #[test]
     fn shuffle_views_are_initialised_to_degree() {
-        let (slab, _) = slab_of(100);
-        let mut overlay = Overlay::new(OverlayConfig::shuffle(8));
-        let mut rng = seeded_rng(3);
-        for id in slab.ids() {
-            overlay.register_node(id, &slab, &mut rng);
-        }
+        let (slab, _, overlay, _) = shuffle_overlay_of(100, 8, 3);
         for id in slab.ids() {
             assert_eq!(overlay.view(id).len(), 8);
             assert!(!overlay.view(id).contains(&id));
@@ -500,12 +566,7 @@ mod tests {
 
     #[test]
     fn shuffle_maintain_keeps_views_live() {
-        let (mut slab, ids) = slab_of(60);
-        let mut overlay = Overlay::new(OverlayConfig::shuffle(6));
-        let mut rng = seeded_rng(4);
-        for id in slab.ids() {
-            overlay.register_node(id, &slab, &mut rng);
-        }
+        let (mut slab, ids, mut overlay, mut rng) = shuffle_overlay_of(60, 6, 4);
         // Kill a third of the network.
         for id in &ids[..20] {
             slab.remove(*id);
@@ -527,20 +588,18 @@ mod tests {
 
     #[test]
     fn remove_node_scrubs_descriptors_incrementally() {
-        let (mut slab, ids) = slab_of(60);
-        let mut overlay = Overlay::new(OverlayConfig::shuffle(6));
-        let mut rng = seeded_rng(7);
-        for id in slab.ids() {
-            overlay.register_node(id, &slab, &mut rng);
-        }
+        let (mut slab, ids, mut overlay, mut rng) = shuffle_overlay_of(60, 6, 7);
         for _ in 0..3 {
             overlay.maintain(&slab, &mut rng);
         }
         // Remove a quarter of the network: their descriptors must vanish
         // from every surviving view immediately — no maintenance sweep.
+        // Only the first removal finds the index stale.
         for id in &ids[..15] {
             slab.remove(*id);
             overlay.remove_node(*id);
+            assert!(!overlay.holders_stale);
+            assert!(index_covers_views(&overlay));
         }
         for id in slab.ids() {
             let view = overlay.view(id);
@@ -555,14 +614,50 @@ mod tests {
         assert!(!overlay.view(recycled).is_empty());
     }
 
+    proptest::proptest! {
+        /// Random interleavings of join, leave and maintenance on a small
+        /// slab: after every removal no view holds the removed id, views
+        /// never hold their owner, and the index invariant holds whenever
+        /// the index is not marked stale.
+        #[test]
+        fn churn_interleavings_leave_no_dead_descriptor(
+            seed in 0u64..1 << 32,
+            ops in proptest::collection::vec(0u8..8, 1..60),
+        ) {
+            let (mut slab, mut live, mut overlay, mut rng) = shuffle_overlay_of(24, 4, seed);
+            for op in ops {
+                match op {
+                    0..=2 if live.len() > 2 => {
+                        let id = live.swap_remove(rng.random_range(0..live.len()));
+                        slab.remove(id);
+                        overlay.remove_node(id);
+                        assert!(
+                            overlay.views.iter().all(|v| v.ids().all(|x| x != id)),
+                            "{id} survived its removal"
+                        );
+                    }
+                    3..=5 => {
+                        let id = slab.insert(0);
+                        overlay.register_node(id, &slab, &mut rng);
+                        live.push(id);
+                    }
+                    _ => overlay.maintain(&slab, &mut rng),
+                }
+                assert!(overlay.holders_stale || index_covers_views(&overlay));
+                for id in slab.ids() {
+                    assert!(!overlay.view(id).contains(&id), "{id} holds itself");
+                    assert!(
+                        overlay.view(id).iter().all(|n| slab.contains(*n)),
+                        "{id} holds a dead descriptor"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn shuffle_random_neighbour_is_live() {
-        let (mut slab, ids) = slab_of(30);
-        let mut overlay = Overlay::new(OverlayConfig::shuffle(5));
-        let mut rng = seeded_rng(5);
-        for id in slab.ids() {
-            overlay.register_node(id, &slab, &mut rng);
-        }
+        let (mut slab, ids, overlay, mut rng) = shuffle_overlay_of(30, 5, 5);
         for id in &ids[..10] {
             slab.remove(*id);
         }
@@ -578,12 +673,7 @@ mod tests {
 
     #[test]
     fn views_mix_over_time() {
-        let (slab, ids) = slab_of(200);
-        let mut overlay = Overlay::new(OverlayConfig::shuffle(10));
-        let mut rng = seeded_rng(6);
-        for id in slab.ids() {
-            overlay.register_node(id, &slab, &mut rng);
-        }
+        let (slab, ids, mut overlay, mut rng) = shuffle_overlay_of(200, 10, 6);
         let before: Vec<NodeId> = overlay.view(ids[0]).to_vec();
         for _ in 0..20 {
             overlay.maintain(&slab, &mut rng);

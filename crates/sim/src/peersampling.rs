@@ -164,15 +164,17 @@ impl PsView {
         }
     }
 
-    /// Builds the buffer to send: a fresh self-descriptor followed by
-    /// `ℓ - 1` entries of a shuffled view with the `H` oldest moved to the
-    /// end (so old descriptors are the least likely to propagate).
+    /// Appends the buffer to send to `buffer`: a fresh self-descriptor
+    /// followed by `ℓ - 1` entries of a shuffled view with the `H` oldest
+    /// moved to the end (so old descriptors are the least likely to
+    /// propagate).
     pub fn build_buffer(
         &mut self,
         own: NodeId,
         policy: &PeerSamplingPolicy,
         rng: &mut StdRng,
-    ) -> Vec<ViewEntry> {
+        buffer: &mut Vec<ViewEntry>,
+    ) {
         self.entries.shuffle(rng);
         // Move only the H oldest descriptors to the back of the view so
         // they are least likely to propagate; the rest stays in shuffled
@@ -190,22 +192,20 @@ impl PsView {
                 .expect("non-empty prefix");
             self.entries.swap(oldest, back);
         }
-        let mut buffer = Vec::with_capacity(policy.exchange_len);
         buffer.push(ViewEntry { id: own, age: 0 });
-        for e in self
-            .entries
-            .iter()
-            .take(policy.exchange_len.saturating_sub(1))
-        {
-            buffer.push(*e);
-        }
-        buffer
+        let sent = policy.exchange_len.saturating_sub(1).min(len);
+        buffer.extend_from_slice(&self.entries[..sent]);
     }
 
-    /// Installs a received buffer: append, deduplicate (keeping the
-    /// youngest copy of each descriptor and dropping self-references),
-    /// then shrink back to `c` by healing (`H` oldest), swapping (`S`
-    /// just-sent entries) and finally random eviction.
+    /// Installs a received buffer: merge it in (keeping the youngest copy
+    /// of each descriptor and dropping self-references), then shrink back
+    /// to `c` by healing (`H` oldest), swapping (`S` just-sent entries)
+    /// and finally random eviction.
+    ///
+    /// The resulting entry *order* is part of the trajectory — the next
+    /// [`build_buffer`](PsView::build_buffer) shuffle permutes it — and is
+    /// fixed as: by `(age, id)` when healing truncated, by `id` otherwise,
+    /// before swapping and eviction.
     pub fn select(
         &mut self,
         own: NodeId,
@@ -214,19 +214,26 @@ impl PsView {
         policy: &PeerSamplingPolicy,
         rng: &mut StdRng,
     ) {
-        self.entries.extend(received.iter().copied());
         self.entries.retain(|e| e.id != own);
-        // Deduplicate keeping the youngest age per descriptor.
-        self.entries
-            .sort_by(|a, b| a.id.cmp(&b.id).then(a.age.cmp(&b.age)));
-        self.entries.dedup_by_key(|e| e.id);
+        // View ids are unique, so merging the few received descriptors by
+        // scanning keeps them unique without a sort-and-dedup pass.
+        for r in received.iter().filter(|r| r.id != own) {
+            match self.entries.iter_mut().find(|e| e.id == r.id) {
+                Some(e) => e.age = e.age.min(r.age),
+                None => self.entries.push(*r),
+            }
+        }
 
-        // Healing: drop the H oldest while above the target size.
+        // Healing: drop the H oldest while above the target size. Unique
+        // ids make both sort keys total, so the unstable (allocation-free)
+        // sort is deterministic.
         let over = |len: usize| len.saturating_sub(policy.view_size);
         let h = policy.healing.min(over(self.entries.len()));
         if h > 0 {
-            self.entries.sort_by_key(|e| e.age);
+            self.entries.sort_unstable_by_key(|e| (e.age, e.id));
             self.entries.truncate(self.entries.len() - h);
+        } else {
+            self.entries.sort_unstable_by_key(|e| e.id);
         }
         // Swapping: drop up to S of the entries we just sent.
         let mut s = policy.swap.min(over(self.entries.len()));
@@ -258,10 +265,28 @@ pub fn ps_exchange(
     policy: &PeerSamplingPolicy,
     rng: &mut StdRng,
 ) {
-    let buffer_a = a.build_buffer(a_id, policy, rng);
-    let buffer_b = b.build_buffer(b_id, policy, rng);
-    b.select(b_id, &buffer_a, &buffer_b, policy, rng);
-    a.select(a_id, &buffer_b, &buffer_a, policy, rng);
+    let mut buffers = Vec::with_capacity(2 * policy.exchange_len);
+    ps_exchange_with(a_id, a, b_id, b, policy, rng, &mut buffers);
+}
+
+/// [`ps_exchange`] with both send buffers built in the caller's reusable
+/// `buffers` (overwritten), so a round of exchanges allocates nothing.
+pub(crate) fn ps_exchange_with(
+    a_id: NodeId,
+    a: &mut PsView,
+    b_id: NodeId,
+    b: &mut PsView,
+    policy: &PeerSamplingPolicy,
+    rng: &mut StdRng,
+    buffers: &mut Vec<ViewEntry>,
+) {
+    buffers.clear();
+    a.build_buffer(a_id, policy, rng, buffers);
+    let split = buffers.len();
+    b.build_buffer(b_id, policy, rng, buffers);
+    let (buffer_a, buffer_b) = buffers.split_at(split);
+    b.select(b_id, buffer_a, buffer_b, policy, rng);
+    a.select(a_id, buffer_b, buffer_a, policy, rng);
 }
 
 #[cfg(test)]
@@ -333,7 +358,8 @@ mod tests {
         }
         let mut rng = seeded_rng(2);
         let p = policy();
-        let buffer = view.build_buffer(nodes[0], &p, &mut rng);
+        let mut buffer = Vec::new();
+        view.build_buffer(nodes[0], &p, &mut rng, &mut buffer);
         assert_eq!(buffer.len(), p.exchange_len);
         assert_eq!(
             buffer[0],
@@ -368,6 +394,87 @@ mod tests {
             .expect("kept");
         assert_eq!(e1.age, 2, "youngest copy wins");
         assert!(view.ids().any(|i| i == nodes[2]));
+    }
+
+    /// The straightforward `select` the one-sort version replaced: extend,
+    /// drop self, sort by id to dedup, sort by age to heal, truncate.
+    fn select_reference(
+        view: &mut PsView,
+        own: NodeId,
+        received: &[ViewEntry],
+        sent: &[ViewEntry],
+        policy: &PeerSamplingPolicy,
+        rng: &mut StdRng,
+    ) {
+        view.entries.extend(received.iter().copied());
+        view.entries.retain(|e| e.id != own);
+        view.entries
+            .sort_by(|a, b| a.id.cmp(&b.id).then(a.age.cmp(&b.age)));
+        view.entries.dedup_by_key(|e| e.id);
+        let over = |len: usize| len.saturating_sub(policy.view_size);
+        let h = policy.healing.min(over(view.entries.len()));
+        if h > 0 {
+            view.entries.sort_by_key(|e| e.age);
+            view.entries.truncate(view.entries.len() - h);
+        }
+        let mut s = policy.swap.min(over(view.entries.len()));
+        if s > 0 {
+            view.entries.retain(|e| {
+                if s > 0 && sent.iter().any(|x| x.id == e.id) {
+                    s -= 1;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        while view.entries.len() > policy.view_size {
+            let victim = rng.random_range(0..view.entries.len());
+            view.entries.swap_remove(victim);
+        }
+    }
+
+    proptest::proptest! {
+        /// `select` equals the reference in contents *and order*, and
+        /// draws the same random numbers: few distinct ids and ages force
+        /// duplicates with different ages, age ties, `own` inside
+        /// `received` and the no-healing (`h == 0`) path.
+        #[test]
+        fn select_matches_the_reference(
+            held in proptest::collection::vec(0u32..120, 0..12),
+            received in proptest::collection::vec(0u32..120, 0..8),
+            sent in proptest::collection::vec(0u32..24, 0..6),
+            view_size in 1usize..10,
+            healing in 0usize..4,
+            swap in 0usize..4,
+            seed in 0u64..1 << 32,
+        ) {
+            // 12 slots × 2 generations × 5 ages, packed into one integer.
+            let entry = |x: u32| ViewEntry {
+                id: NodeId::for_tests(x % 12, x / 12 % 2),
+                age: x / 24,
+            };
+            let own = NodeId::for_tests(0, 0);
+            let mut view = PsView::new();
+            for e in held.into_iter().map(entry) {
+                view.insert(e.id, e.age);
+            }
+            let received: Vec<ViewEntry> = received.into_iter().map(entry).collect();
+            let sent: Vec<ViewEntry> = sent.into_iter().map(entry).collect();
+            let policy = PeerSamplingPolicy {
+                view_size,
+                exchange_len: received.len().max(1),
+                healing,
+                swap,
+                selection: PeerSelection::Tail,
+            };
+            let (mut expected, mut rng_ref) = (view.clone(), seeded_rng(seed));
+            let mut rng = seeded_rng(seed);
+            select_reference(&mut expected, own, &received, &sent, &policy, &mut rng_ref);
+            view.select(own, &received, &sent, &policy, &mut rng);
+            proptest::prop_assert_eq!(view.entries(), expected.entries());
+            proptest::prop_assert_eq!(rng.random::<u64>(), rng_ref.random::<u64>());
+        }
     }
 
     #[test]
