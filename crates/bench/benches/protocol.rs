@@ -138,12 +138,12 @@ fn bench_event_engine(c: &mut Criterion) {
                     let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
                     proto.start_instance(initiator, meta.clone(), ctx)
                 });
-                engine.run_until(period * 10);
+                engine.run_until_parallel(period * 10);
                 let mut until = engine.now();
                 b.iter(|| {
                     // One gossip period of event processing per iteration.
                     until += period;
-                    engine.run_until(until);
+                    engine.run_until_parallel(until);
                 });
             },
         );

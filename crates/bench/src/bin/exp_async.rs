@@ -101,7 +101,7 @@ fn main() {
             let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
             proto.start_instance(initiator, meta.clone(), ctx)
         });
-        engine.run_until(period * (rounds + 2));
+        engine.run_until_parallel(period * (rounds + 2));
         let (maxp, avgp, maxc, cov) = event_errors(&engine, &setup.truth);
         table.row(vec![
             label.into(),

@@ -16,9 +16,10 @@
 //! section). CI runs this against a faulted smoke run so schema drift in
 //! either the exporter or the docs breaks the build.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use adam2_sim::json::{self, Value};
 
 /// Expected type of one schema field.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,121 +188,33 @@ const MANIFEST_FIELDS: &[(&str, FieldType)] = &[
     ("git_rev", FieldType::StrOrNull),
 ];
 
-/// A scalar from a flat (non-nested) JSON object.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Uint(u64),
-    Number(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-/// Parses a flat JSON object of scalar values. Exported telemetry never
-/// nests objects or arrays, so this covers the full schema.
-fn parse_flat_object(text: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut out = BTreeMap::new();
-    let mut chars = text.chars().peekable();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::Chars>| -> Result<String, String> {
-            if chars.next() != Some('"') {
-                return Err("expected '\"'".into());
-            }
-            let mut s = String::new();
-            for c in chars.by_ref() {
-                if c == '"' {
-                    return Ok(s);
-                }
-                if c == '\\' {
-                    return Err("escape sequences are not part of the schema".into());
-                }
-                s.push(c);
-            }
-            Err("unterminated string".into())
-        };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(out);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected ':' after key '{key}'"));
-        }
-        skip_ws(&mut chars);
-        let value = if chars.peek() == Some(&'"') {
-            Scalar::Str(parse_string(&mut chars)?)
-        } else {
-            let mut raw = String::new();
-            while chars
-                .peek()
-                .is_some_and(|&c| c != ',' && c != '}' && !c.is_whitespace())
-            {
-                raw.push(chars.next().expect("peeked"));
-            }
-            if raw == "null" {
-                Scalar::Null
-            } else if raw == "true" || raw == "false" {
-                Scalar::Bool(raw == "true")
-            } else if let Ok(u) = raw.parse::<u64>() {
-                Scalar::Uint(u)
-            } else if let Ok(f) = raw.parse::<f64>() {
-                Scalar::Number(f)
-            } else {
-                return Err(format!("key '{key}': unparsable value '{raw}'"));
-            }
-        };
-        if out.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key '{key}'"));
-        }
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing content after object".into());
-    }
-    Ok(out)
+/// Parses one JSON document with the workspace's strict parser (duplicate
+/// keys, truncated input and trailing content are all errors).
+fn parse(text: &str) -> Result<Value, String> {
+    json::parse(text).map_err(|e| e.to_string())
 }
 
 /// Checks one parsed object against a schema: exact key set, field types.
-fn check_fields(
-    obj: &BTreeMap<String, Scalar>,
-    schema: &[(&str, FieldType)],
-) -> Result<(), String> {
-    for key in obj.keys() {
+/// Every schema field is a scalar, so a nested value is a type error.
+fn check_fields(obj: &Value, schema: &[(&str, FieldType)]) -> Result<(), String> {
+    let pairs = obj.as_object().ok_or("expected an object")?;
+    for (key, _) in pairs {
         if !schema.iter().any(|(name, _)| name == key) {
             return Err(format!("unknown field '{key}'"));
         }
     }
     for (name, ty) in schema {
         let value = obj
-            .get(*name)
+            .get(name)
             .ok_or_else(|| format!("missing field '{name}'"))?;
         let ok = match ty {
-            FieldType::Uint => matches!(value, Scalar::Uint(_)),
+            FieldType::Uint => matches!(value, Value::Uint(_)),
             FieldType::NumberOrNull => {
-                matches!(value, Scalar::Uint(_) | Scalar::Number(_) | Scalar::Null)
+                matches!(value, Value::Uint(_) | Value::Number(_) | Value::Null)
             }
-            FieldType::Str => matches!(value, Scalar::Str(_)),
-            FieldType::StrOrNull => matches!(value, Scalar::Str(_) | Scalar::Null),
-            FieldType::Bool => matches!(value, Scalar::Bool(_)),
+            FieldType::Str => matches!(value, Value::String(_)),
+            FieldType::StrOrNull => matches!(value, Value::String(_) | Value::Null),
+            FieldType::Bool => matches!(value, Value::Bool(_)),
         };
         if !ok {
             return Err(format!("field '{name}': expected {ty:?}, got {value:?}"));
@@ -310,19 +223,19 @@ fn check_fields(
     Ok(())
 }
 
-fn check_event(obj: &BTreeMap<String, Scalar>) -> Result<(), String> {
+fn check_event(obj: &Value) -> Result<(), String> {
     check_fields(obj, EVENT_FIELDS)?;
     match obj.get("kind") {
-        Some(Scalar::Str(kind)) if EVENT_KINDS.contains(&kind.as_str()) => Ok(()),
-        Some(Scalar::Str(kind)) => Err(format!("unknown event kind '{kind}'")),
+        Some(Value::String(kind)) if EVENT_KINDS.contains(&kind.as_str()) => Ok(()),
+        Some(Value::String(kind)) => Err(format!("unknown event kind '{kind}'")),
         _ => unreachable!("check_fields enforces kind is a string"),
     }
 }
 
-fn check_manifest(obj: &BTreeMap<String, Scalar>) -> Result<(), String> {
+fn check_manifest(obj: &Value) -> Result<(), String> {
     check_fields(obj, MANIFEST_FIELDS)?;
     match obj.get("schema_version") {
-        Some(Scalar::Uint(1)) => Ok(()),
+        Some(Value::Uint(1)) => Ok(()),
         other => Err(format!("unsupported schema_version {other:?}")),
     }
 }
@@ -349,15 +262,13 @@ fn validate_export(dir: &Path) -> Result<ExportSummary, String> {
             .map_err(|e| format!("{}: {e}", dir.join(name).display()))
     };
 
-    let manifest =
-        parse_flat_object(&read("manifest.json")?).map_err(|e| format!("manifest.json: {e}"))?;
+    let manifest = parse(&read("manifest.json")?).map_err(|e| format!("manifest.json: {e}"))?;
     check_manifest(&manifest).map_err(|e| format!("manifest.json: {e}"))?;
 
     let rounds_text = read("rounds.jsonl")?;
     let mut rounds = 0usize;
     for (i, line) in rounds_text.lines().enumerate() {
-        let obj =
-            parse_flat_object(line).map_err(|e| format!("rounds.jsonl line {}: {e}", i + 1))?;
+        let obj = parse(line).map_err(|e| format!("rounds.jsonl line {}: {e}", i + 1))?;
         check_fields(&obj, ROUND_FIELDS)
             .map_err(|e| format!("rounds.jsonl line {}: {e}", i + 1))?;
         rounds += 1;
@@ -382,8 +293,7 @@ fn validate_export(dir: &Path) -> Result<ExportSummary, String> {
     let events_text = read("events.jsonl")?;
     let mut events = 0usize;
     for (i, line) in events_text.lines().enumerate() {
-        let obj =
-            parse_flat_object(line).map_err(|e| format!("events.jsonl line {}: {e}", i + 1))?;
+        let obj = parse(line).map_err(|e| format!("events.jsonl line {}: {e}", i + 1))?;
         check_event(&obj).map_err(|e| format!("events.jsonl line {}: {e}", i + 1))?;
         events += 1;
     }
@@ -391,18 +301,17 @@ fn validate_export(dir: &Path) -> Result<ExportSummary, String> {
     Ok(ExportSummary { rounds, events })
 }
 
-/// Validates one benchmark result file (`--bench` mode). The generators
-/// emit a fixed layout — the embedded manifest inline on its own line and
-/// one flat result object per line inside the `results` array — so a
-/// line-based scan covers the full schema without a nested JSON parser.
+/// Validates one benchmark result file (`--bench` mode): the embedded
+/// manifest and every record of the `results` array (and of the
+/// benchmark's second array, when present) against their schemas.
 fn validate_bench(path: &Path) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = parse(&text)?;
 
-    let benchmark = text
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("\"benchmark\": "))
-        .ok_or("missing \"benchmark\" field")?
-        .trim_end_matches(',');
+    let benchmark = doc
+        .get("benchmark")
+        .and_then(Value::as_str)
+        .ok_or("missing \"benchmark\" field")?;
     // Per-benchmark layout: the result schema, the field whose values must
     // cover `coverage_values` across the results array, and an optional
     // second array with its own schema.
@@ -413,22 +322,20 @@ fn validate_bench(path: &Path) -> Result<usize, String> {
         &[&str],
         Option<(&str, Schema)>,
     ) = match benchmark {
-        "\"byzantine_resilience\"" => {
-            (BYZANTINE_RESULT_FIELDS, "engine", &["cycle", "event"], None)
-        }
-        "\"scenario_explorer\"" => (
+        "byzantine_resilience" => (BYZANTINE_RESULT_FIELDS, "engine", &["cycle", "event"], None),
+        "scenario_explorer" => (
             EXPLORE_RESULT_FIELDS,
             "config",
             &["vanilla", "hardened"],
             None,
         ),
-        "\"deploy_runtime\"" => (
+        "deploy_runtime" => (
             DEPLOY_RESULT_FIELDS,
             "backend",
             &["threaded", "reactor"],
             Some(("scale", DEPLOY_SCALE_FIELDS)),
         ),
-        "\"streaming_tracker\"" => (
+        "streaming_tracker" => (
             STREAMING_RESULT_FIELDS,
             "mode",
             &[
@@ -441,68 +348,46 @@ fn validate_bench(path: &Path) -> Result<usize, String> {
         ),
         other => {
             return Err(format!(
-                "unknown benchmark {other} (expected a --bench schema)"
+                "unknown benchmark \"{other}\" (expected a --bench schema)"
             ))
         }
     };
 
-    let manifest_line = text
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("\"manifest\": "))
-        .ok_or("missing \"manifest\" field")?
-        .trim_end_matches(',');
-    let manifest = parse_flat_object(manifest_line).map_err(|e| format!("manifest: {e}"))?;
-    check_manifest(&manifest).map_err(|e| format!("manifest: {e}"))?;
+    let manifest = doc.get("manifest").ok_or("missing \"manifest\" field")?;
+    check_manifest(manifest).map_err(|e| format!("manifest: {e}"))?;
 
-    // `None` outside an array, otherwise the active array's name and the
-    // schema its records must match.
-    let mut in_array: Option<(&str, &[(&str, FieldType)])> = None;
-    let mut results = 0usize;
-    let mut covered: Vec<String> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let trimmed = line.trim();
-        match in_array {
-            None => {
-                if trimmed == "\"results\": [" {
-                    in_array = Some(("results", schema));
-                } else if let Some((name, extra_schema)) = extra_array {
-                    if trimmed == format!("\"{name}\": [") {
-                        in_array = Some((name, extra_schema));
-                    }
-                }
-            }
-            Some((array, record_schema)) => {
-                if trimmed == "]" || trimmed == "]," {
-                    in_array = None;
-                    continue;
-                }
-                let obj = parse_flat_object(trimmed.trim_end_matches(','))
-                    .map_err(|e| format!("{array} line {}: {e}", i + 1))?;
-                check_fields(&obj, record_schema)
-                    .map_err(|e| format!("{array} line {}: {e}", i + 1))?;
-                if array == "results" {
-                    if let Some(Scalar::Str(value)) = obj.get(coverage_field) {
-                        if !covered.contains(value) {
-                            covered.push(value.clone());
-                        }
-                    }
-                    results += 1;
-                }
-            }
+    /// The records of `doc[name]`, each checked against `schema`; a
+    /// missing array has no records.
+    fn checked_array<'a>(
+        doc: &'a Value,
+        name: &str,
+        schema: Schema,
+    ) -> Result<&'a [Value], String> {
+        let Some(value) = doc.get(name) else {
+            return Ok(&[]);
+        };
+        let records = value
+            .as_array()
+            .ok_or_else(|| format!("\"{name}\" is not an array"))?;
+        for (i, record) in records.iter().enumerate() {
+            check_fields(record, schema).map_err(|e| format!("{name} record {}: {e}", i + 1))?;
         }
+        Ok(records)
     }
-    if in_array.is_some() {
-        return Err("unterminated record array".into());
+    let results = checked_array(&doc, "results", schema)?;
+    if let Some((name, extra_schema)) = extra_array {
+        checked_array(&doc, name, extra_schema)?;
     }
-    if results == 0 {
+    if results.is_empty() {
         return Err("no result records".into());
     }
     for required in coverage_values {
-        if !covered.iter().any(|v| v == required) {
+        let covered = |r: &Value| r.get(coverage_field).and_then(Value::as_str) == Some(*required);
+        if !results.iter().any(covered) {
             return Err(format!("no results for {coverage_field} '{required}'"));
         }
     }
-    Ok(results)
+    Ok(results.len())
 }
 
 /// Expands an argument directory into export directories: itself when it
@@ -599,17 +484,17 @@ mod tests {
 
     #[test]
     fn parses_flat_objects() {
-        let obj = parse_flat_object(r#"{"a":1,"b":2.5,"c":"x","d":null}"#).unwrap();
-        assert_eq!(obj["a"], Scalar::Uint(1));
-        assert_eq!(obj["b"], Scalar::Number(2.5));
-        assert_eq!(obj["c"], Scalar::Str("x".into()));
-        assert_eq!(obj["d"], Scalar::Null);
+        let obj = parse(r#"{"a":1,"b":2.5,"c":"x","d":null}"#).unwrap();
+        assert_eq!(obj.get("a"), Some(&Value::Uint(1)));
+        assert_eq!(obj.get("b"), Some(&Value::Number(2.5)));
+        assert_eq!(obj.get("c"), Some(&Value::String("x".into())));
+        assert_eq!(obj.get("d"), Some(&Value::Null));
         // Pretty-printed (manifest.json style) parses too.
-        let pretty = parse_flat_object("{\n  \"seed\": 42,\n  \"experiment\": \"t\"\n}").unwrap();
-        assert_eq!(pretty["seed"], Scalar::Uint(42));
-        assert!(parse_flat_object(r#"{"a":1"#).is_err());
-        assert!(parse_flat_object(r#"{"a":1,"a":2}"#).is_err());
-        assert!(parse_flat_object(r#"{"a":1} extra"#).is_err());
+        let pretty = parse("{\n  \"seed\": 42,\n  \"experiment\": \"t\"\n}").unwrap();
+        assert_eq!(pretty.get("seed"), Some(&Value::Uint(42)));
+        assert!(parse(r#"{"a":1"#).is_err());
+        assert!(parse(r#"{"a":1,"a":2}"#).is_err());
+        assert!(parse(r#"{"a":1} extra"#).is_err());
     }
 
     fn valid_round_line() -> String {
@@ -625,32 +510,38 @@ mod tests {
 
     #[test]
     fn round_schema_catches_unknown_and_missing_fields() {
-        let good = parse_flat_object(&valid_round_line()).unwrap();
+        let good = parse(&valid_round_line()).unwrap();
         check_fields(&good, ROUND_FIELDS).unwrap();
 
         let unknown = valid_round_line().replace("\"bootstraps\":0", "\"bootstrapz\":0");
-        let err = check_fields(&parse_flat_object(&unknown).unwrap(), ROUND_FIELDS).unwrap_err();
+        let err = check_fields(&parse(&unknown).unwrap(), ROUND_FIELDS).unwrap_err();
         assert!(err.contains("unknown field 'bootstrapz'"), "{err}");
 
         let missing = valid_round_line().replace(",\"bootstraps\":0", "");
-        let err = check_fields(&parse_flat_object(&missing).unwrap(), ROUND_FIELDS).unwrap_err();
+        let err = check_fields(&parse(&missing).unwrap(), ROUND_FIELDS).unwrap_err();
         assert!(err.contains("missing field 'bootstraps'"), "{err}");
 
         let wrong_type = valid_round_line().replace("\"round\":0", "\"round\":null");
-        let err = check_fields(&parse_flat_object(&wrong_type).unwrap(), ROUND_FIELDS).unwrap_err();
+        let err = check_fields(&parse(&wrong_type).unwrap(), ROUND_FIELDS).unwrap_err();
         assert!(err.contains("field 'round'"), "{err}");
+
+        // A nested value where a scalar is required is a type error, and
+        // so is a record that is not an object at all.
+        let nested = valid_round_line().replace("\"round\":0", "\"round\":[0]");
+        let err = check_fields(&parse(&nested).unwrap(), ROUND_FIELDS).unwrap_err();
+        assert!(err.contains("field 'round'"), "{err}");
+        let err = check_fields(&parse("[1]").unwrap(), ROUND_FIELDS).unwrap_err();
+        assert!(err.contains("expected an object"), "{err}");
     }
 
     #[test]
     fn event_schema_requires_known_kind() {
-        let good = parse_flat_object(
-            r#"{"round":3,"slot":7,"instance":9,"kind":"exchange_repaired","detail":1}"#,
-        )
-        .unwrap();
+        let good =
+            parse(r#"{"round":3,"slot":7,"instance":9,"kind":"exchange_repaired","detail":1}"#)
+                .unwrap();
         check_event(&good).unwrap();
         let bad =
-            parse_flat_object(r#"{"round":3,"slot":7,"instance":9,"kind":"made_up","detail":1}"#)
-                .unwrap();
+            parse(r#"{"round":3,"slot":7,"instance":9,"kind":"made_up","detail":1}"#).unwrap();
         assert!(check_event(&bad)
             .unwrap_err()
             .contains("unknown event kind"));
@@ -658,12 +549,12 @@ mod tests {
 
     #[test]
     fn manifest_schema_pins_version() {
-        let good = parse_flat_object(
+        let good = parse(
             r#"{"schema_version":1,"experiment":"t","config_hash":5,"seed":1,"threads":2,"detected_cores":4,"git_rev":null}"#,
         )
         .unwrap();
         check_manifest(&good).unwrap();
-        let v2 = parse_flat_object(
+        let v2 = parse(
             r#"{"schema_version":2,"experiment":"t","config_hash":5,"seed":1,"threads":2,"detected_cores":4,"git_rev":"abc"}"#,
         )
         .unwrap();

@@ -20,9 +20,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use adam2_sim::{
-    ActiveAdversary, AsyncProtocol, BatchAsyncProtocol, BatchCtx, DriftOp, EventCtx, NodeId,
-};
+use adam2_sim::{ActiveAdversary, AsyncProtocol, BatchCtx, DriftOp, EventCtx, NodeId};
 
 use crate::config::RobustPolicy;
 use crate::instance::{AttrValue, InstanceMeta};
@@ -54,21 +52,14 @@ impl Adam2Message {
         }
     }
 
-    /// Per-exchange sequence number: assigned by the initiator's timer,
-    /// echoed by the response. Duplicate deliveries of the same message
-    /// repeat it, which is how [`AsyncAdam2`] detects them.
+    /// Per-exchange sequence number: the initiator's timer stamps the
+    /// request with [`BatchCtx::event_stamp`] and the response echoes it.
     pub fn seq(&self) -> u64 {
         match self {
             Adam2Message::Request(m) | Adam2Message::Response(m) => m.seq,
         }
     }
 }
-
-/// Bound on the duplicate-detection window (FIFO-evicted `(sender,
-/// receiver, seq)` triples). Duplicates injected by the fault framework
-/// arrive within one latency draw of the original, so a small window
-/// suffices; the bound keeps long runs at constant memory.
-const SEEN_CAP: usize = 1024;
 
 /// Event-driven Adam2: one gossip exchange per timer fire, with join and
 /// merge driven entirely by decoded wire payloads.
@@ -79,10 +70,6 @@ pub struct AsyncAdam2 {
     ticks_per_round: u64,
     robust: Option<RobustPolicy>,
     completed: u64,
-    next_seq: u64,
-    seen: std::collections::HashSet<(usize, usize, u64)>,
-    seen_order: std::collections::VecDeque<(usize, usize, u64)>,
-    duplicates_dropped: u64,
     robust_rejects: u64,
     robust_trims: u64,
 }
@@ -113,10 +100,6 @@ impl AsyncAdam2 {
             ticks_per_round,
             robust: None,
             completed: 0,
-            next_seq: 0,
-            seen: std::collections::HashSet::new(),
-            seen_order: std::collections::VecDeque::new(),
-            duplicates_dropped: 0,
             robust_rejects: 0,
             robust_trims: 0,
         }
@@ -151,12 +134,6 @@ impl AsyncAdam2 {
         self.completed
     }
 
-    /// Number of received messages dropped as duplicates (same sender,
-    /// receiver and sequence number as an already-processed message).
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.duplicates_dropped
-    }
-
     /// Snapshots rejected by the robust plausibility screen so far (0 in
     /// vanilla mode).
     pub fn robust_rejects(&self) -> u64 {
@@ -169,23 +146,6 @@ impl AsyncAdam2 {
         self.robust_trims
     }
 
-    /// Records `(from, to, seq)` in the dedup window; returns `false` (and
-    /// counts the drop) when the triple was already seen.
-    fn note_seen(&mut self, from: NodeId, to: NodeId, seq: u64) -> bool {
-        let key = (from.slot(), to.slot(), seq);
-        if !self.seen.insert(key) {
-            self.duplicates_dropped += 1;
-            return false;
-        }
-        self.seen_order.push_back(key);
-        if self.seen_order.len() > SEEN_CAP {
-            if let Some(old) = self.seen_order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        true
-    }
-
     /// Enrols `initiator` in a new instance with explicit metadata (the
     /// async driver selects thresholds itself or reuses
     /// [`select_thresholds`](crate::select_thresholds)).
@@ -193,7 +153,7 @@ impl AsyncAdam2 {
         &mut self,
         initiator: NodeId,
         meta: Arc<InstanceMeta>,
-        ctx: &mut EventCtx<'_, Adam2Node, Adam2Message>,
+        ctx: &mut EventCtx<'_, Adam2Node>,
     ) -> bool {
         match ctx.nodes.get_mut(initiator) {
             Some(node) => {
@@ -206,19 +166,6 @@ impl AsyncAdam2 {
 
     fn round_of(&self, now: u64) -> u64 {
         now / self.ticks_per_round
-    }
-
-    fn finalize_due(
-        &mut self,
-        id: NodeId,
-        now: u64,
-        ctx: &mut EventCtx<'_, Adam2Node, Adam2Message>,
-    ) {
-        let round = self.round_of(now);
-        let Some(node) = ctx.nodes.get_mut(id) else {
-            return;
-        };
-        self.completed += node.finalize_due_instances(round).0;
     }
 
     /// Merges each known instance with the received snapshot (one-sided
@@ -261,8 +208,8 @@ impl AsyncAdam2 {
     /// Applies the active adversary's corruption to `node`'s own state just
     /// before it contributes to an exchange with `partner_slot`. A no-op
     /// for honest nodes. Corruption streams are pure functions of the
-    /// scenario seed, so the attack replays bit-identically on the
-    /// sequential and batch drivers.
+    /// scenario seed, so the attack replays bit-identically at any thread
+    /// count.
     fn corrupt_if_byzantine(
         adversary: &Option<ActiveAdversary>,
         node: &mut Adam2Node,
@@ -292,9 +239,26 @@ impl AsyncAdam2 {
     }
 }
 
+/// Per-shard report of the event driver: whole-protocol counters that
+/// handlers cannot update directly (they only hold `&self`).
+#[derive(Debug, Default)]
+pub struct AsyncBatchReport {
+    /// Instance completions observed while handling the shard's events.
+    pub completed: u64,
+    /// Snapshots rejected by the robust plausibility screen.
+    pub robust_rejects: u64,
+    /// Components trimmed or influence-capped by the robust merge.
+    pub robust_trims: u64,
+}
+
+/// Handlers hold no shared mutable state — exchange sequence numbers come
+/// from [`BatchCtx::event_stamp`] and duplicate deliveries are suppressed
+/// by the engine — which is what makes runs bit-identical at any thread
+/// count.
 impl AsyncProtocol for AsyncAdam2 {
     type Node = Adam2Node;
     type Message = Adam2Message;
+    type Report = AsyncBatchReport;
 
     fn make_node(&mut self, rng: &mut StdRng) -> Adam2Node {
         Adam2Node::new((self.source)(rng), 100.0)
@@ -307,124 +271,7 @@ impl AsyncProtocol for AsyncAdam2 {
         }
     }
 
-    fn on_timer(&mut self, id: NodeId, ctx: &mut EventCtx<'_, Adam2Node, Adam2Message>) {
-        let now = ctx.now;
-        self.finalize_due(id, now, ctx);
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let round = self.round_of(now);
-        let adversary = ctx.adversary;
-        let fault_round = ctx.round;
-        let Some(node) = ctx.nodes.get_mut(id) else {
-            return;
-        };
-        Self::corrupt_if_byzantine(
-            &adversary,
-            node,
-            fault_round,
-            id.slot(),
-            partner.slot(),
-            round,
-        );
-        let mut message =
-            GossipMessage::from_locals(node.active_instances().iter().filter(|i| !i.is_due(round)));
-        self.next_seq += 1;
-        message.seq = self.next_seq;
-        let bytes = message.encoded_len();
-        ctx.send(id, partner, Adam2Message::Request(message), bytes);
-    }
-
-    fn on_message(
-        &mut self,
-        id: NodeId,
-        from: NodeId,
-        message: Adam2Message,
-        ctx: &mut EventCtx<'_, Adam2Node, Adam2Message>,
-    ) {
-        // Duplicate suppression: the fault framework can deliver the same
-        // message twice; absorbing it twice would double-count its mass.
-        if !self.note_seen(from, id, message.seq()) {
-            return;
-        }
-        let now = ctx.now;
-        self.finalize_due(id, now, ctx);
-        let round = self.round_of(now);
-        let adversary = ctx.adversary;
-        let fault_round = ctx.round;
-        let robust = self.robust;
-        match &message {
-            Adam2Message::Request(_) => {
-                // Join unknown instances first so the response carries the
-                // pre-merge *initial* state (the requester will debit
-                // exactly the mass we are about to credit ourselves with),
-                // then reply, then absorb. A Byzantine responder corrupts
-                // its own state before replying, so the poison rides the
-                // pull half of the exchange.
-                let Some(node) = ctx.nodes.get_mut(id) else {
-                    return;
-                };
-                Self::join_unknown(node, message.payloads(), round);
-                Self::corrupt_if_byzantine(
-                    &adversary,
-                    node,
-                    fault_round,
-                    id.slot(),
-                    from.slot(),
-                    round,
-                );
-                let mut response = GossipMessage::from_locals(
-                    node.active_instances().iter().filter(|i| !i.is_due(round)),
-                );
-                response.seq = message.seq();
-                let bytes = response.encoded_len();
-                let (r, t) = Self::absorb(node, message.payloads(), round, true, robust.as_ref());
-                self.robust_rejects += r;
-                self.robust_trims += t;
-                ctx.send(id, from, Adam2Message::Response(response), bytes);
-            }
-            Adam2Message::Response(_) => {
-                if let Some(node) = ctx.nodes.get_mut(id) {
-                    let (r, t) =
-                        Self::absorb(node, message.payloads(), round, false, robust.as_ref());
-                    self.robust_rejects += r;
-                    self.robust_trims += t;
-                }
-            }
-        }
-    }
-}
-
-/// Per-shard report of the batch driver: whole-protocol counters that
-/// batch handlers cannot update directly (they only hold `&self`).
-#[derive(Debug, Default)]
-pub struct AsyncBatchReport {
-    /// Instance completions observed while handling the shard's events.
-    pub completed: u64,
-    /// Snapshots rejected by the robust plausibility screen.
-    pub robust_rejects: u64,
-    /// Components trimmed or influence-capped by the robust merge.
-    pub robust_trims: u64,
-}
-
-/// Batch-mode Adam2 for [`EventEngine::run_until_parallel`]
-/// (`adam2_sim::EventEngine`). Differences from the sequential driver:
-///
-/// * Exchange sequence numbers come from [`BatchCtx::event_stamp`] (the
-///   globally unique, thread-count-invariant wheel stamp of the timer
-///   event) instead of a shared `next_seq` counter.
-/// * Duplicate deliveries are already suppressed by the engine's
-///   `send_seq` bookkeeping, so no `note_seen` window is consulted —
-///   [`AsyncAdam2::duplicates_dropped`] stays zero in batch runs.
-///
-/// Both choices keep handlers free of shared mutable state, which is what
-/// makes batch runs bit-identical at any thread count. Batch trajectories
-/// are *different* from sequential ones (randomness is drawn from
-/// per-event streams), but equally valid samples of the same model.
-impl BatchAsyncProtocol for AsyncAdam2 {
-    type Report = AsyncBatchReport;
-
-    fn par_on_timer(
+    fn on_timer(
         &self,
         id: NodeId,
         node: &mut Adam2Node,
@@ -451,7 +298,7 @@ impl BatchAsyncProtocol for AsyncAdam2 {
         ctx.send(id, partner, Adam2Message::Request(message), bytes);
     }
 
-    fn par_on_message(
+    fn on_message(
         &self,
         id: NodeId,
         node: &mut Adam2Node,
@@ -464,9 +311,12 @@ impl BatchAsyncProtocol for AsyncAdam2 {
         report.completed += node.finalize_due_instances(round).0;
         match &message {
             Adam2Message::Request(_) => {
-                // Same order as the sequential path: join first so the
-                // response carries pre-merge state, corrupt (Byzantine
-                // responders), reply with the echoed seq, then absorb.
+                // Join unknown instances first so the response carries the
+                // pre-merge *initial* state (the requester will debit
+                // exactly the mass we are about to credit ourselves with),
+                // then reply, then absorb. A Byzantine responder corrupts
+                // its own state before replying, so the poison rides the
+                // pull half of the exchange.
                 Self::join_unknown(node, message.payloads(), round);
                 Self::corrupt_if_byzantine(
                     &ctx.adversary(),
@@ -536,7 +386,7 @@ mod tests {
             let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
             proto.start_instance(initiator, meta.clone(), ctx)
         });
-        engine.run_until(period * (rounds + 2));
+        engine.run_until_parallel(period * (rounds + 2));
         (engine, meta, truth)
     }
 
@@ -587,44 +437,68 @@ mod tests {
         );
     }
 
+    /// Sum of the instance's weights over all nodes (1 while it is live
+    /// and mass is conserved).
+    fn weight_mass(engine: &EventEngine<AsyncAdam2>, id: InstanceId) -> f64 {
+        let nodes = engine.nodes().iter();
+        nodes
+            .filter_map(|(_, node)| node.active_instance(id))
+            .map(|inst| inst.weight)
+            .sum()
+    }
+
     #[test]
-    fn duplicated_messages_are_dropped_by_sequence_numbers() {
+    fn duplicated_messages_are_dropped_by_the_engine() {
         use adam2_sim::FaultScenario;
         let values: Vec<f64> = (1..=100).map(f64::from).collect();
         let truth = StepCdf::from_values(values.clone());
         let period = 100;
-        let proto = AsyncAdam2::with_population(period, values, |_| 1.0);
-        let config = EventConfig::new(100, 77)
-            .with_gossip_period(period)
-            .with_latency(LatencyModel::Fixed(10));
-        let mut engine = EventEngine::new(config, proto);
-        engine
-            .set_fault_scenario(FaultScenario::new(5).with_duplication(0, 40, 0.5))
-            .expect("valid scenario");
-        let meta = Arc::new(InstanceMeta {
-            id: InstanceId::derive(0, 0, 1),
-            thresholds: vec![25.0, 50.0, 75.0].into(),
-            verify_thresholds: Vec::new().into(),
-            start_round: 0,
-            end_round: 40,
-            multi: false,
-        });
-        engine.with_ctx(|proto, ctx| {
-            let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
-            proto.start_instance(initiator, meta.clone(), ctx)
-        });
-        engine.run_until(period * 42);
+        let id = InstanceId::derive(0, 0, 1);
+        let run = |duplication: Option<FaultScenario>| {
+            let proto = AsyncAdam2::with_population(period, values.clone(), |_| 1.0);
+            let config = EventConfig::new(100, 77)
+                .with_gossip_period(period)
+                .with_latency(LatencyModel::Fixed(10));
+            let mut engine = EventEngine::new(config, proto);
+            if let Some(scenario) = duplication {
+                engine.set_fault_scenario(scenario).expect("valid scenario");
+            }
+            let meta = Arc::new(InstanceMeta {
+                id,
+                thresholds: vec![25.0, 50.0, 75.0].into(),
+                verify_thresholds: Vec::new().into(),
+                start_round: 0,
+                end_round: 40,
+                multi: false,
+            });
+            engine.with_ctx(|proto, ctx| {
+                let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
+                proto.start_instance(initiator, meta.clone(), ctx)
+            });
+            // Sample the mass between exchanges (latency 10 < period/2),
+            // late enough that every node has joined.
+            engine.run_until_parallel(period * 30 + 50);
+            let mass = weight_mass(&engine, id);
+            engine.run_until_parallel(period * 42);
+            (engine, mass)
+        };
+        let (clean, clean_mass) = run(None);
+        let (engine, mass) = run(Some(FaultScenario::new(5).with_duplication(0, 40, 0.5)));
+        assert_eq!(clean.duplicated_count(), 0);
         assert!(
             engine.duplicated_count() > 0,
             "fault injected no duplicates"
         );
+        // Engine-level suppression: every twin is dropped, none reaches
+        // the protocol.
+        assert_eq!(engine.dup_dropped_count(), engine.duplicated_count());
+        // So no weight is absorbed twice: the instance carries the mass of
+        // the duplication-free run, 1 up to the async defect (measured
+        // 0.995 vs 1.029; 1.46 when both copies are absorbed).
         assert!(
-            engine.protocol().duplicates_dropped() > 0,
-            "dedup never fired"
+            (mass - clean_mass).abs() < 0.1 && (mass - 1.0).abs() < 0.15,
+            "weight mass {mass} under duplication vs {clean_mass} without"
         );
-        // Suppressing duplicates keeps the absorbed mass sane: estimates
-        // converge and the size estimate is not inflated by re-counted
-        // weight.
         let mut sizes = Vec::new();
         for (_, node) in engine.nodes().iter() {
             if let Some(est) = node.estimate() {

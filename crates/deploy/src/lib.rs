@@ -39,7 +39,7 @@
 //!   `adam2-telemetry` snapshots.
 //! - [`node`] — backend-neutral per-node state and protocol entry points,
 //!   plus the thread-per-node backend.
-//! - [`reactor`] — the event-loop backend (internal; reached through
+//! - `reactor` — the event-loop backend (internal; reached through
 //!   [`RuntimeKind::Reactor`]).
 //! - [`cluster`] — boots an N-node loopback cluster on the configured
 //!   runtime, bootstraps peer views through introducer nodes, injects

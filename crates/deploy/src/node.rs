@@ -4,21 +4,21 @@
 //! protocol state (`Adam2Node`, peer view, seq cache, RNG) behind one
 //! mutex, plus the pure protocol entry points both runtimes drive:
 //!
-//! - [`NodeShared::respond_frame`] — answer one inbound frame: gossip
+//! - `NodeShared::respond_frame` — answer one inbound frame: gossip
 //!   requests go through [`adam2_core::runtime::serve_exchange`], bootstrap
 //!   joins extend the peer view, and control frames (instance injection,
 //!   estimate collection) service the harness. Responses to gossip
 //!   requests are cached by sequence number so a retransmitted request
 //!   replays the original response instead of re-applying the merge — the
 //!   same dedup contract the simulator's exchange-repair path relies on.
-//! - [`NodeShared::plan_round`] — finalise due instances and pick this
+//! - `NodeShared::plan_round` — finalise due instances and pick this
 //!   round's exchange partner.
-//! - [`NodeShared::begin_exchange`] / [`NodeShared::complete_exchange`] —
+//! - `NodeShared::begin_exchange` / `NodeShared::complete_exchange` —
 //!   initiator-side bookkeeping via [`adam2_core::runtime::PendingExchange`].
 //!
 //! The *threaded* backend in this module drives those entry points with
 //! three OS threads per node (listener / clock / sender over a bounded
-//! outbound queue); the *reactor* backend in [`crate::reactor`] drives the
+//! outbound queue); the *reactor* backend in `crate::reactor` drives the
 //! same entry points from a shared event loop. Nothing here panics on
 //! network input: malformed frames are counted and the connection dropped.
 

@@ -14,7 +14,7 @@
 //! bit-identically, which is what `bench_explore --check` asserts.
 //!
 //! Oracle runs are the campaign's entire cost, and they are judged on a
-//! worker pool: iterations are scheduled in fixed batches of [`BATCH`].
+//! worker pool: iterations are scheduled in fixed batches of `BATCH` (8).
 //! Each batch draws its parents and mutations sequentially against the
 //! pool state at batch start (pure RNG work, microseconds), judges the
 //! batch's deduplicated candidates concurrently, then folds the

@@ -14,7 +14,7 @@
 //! * [`coverage`] — a feature map over scenario parameters × telemetry
 //!   behaviour signatures that decides which candidates earn corpus
 //!   energy;
-//! * [`shrink`] — delta-debugs a violation to a minimal scenario that
+//! * [`mod@shrink`] — delta-debugs a violation to a minimal scenario that
 //!   still violates the same invariant;
 //! * [`campaign`] — the scheduler tying it together, fully deterministic
 //!   from one master seed;

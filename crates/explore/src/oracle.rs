@@ -4,7 +4,7 @@
 //!
 //! 1. **Panic** — the engine or protocol panicked (caught, never fatal to
 //!    the campaign).
-//! 2. **Mass conservation** — the per-round [`MassDefect`] of the
+//! 2. **Mass conservation** — the per-round [`adam2_bench::MassDefect`] of the
 //!    instance, audited exactly like `bench_faults` does, must stay
 //!    within tolerance. Only checked when the scenario makes mass a real
 //!    invariant: crash–recover destroys crashed replicas' mass by design,

@@ -12,37 +12,35 @@
 //! Time is measured in abstract *ticks* (1 tick ≈ 1 ms at the paper's 1 s
 //! gossip period with `gossip_period = 1000`).
 //!
-//! # Execution modes
+//! # Execution
 //!
 //! Future events live in a sharded [`TimerWheel`] (O(1) push/pop, buckets
-//! per tick, shards by destination slot range). Two drivers drain it:
+//! per tick, shards by destination slot range).
+//! [`EventEngine::run_until_parallel`] is the one driver that drains it;
+//! `threads = 1` is simply the sequential case. Each tick is processed as
+//! one batch in three phases mirroring `Engine::run_round_parallel`: a
+//! sequential pre-pass (drop events for dead nodes, suppress
+//! fault-injected duplicate copies, canonical delivery accounting), a
+//! parallel compute phase over the slot-disjoint wheel shards (per-event
+//! RNG streams derived from `(seed, tick, slot, seq)` counters, never from
+//! the thread), and a sequential merge that applies sends, faults, and
+//! timer reschedules in canonical `(shard, seq)` order. Every mutation
+//! order is thread-count-invariant, so results are bit-identical for any
+//! `threads` setting (asserted by tests below).
 //!
-//! * [`EventEngine::run_until`] — the sequential reference: events are
-//!   handled one at a time in `(tick, seq)` order, exactly as the old
-//!   `BinaryHeap` queue did.
-//! * [`EventEngine::run_until_parallel`] — the batch mode for
-//!   [`BatchAsyncProtocol`] implementations. Each tick is processed as one
-//!   batch in three phases mirroring `Engine::run_round_parallel`:
-//!   a sequential pre-pass (drop events for dead nodes, engine-level
-//!   duplicate suppression, canonical delivery accounting), a parallel
-//!   compute phase over the slot-disjoint wheel shards (per-event RNG
-//!   streams derived from `(seed, tick, slot, seq)` counters, never from
-//!   the thread), and a sequential merge that applies sends, faults, and
-//!   timer reschedules in canonical `(shard, seq)` order. Every mutation
-//!   order is thread-count-invariant, so results are bit-identical for any
-//!   `threads` setting (asserted by tests below).
+//! Duplicate suppression lives here and only here: a send the fault
+//! injector duplicated has exactly two copies in flight under one stamp,
+//! the pre-pass delivers the first to arrive and drops the second, and
+//! protocols never see the same send twice.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::RngExt as _;
 
-use rand::seq::SliceRandom as _;
-
 use crate::engine::SimConfigError;
-use crate::faults::{
-    ActiveAdversary, DriftModel, DriftOp, FaultRuntime, FaultScenario, FaultTrace, RoundFaults,
-};
+use crate::faults::{ActiveAdversary, DriftOp, FaultHost, FaultRuntime, FaultScenario, FaultTrace};
 use crate::node::{NodeId, NodeSlab, PeerView};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
 use crate::stats::NetStats;
@@ -198,58 +196,33 @@ impl EventConfig {
 }
 
 /// An asynchronous protocol driven by the [`EventEngine`].
+///
+/// Handlers take `&self` (they run concurrently on slot-disjoint node
+/// chunks) and a `&mut` to exactly the node the event targets.
+/// Whole-protocol mutations are deferred: handlers accumulate them into a
+/// per-shard [`Report`](AsyncProtocol::Report), which the engine feeds to
+/// [`absorb_report`](AsyncProtocol::absorb_report) sequentially in
+/// canonical shard order after the parallel phase joins.
+///
+/// Implementations must derive any randomness from the per-event RNG in
+/// [`BatchCtx`] (a counter-based stream keyed on `(tick, slot, seq)`),
+/// never from shared state — that is what makes runs bit-identical across
+/// thread counts.
 pub trait AsyncProtocol {
     /// Per-node protocol state.
     type Node;
     /// Message type exchanged between nodes. `Clone` lets the engine's
     /// fault injector deliver duplicates.
     type Message: Clone;
+    /// Per-shard accumulator for deferred whole-protocol mutations
+    /// (completion counts, robust-merge statistics, ...).
+    type Report: Default + Send;
 
     /// Creates the state of a fresh node.
     fn make_node(&mut self, rng: &mut StdRng) -> Self::Node;
 
     /// The node's gossip timer fired.
-    fn on_timer(&mut self, id: NodeId, ctx: &mut EventCtx<'_, Self::Node, Self::Message>);
-
-    /// A message arrived.
-    fn on_message(
-        &mut self,
-        id: NodeId,
-        from: NodeId,
-        message: Self::Message,
-        ctx: &mut EventCtx<'_, Self::Node, Self::Message>,
-    );
-
-    /// Applies one attribute-drift operation to a live node (fault
-    /// injection under a [`crate::FaultEvent::Drift`] window), mirroring
-    /// `Protocol::drift_node` on the cycle engine. `rng` is the
-    /// scenario-seeded drift stream. The default ignores drift.
-    fn drift_node(&mut self, id: NodeId, node: &mut Self::Node, op: DriftOp, rng: &mut StdRng) {
-        let _ = (id, node, op, rng);
-    }
-}
-
-/// The parallel-batch extension of [`AsyncProtocol`], driven by
-/// [`EventEngine::run_until_parallel`].
-///
-/// Batch handlers take `&self` (they run concurrently on slot-disjoint
-/// node chunks) and a `&mut` to exactly the node the event targets.
-/// Whole-protocol mutations are deferred: handlers accumulate them into a
-/// per-shard [`Report`](BatchAsyncProtocol::Report), which the engine
-/// feeds to [`absorb_report`](BatchAsyncProtocol::absorb_report)
-/// sequentially in canonical shard order after the parallel phase joins.
-///
-/// Implementations must derive any randomness from the per-event RNG in
-/// [`BatchCtx`] (a counter-based stream keyed on `(tick, slot, seq)`),
-/// never from shared state — that is what makes batch runs bit-identical
-/// across thread counts.
-pub trait BatchAsyncProtocol: AsyncProtocol {
-    /// Per-shard accumulator for deferred whole-protocol mutations
-    /// (completion counts, dedup statistics, ...).
-    type Report: Default + Send;
-
-    /// The node's gossip timer fired (batch mode).
-    fn par_on_timer(
+    fn on_timer(
         &self,
         id: NodeId,
         node: &mut Self::Node,
@@ -257,10 +230,9 @@ pub trait BatchAsyncProtocol: AsyncProtocol {
         report: &mut Self::Report,
     );
 
-    /// A message arrived (batch mode). The engine has already suppressed
-    /// fault-injected duplicate copies, so unlike the sequential path the
-    /// handler never sees the same `(send)` twice.
-    fn par_on_message(
+    /// A message arrived. The engine has already suppressed fault-injected
+    /// duplicate copies, so the handler never sees the same send twice.
+    fn on_message(
         &self,
         id: NodeId,
         node: &mut Self::Node,
@@ -273,65 +245,37 @@ pub trait BatchAsyncProtocol: AsyncProtocol {
     /// Folds one shard's report into the protocol, in canonical shard
     /// order. Runs sequentially after the parallel phase.
     fn absorb_report(&mut self, report: Self::Report);
+
+    /// Applies one attribute-drift operation to a live node (fault
+    /// injection under a [`crate::FaultEvent::Drift`] window), mirroring
+    /// `Protocol::drift_node` on the cycle engine. `rng` is the
+    /// scenario-seeded drift stream. The default ignores drift.
+    fn drift_node(&mut self, id: NodeId, node: &mut Self::Node, op: DriftOp, rng: &mut StdRng) {
+        let _ = (id, node, op, rng);
+    }
 }
 
-/// Execution context for [`AsyncProtocol`] callbacks.
-pub struct EventCtx<'a, N, M> {
+/// Execution context of [`EventEngine::with_ctx`]: whole-slab access
+/// between events, for drivers that set protocol state up deterministically
+/// (e.g. enrolling an instance's initiator).
+pub struct EventCtx<'a, N> {
     /// Current simulation time in ticks.
     pub now: u64,
     /// The gossip-period window (fault *round*) containing `now`.
     pub round: u64,
-    /// The Byzantine adversary active in this window, if the attached
-    /// [`FaultScenario`] has one. Protocols use it to corrupt their own
-    /// state before sending (see [`ActiveAdversary`]).
-    pub adversary: Option<ActiveAdversary>,
     /// All live nodes.
     pub nodes: &'a mut NodeSlab<N>,
     /// Engine RNG.
     pub rng: &'a mut StdRng,
-    /// Network accounting (messages are charged when sent, even if later
-    /// lost).
-    pub net: &'a mut NetStats,
-    outbox: &'a mut Vec<(NodeId, NodeId, M, usize)>,
 }
 
-impl<N, M> EventCtx<'_, N, M> {
-    /// Sends `message` of `bytes` from `from` to `to` (delivered after the
-    /// configured latency unless lost).
-    pub fn send(&mut self, from: NodeId, to: NodeId, message: M, bytes: usize) {
-        self.net.charge_message(from, to, bytes);
-        self.outbox.push((from, to, message, bytes));
-    }
-
-    /// Draws a uniformly random live node other than `of` (the idealised
-    /// peer-sampling service).
-    ///
-    /// Mirrors `Ctx::random_neighbour` on the cycle engine: a Byzantine
-    /// `of` under a targeted-partner adversary deterministically aims at
-    /// the lowest live slot instead of sampling, consuming no engine RNG.
-    pub fn random_neighbour(&mut self, of: NodeId) -> Option<NodeId> {
-        if let Some(adv) = &self.adversary {
-            if adv.model.targets_partner() && adv.is_byzantine(of.slot()) {
-                let mut ids = self.nodes.ids();
-                let first = ids.next();
-                let victim = if first == Some(of) { ids.next() } else { first };
-                if victim.is_some() {
-                    return victim;
-                }
-            }
-        }
-        self.nodes.random_other(of, self.rng)
-    }
-}
-
-/// Execution context for [`BatchAsyncProtocol`] callbacks.
+/// Execution context for [`AsyncProtocol`] event handlers.
 ///
-/// Unlike [`EventCtx`] it exposes no slab access (workers own disjoint
-/// node chunks through the engine, not the context) and no engine RNG:
-/// randomness comes from a private per-event stream seeded by
-/// `(seed, tick, slot, seq)`, and sends are buffered for the sequential
-/// merge phase where network accounting and fault injection happen in
-/// canonical order.
+/// It exposes no slab access (workers own disjoint node chunks through the
+/// engine, not the context) and no engine RNG: randomness comes from a
+/// private per-event stream seeded by `(seed, tick, slot, seq)`, and sends
+/// are buffered for the sequential merge phase where network accounting
+/// and fault injection happen in canonical order.
 pub struct BatchCtx<'a, 'o, M> {
     now: u64,
     round: u64,
@@ -339,7 +283,7 @@ pub struct BatchCtx<'a, 'o, M> {
     stamp: u64,
     rng: StdRng,
     peers: PeerView<'a>,
-    sends: &'o mut Vec<(NodeId, NodeId, M, usize)>,
+    ops: &'o mut Vec<MergeOp<M>>,
 }
 
 impl<M> BatchCtx<'_, '_, M> {
@@ -383,13 +327,20 @@ impl<M> BatchCtx<'_, '_, M> {
     /// Sends `message` of `bytes` from `from` to `to`. The send is applied
     /// (charged, fault-checked, scheduled) during the sequential merge.
     pub fn send(&mut self, from: NodeId, to: NodeId, message: M, bytes: usize) {
-        self.sends.push((from, to, message, bytes));
+        self.ops.push(MergeOp::Send {
+            from,
+            to,
+            message,
+            bytes,
+        });
     }
 
-    /// Draws a uniformly random live node other than `of`, bit-identical
-    /// to [`EventCtx::random_neighbour`] given the same RNG state —
-    /// including the deterministic targeted-partner override for Byzantine
-    /// initiators.
+    /// Draws a uniformly random live node other than `of` (the idealised
+    /// peer-sampling service).
+    ///
+    /// Mirrors `Ctx::random_neighbour` on the cycle engine: a Byzantine
+    /// `of` under a targeted-partner adversary deterministically aims at
+    /// the lowest live slot instead of sampling, consuming no RNG.
     pub fn random_neighbour(&mut self, of: NodeId) -> Option<NodeId> {
         if let Some(adv) = &self.adversary {
             if adv.model.targets_partner() && adv.is_byzantine(of.slot()) {
@@ -410,7 +361,7 @@ enum Event<M> {
         to: NodeId,
         message: M,
         /// Per-send stamp shared by fault-injected duplicate copies, so
-        /// the batch pre-pass can suppress redelivery without protocol
+        /// the pre-pass can suppress redelivery without protocol
         /// cooperation.
         send_seq: u64,
     },
@@ -418,7 +369,7 @@ enum Event<M> {
 
 /// A deferred effect recorded by a batch worker, applied in the merge
 /// phase. Per-shard op lists preserve each event's own ordering (sends
-/// first, then the timer reschedule, as in the sequential path).
+/// first, then the timer reschedule).
 enum MergeOp<M> {
     Send {
         from: NodeId,
@@ -433,11 +384,6 @@ enum MergeOp<M> {
 /// the shard's accumulated protocol report.
 type ShardBatch<M, R> = (Vec<MergeOp<M>>, R);
 
-/// Capacity bound for the duplicate-suppression window. Duplicate copies
-/// arrive within one latency draw of the original, so entries far older
-/// than that can be evicted.
-const DUP_WINDOW: usize = 1 << 14;
-
 /// The event-driven engine: a sharded timer wheel over the same node slab
 /// and accounting as the cycle-driven engine.
 pub struct EventEngine<P: AsyncProtocol> {
@@ -449,14 +395,16 @@ pub struct EventEngine<P: AsyncProtocol> {
     wheel: TimerWheel<Event<P::Message>>,
     /// Stamp for the next send (shared by a message and its duplicates).
     send_seq: u64,
-    /// Send stamps that have a fault-injected twin in flight.
-    dup_pending: HashSet<u64>,
-    /// Stamps from `dup_pending` already delivered once (batch mode).
-    dup_delivered: HashSet<u64>,
-    /// Eviction order for the two sets above.
-    dup_fifo: VecDeque<u64>,
+    /// Stamps of duplicated sends with a copy still in flight, mapped to
+    /// whether the first copy has been delivered. An entry is forgotten
+    /// when the second copy arrives or a copy finds its target dead, so
+    /// the map is bounded by the duplicates actually in flight.
+    dup_in_flight: HashMap<u64, bool>,
     dup_dropped: u64,
     net: NetStats,
+    /// Effective loss rate of the current fault round (bursts override the
+    /// configured rate).
+    loss_rate: f64,
     delivered: u64,
     lost: u64,
     duplicated: u64,
@@ -470,7 +418,7 @@ pub struct EventEngine<P: AsyncProtocol> {
     /// Traffic totals at the last window boundary.
     win_bytes: u64,
     win_msgs: u64,
-    /// Reused per-tick drain buckets for the batch driver.
+    /// Reused per-tick drain buckets.
     drain_scratch: Vec<VecDeque<(u64, Event<P::Message>)>>,
 }
 
@@ -510,11 +458,10 @@ impl<P: AsyncProtocol> EventEngine<P> {
             now: 0,
             wheel: TimerWheel::new(horizon, EVENT_SHARDS),
             send_seq: 0,
-            dup_pending: HashSet::new(),
-            dup_delivered: HashSet::new(),
-            dup_fifo: VecDeque::new(),
+            dup_in_flight: HashMap::new(),
             dup_dropped: 0,
             net: NetStats::new(),
+            loss_rate: config.loss_rate,
             delivered: 0,
             lost: 0,
             duplicated: 0,
@@ -537,69 +484,6 @@ impl<P: AsyncProtocol> EventEngine<P> {
         self.wheel.push(at, id.slot() as u32, Event::Timer(id));
     }
 
-    /// Runs until simulation time reaches `until` ticks, handling events
-    /// one at a time in `(tick, seq)` order.
-    pub fn run_until(&mut self, until: u64) {
-        while let Some((at, _seq, event)) = self.wheel.pop_at_or_before(until) {
-            self.now = at;
-            self.roll_windows();
-            self.advance_faults();
-            match event {
-                Event::Timer(id) => {
-                    if self.nodes.contains(id) {
-                        self.dispatch_timer(id);
-                        let next = self.now + self.config.gossip_period;
-                        self.schedule_timer(next, id);
-                    }
-                }
-                Event::Deliver {
-                    from, to, message, ..
-                } => {
-                    if self.nodes.contains(to) {
-                        self.dispatch_message(to, from, message);
-                    }
-                }
-            }
-        }
-        self.now = self.now.max(until);
-        self.roll_windows();
-        self.advance_faults();
-    }
-
-    fn dispatch_timer(&mut self, id: NodeId) {
-        let mut outbox = Vec::new();
-        let mut ctx = EventCtx {
-            now: self.now,
-            round: self.now / self.config.gossip_period,
-            adversary: self.current_adversary(),
-            nodes: &mut self.nodes,
-            rng: &mut self.rng,
-            net: &mut self.net,
-            outbox: &mut outbox,
-        };
-        self.protocol.on_timer(id, &mut ctx);
-        self.flush(outbox);
-    }
-
-    fn dispatch_message(&mut self, to: NodeId, from: NodeId, message: P::Message) {
-        self.delivered += 1;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record_async_delivery();
-        }
-        let mut outbox = Vec::new();
-        let mut ctx = EventCtx {
-            now: self.now,
-            round: self.now / self.config.gossip_period,
-            adversary: self.current_adversary(),
-            nodes: &mut self.nodes,
-            rng: &mut self.rng,
-            net: &mut self.net,
-            outbox: &mut outbox,
-        };
-        self.protocol.on_message(to, from, message, &mut ctx);
-        self.flush(outbox);
-    }
-
     /// Attaches a [`FaultScenario`] (validated first): burst-loss windows
     /// override the configured loss rate, delay windows add delivery
     /// latency, duplication windows deliver extra message copies,
@@ -615,7 +499,7 @@ impl<P: AsyncProtocol> EventEngine<P> {
     }
 
     /// The trace of injected round-windowed faults, if a scenario is
-    /// attached. Identical across both drivers at any thread count.
+    /// attached. Identical at any thread count.
     pub fn fault_trace(&self) -> Option<&FaultTrace> {
         self.faults.as_ref().map(|rt| &rt.trace)
     }
@@ -625,9 +509,8 @@ impl<P: AsyncProtocol> EventEngine<P> {
         self.duplicated
     }
 
-    /// Duplicate copies suppressed by the batch driver so far (the
-    /// sequential driver delivers duplicates and leaves suppression to the
-    /// protocol).
+    /// Duplicate copies suppressed so far: the second copy of every
+    /// duplicated send whose target was still live.
     pub fn dup_dropped_count(&self) -> u64 {
         self.dup_dropped
     }
@@ -709,16 +592,14 @@ impl<P: AsyncProtocol> EventEngine<P> {
     /// current tick's round.
     fn fault_params(&self) -> (f64, u64, f64) {
         let round = self.now / self.config.gossip_period;
-        match &self.faults {
+        let (extra_delay, dup_rate) = match &self.faults {
             Some(rt) => (
-                rt.scenario
-                    .loss_rate_at(round)
-                    .unwrap_or(self.config.loss_rate),
                 rt.scenario.extra_delay_at(round),
                 rt.scenario.duplication_rate_at(round),
             ),
-            None => (self.config.loss_rate, 0, 0.0),
-        }
+            None => (0, 0.0),
+        };
+        (self.loss_rate, extra_delay, dup_rate)
     }
 
     /// The Byzantine adversary covering the current tick's round, if any.
@@ -729,198 +610,22 @@ impl<P: AsyncProtocol> EventEngine<P> {
             .and_then(|rt| rt.scenario.adversary_at(round))
     }
 
-    /// Applies the round-windowed faults (crash waves, recoveries, trace
-    /// records) of every gossip-period window entered since the last call.
-    /// Runs at the same sequential points in both drivers and draws only
-    /// from scenario-seeded streams, so the injected faults — and the
-    /// resulting [`FaultTrace`] — are identical across the sequential and
-    /// batch drivers at any thread count.
+    /// Applies the round-windowed faults (see
+    /// [`FaultRuntime::begin_round`]) of every gossip-period window
+    /// entered since the last call. Runs at sequential points of the
+    /// driver and draws only from scenario-seeded streams, so the injected
+    /// faults — and the resulting [`FaultTrace`] — are identical at any
+    /// thread count.
     fn advance_faults(&mut self) {
-        if self.faults.is_none() {
-            return;
-        }
         let current = self.now / self.config.gossip_period;
         while self.next_fault_round <= current {
-            let round = self.next_fault_round;
+            let Some(mut rt) = self.faults.take() else {
+                return;
+            };
+            rt.begin_round(self.next_fault_round, self.config.loss_rate, self);
+            self.faults = Some(rt);
             self.next_fault_round += 1;
-            self.apply_fault_round(round);
         }
-    }
-
-    fn apply_fault_round(&mut self, round: u64) {
-        let Some(mut rt) = self.faults.take() else {
-            return;
-        };
-        let loss_override = rt.scenario.loss_rate_at(round);
-        let loss_rate = loss_override.unwrap_or(self.config.loss_rate);
-        if loss_override.is_some() {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_loss(round, loss_rate);
-            }
-        }
-
-        // Partition bookkeeping: the cut itself is enforced per message in
-        // `route`; here we track the window and compute the trace checksum
-        // over the live population, exactly as the cycle engine does.
-        let active = rt.scenario.active_partition(round);
-        let mut partition_checksum = 0u64;
-        match active {
-            Some((start, kind)) => {
-                let k = kind.groups();
-                for id in self.nodes.id_vec() {
-                    let g = rt.scenario.partition_group(start, id.slot(), k);
-                    partition_checksum ^= derive_seed(id.slot() as u64, u64::from(g));
-                }
-                rt.partition_applied = Some(start);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_fault_partition(round, partition_checksum);
-                }
-            }
-            None => {
-                rt.partition_applied.take();
-            }
-        }
-
-        // Crash waves firing this round: victims come from a
-        // scenario-seeded shuffle of the live population in slot order.
-        // Their state is dropped; pending events for them are filtered by
-        // the liveness checks in both drivers.
-        let mut crashed_slots: Vec<u32> = Vec::new();
-        for (recover_round, fraction) in rt.scenario.crashes_at(round) {
-            let live = self.nodes.len();
-            let k = ((fraction * live as f64).round() as usize).min(live.saturating_sub(1));
-            if k == 0 {
-                continue;
-            }
-            let mut ids = self.nodes.id_vec();
-            let mut rng = rt.crash_rng(round);
-            ids.shuffle(&mut rng);
-            let mut wave = 0u32;
-            for id in ids.into_iter().take(k) {
-                if self.nodes.remove(id).is_some() {
-                    crashed_slots.push(id.slot() as u32);
-                    wave += 1;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record_crash(round, id.slot() as u32);
-                    }
-                }
-            }
-            if wave > 0 {
-                rt.pending_recoveries.push((recover_round, wave));
-            }
-        }
-
-        // Recoveries due this round: fresh nodes built from the scenario
-        // stream rejoin and schedule their first gossip timer within one
-        // period. The timer lands relative to `now`, which is the batch
-        // tick in both drivers — thread-count-invariant by construction.
-        let mut recovered = 0u32;
-        rt.pending_recoveries.retain(|&(when, count)| {
-            if when <= round {
-                recovered += count;
-                false
-            } else {
-                true
-            }
-        });
-        if recovered > 0 {
-            let mut rng = rt.recover_rng(round);
-            for _ in 0..recovered {
-                let state = self.protocol.make_node(&mut rng);
-                let id = self.nodes.insert(state);
-                self.net.reset_slot(id.slot());
-                let phase = rng.random_range(0..self.config.gossip_period);
-                self.schedule_timer(self.now + 1 + phase, id);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.record_recovery(round, id.slot() as u32);
-                }
-            }
-        }
-
-        // Attribute drift: rewrite live nodes' values in slot order from
-        // the scenario's per-round drift stream, exactly as the cycle
-        // engine does at the same fault round — the traces must match.
-        let drifted = self.apply_drift(&rt, round);
-        if drifted > 0 {
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_fault_drift(round, drifted);
-            }
-        }
-
-        // 5. Byzantine adversary: membership is a pure function of the
-        // scenario seed, counted over the post-crash live population.
-        let adversary = rt.scenario.adversary_at(round);
-        let byzantine = adversary
-            .as_ref()
-            .map(|adv| adv.count_byzantine(self.nodes.ids().map(|id| id.slot())))
-            .unwrap_or(0);
-
-        if loss_override.is_some()
-            || active.is_some()
-            || !crashed_slots.is_empty()
-            || recovered > 0
-            || adversary.is_some()
-            || drifted > 0
-        {
-            rt.trace.records.push(RoundFaults {
-                round,
-                loss_rate,
-                partition_active: active.is_some(),
-                partition_checksum,
-                crashed: crashed_slots,
-                recovered,
-                byzantine,
-                drifted,
-            });
-        }
-        self.faults = Some(rt);
-    }
-
-    /// Applies the drift models active at fault round `round` to every
-    /// live node in slot order (mirrors `Engine::apply_drift` exactly so
-    /// cycle ↔ event fault traces stay comparable).
-    fn apply_drift(&mut self, rt: &FaultRuntime, round: u64) -> u32 {
-        let models = rt.scenario.drifts_at(round);
-        if models.is_empty() {
-            return 0;
-        }
-        let mut rng = rt.drift_rng(round);
-        let ids = self.nodes.id_vec();
-        let mut drifted = 0u32;
-        for model in models {
-            for &id in &ids {
-                let op = match model {
-                    DriftModel::LinearRamp { per_round } => Some(DriftOp::Shift(per_round)),
-                    DriftModel::Step { shift } => Some(DriftOp::Shift(shift)),
-                    DriftModel::Jitter { sigma } => {
-                        let u = rng.random::<f64>();
-                        Some(DriftOp::Shift((2.0 * u - 1.0) * sigma))
-                    }
-                    DriftModel::Replacement { rate } => {
-                        (rng.random::<f64>() < rate).then_some(DriftOp::Replace)
-                    }
-                };
-                let Some(op) = op else { continue };
-                if let Some(node) = self.nodes.get_mut(id) {
-                    self.protocol.drift_node(id, node, op, &mut rng);
-                    drifted += 1;
-                }
-            }
-        }
-        drifted
-    }
-
-    /// Registers `send_seq` as having a duplicate twin in flight, evicting
-    /// the oldest entry past the window bound.
-    fn register_duplicate(&mut self, send_seq: u64) {
-        if self.dup_fifo.len() >= DUP_WINDOW {
-            if let Some(old) = self.dup_fifo.pop_front() {
-                self.dup_pending.remove(&old);
-                self.dup_delivered.remove(&old);
-            }
-        }
-        self.dup_fifo.push_back(send_seq);
-        self.dup_pending.insert(send_seq);
     }
 
     /// Decides the fate of one sent message — loss, latency, duplication —
@@ -965,7 +670,7 @@ impl<P: AsyncProtocol> EventEngine<P> {
                 t.record_async_duplicate();
             }
             let dup_latency = self.config.latency.sample(&mut self.rng).max(1) + extra_delay;
-            self.register_duplicate(send_seq);
+            self.dup_in_flight.insert(send_seq, false);
             self.wheel.push(
                 self.now + dup_latency,
                 to.slot() as u32,
@@ -1002,13 +707,6 @@ impl<P: AsyncProtocol> EventEngine<P> {
         let k = kind.groups();
         rt.scenario.partition_group(start, from.slot(), k)
             != rt.scenario.partition_group(start, to.slot(), k)
-    }
-
-    fn flush(&mut self, outbox: Vec<(NodeId, NodeId, P::Message, usize)>) {
-        let (loss_rate, extra_delay, dup_rate) = self.fault_params();
-        for (from, to, message, _bytes) in outbox {
-            self.route(from, to, message, loss_rate, extra_delay, dup_rate);
-        }
     }
 
     /// Current simulation time in ticks.
@@ -1063,38 +761,27 @@ impl<P: AsyncProtocol> EventEngine<P> {
 
     /// Invokes `f` with an execution context outside an event (used by
     /// drivers to trigger protocol actions deterministically).
-    pub fn with_ctx<R>(
-        &mut self,
-        f: impl FnOnce(&mut P, &mut EventCtx<'_, P::Node, P::Message>) -> R,
-    ) -> R {
-        let mut outbox = Vec::new();
+    pub fn with_ctx<R>(&mut self, f: impl FnOnce(&mut P, &mut EventCtx<'_, P::Node>) -> R) -> R {
         let mut ctx = EventCtx {
             now: self.now,
             round: self.now / self.config.gossip_period,
-            adversary: self.current_adversary(),
             nodes: &mut self.nodes,
             rng: &mut self.rng,
-            net: &mut self.net,
-            outbox: &mut outbox,
         };
-        let result = f(&mut self.protocol, &mut ctx);
-        self.flush(outbox);
-        result
+        f(&mut self.protocol, &mut ctx)
     }
 }
 
 impl<P> EventEngine<P>
 where
-    P: BatchAsyncProtocol + Sync,
+    P: AsyncProtocol + Sync,
     P::Node: Send,
     P::Message: Send,
 {
     /// Runs until simulation time reaches `until` ticks, processing each
-    /// tick as one parallel batch. See the module docs for the three-phase
+    /// tick as one batch. See the module docs for the three-phase
     /// structure and the determinism argument. Results are bit-identical
-    /// for every `config.threads` value, but batch runs are a *different*
-    /// (equally valid) trajectory than [`EventEngine::run_until`] — the
-    /// two drivers draw randomness differently.
+    /// for every `config.threads` value.
     pub fn run_until_parallel(&mut self, until: u64) {
         let period = self.config.gossip_period;
         let threads = self.config.threads.max(1);
@@ -1117,8 +804,7 @@ where
             // decisions are thread-count-invariant.
             {
                 let nodes = &self.nodes;
-                let dup_pending = &self.dup_pending;
-                let dup_delivered = &mut self.dup_delivered;
+                let dup_in_flight = &mut self.dup_in_flight;
                 let dup_dropped = &mut self.dup_dropped;
                 let delivered = &mut self.delivered;
                 let telemetry = &mut self.telemetry;
@@ -1127,14 +813,18 @@ where
                         Event::Timer(id) => nodes.contains(*id),
                         Event::Deliver { to, send_seq, .. } => {
                             if !nodes.contains(*to) {
+                                // The twin targets the same dead node.
+                                dup_in_flight.remove(send_seq);
                                 return false;
                             }
-                            if !dup_pending.is_empty()
-                                && dup_pending.contains(send_seq)
-                                && !dup_delivered.insert(*send_seq)
-                            {
-                                *dup_dropped += 1;
-                                return false;
+                            if !dup_in_flight.is_empty() {
+                                if let Entry::Occupied(mut twin) = dup_in_flight.entry(*send_seq) {
+                                    if std::mem::replace(twin.get_mut(), true) {
+                                        twin.remove();
+                                        *dup_dropped += 1;
+                                        return false;
+                                    }
+                                }
                             }
                             *delivered += 1;
                             if let Some(t) = telemetry.as_deref_mut() {
@@ -1162,73 +852,41 @@ where
                     &mut results,
                     threads,
                     |_base, work, out| {
-                        let mut sends = Vec::new();
                         for (bucket, (ops, report)) in work.iter_mut().zip(out.iter_mut()) {
                             while let Some((seq, event)) = bucket.pop_front() {
+                                let target = match &event {
+                                    Event::Timer(id) => *id,
+                                    Event::Deliver { to, .. } => *to,
+                                };
+                                // SAFETY: this worker exclusively owns every
+                                // slot of its shards; the pre-pass kept only
+                                // live targets.
+                                let Some(node) = (unsafe { raw.get_mut(target) }) else {
+                                    continue;
+                                };
+                                let mut ctx = BatchCtx {
+                                    now: tick,
+                                    round: fault_round,
+                                    adversary,
+                                    stamp: seq,
+                                    rng: par_stream_rng(
+                                        batch_base,
+                                        tick,
+                                        target.slot() as u64,
+                                        seq,
+                                    ),
+                                    peers: view,
+                                    ops,
+                                };
                                 match event {
                                     Event::Timer(id) => {
-                                        // SAFETY: this worker exclusively owns
-                                        // every slot of its shards; the
-                                        // pre-pass kept only live targets.
-                                        if let Some(node) = unsafe { raw.get_mut(id) } {
-                                            let mut ctx = BatchCtx {
-                                                now: tick,
-                                                round: fault_round,
-                                                adversary,
-                                                stamp: seq,
-                                                rng: par_stream_rng(
-                                                    batch_base,
-                                                    tick,
-                                                    id.slot() as u64,
-                                                    seq,
-                                                ),
-                                                peers: view,
-                                                sends: &mut sends,
-                                            };
-                                            protocol.par_on_timer(id, node, &mut ctx, report);
-                                        }
-                                        for (from, to, message, bytes) in sends.drain(..) {
-                                            ops.push(MergeOp::Send {
-                                                from,
-                                                to,
-                                                message,
-                                                bytes,
-                                            });
-                                        }
+                                        protocol.on_timer(id, node, &mut ctx, report);
                                         ops.push(MergeOp::Timer(id));
                                     }
                                     Event::Deliver {
                                         from, to, message, ..
-                                    } => {
-                                        // SAFETY: as above.
-                                        if let Some(node) = unsafe { raw.get_mut(to) } {
-                                            let mut ctx = BatchCtx {
-                                                now: tick,
-                                                round: fault_round,
-                                                adversary,
-                                                stamp: seq,
-                                                rng: par_stream_rng(
-                                                    batch_base,
-                                                    tick,
-                                                    to.slot() as u64,
-                                                    seq,
-                                                ),
-                                                peers: view,
-                                                sends: &mut sends,
-                                            };
-                                            protocol.par_on_message(
-                                                to, node, from, message, &mut ctx, report,
-                                            );
-                                        }
-                                        for (from, to, message, bytes) in sends.drain(..) {
-                                            ops.push(MergeOp::Send {
-                                                from,
-                                                to,
-                                                message,
-                                                bytes,
-                                            });
-                                        }
-                                    }
+                                    } => protocol
+                                        .on_message(to, node, from, message, &mut ctx, report),
                                 }
                             }
                         }
@@ -1267,6 +925,55 @@ where
     }
 }
 
+/// The event engine's side of the shared fault schedule.
+impl<P: AsyncProtocol> FaultHost for EventEngine<P> {
+    fn live_ids(&self) -> Vec<NodeId> {
+        self.nodes.id_vec()
+    }
+
+    fn set_loss_rate(&mut self, loss_rate: f64) {
+        self.loss_rate = loss_rate;
+    }
+
+    /// Nothing to install: `route` cuts cross-group messages one by one
+    /// from the scenario's pure group function, which also covers nodes
+    /// admitted after the round's groups were computed.
+    fn set_partition(&mut self, _groups: Option<Vec<u32>>) {}
+
+    /// State dropped; the driver's liveness pre-pass filters the victim's
+    /// pending events.
+    fn crash(&mut self, id: NodeId) -> bool {
+        self.nodes.remove(id).is_some()
+    }
+
+    /// Fresh nodes rejoin and schedule their first gossip timer within
+    /// one period of `now` (the batch tick — thread-count-invariant).
+    fn admit(&mut self, round: u64, count: u32, rng: &mut StdRng) {
+        for _ in 0..count {
+            let state = self.protocol.make_node(rng);
+            let id = self.nodes.insert(state);
+            self.net.reset_slot(id.slot());
+            let phase = rng.random_range(0..self.config.gossip_period);
+            self.schedule_timer(self.now + 1 + phase, id);
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.record_recovery(round, id.slot() as u32);
+            }
+        }
+    }
+
+    fn drift(&mut self, id: NodeId, op: DriftOp, rng: &mut StdRng) -> bool {
+        let Some(node) = self.nodes.get_mut(id) else {
+            return false;
+        };
+        self.protocol.drift_node(id, node, op, rng);
+        true
+    }
+
+    fn telemetry(&mut self) -> Option<&mut SimTelemetry> {
+        self.telemetry.as_deref_mut()
+    }
+}
+
 impl<P: AsyncProtocol> std::fmt::Debug for EventEngine<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventEngine")
@@ -1295,52 +1002,14 @@ mod tests {
     impl AsyncProtocol for AsyncAveraging {
         type Node = f64;
         type Message = Msg;
+        type Report = ();
 
         fn make_node(&mut self, _rng: &mut StdRng) -> f64 {
             self.next += 1.0;
             self.next
         }
 
-        fn on_timer(&mut self, id: NodeId, ctx: &mut EventCtx<'_, f64, Msg>) {
-            let Some(partner) = ctx.random_neighbour(id) else {
-                return;
-            };
-            let Some(v) = ctx.nodes.get(id).copied() else {
-                return;
-            };
-            ctx.send(id, partner, Msg::Request(v), 8);
-        }
-
-        fn on_message(
-            &mut self,
-            id: NodeId,
-            from: NodeId,
-            message: Msg,
-            ctx: &mut EventCtx<'_, f64, Msg>,
-        ) {
-            match message {
-                Msg::Request(theirs) => {
-                    let Some(mine) = ctx.nodes.get(id).copied() else {
-                        return;
-                    };
-                    ctx.send(id, from, Msg::Response(mine), 8);
-                    if let Some(v) = ctx.nodes.get_mut(id) {
-                        *v = (mine + theirs) / 2.0;
-                    }
-                }
-                Msg::Response(theirs) => {
-                    if let Some(v) = ctx.nodes.get_mut(id) {
-                        *v = (*v + theirs) / 2.0;
-                    }
-                }
-            }
-        }
-    }
-
-    impl BatchAsyncProtocol for AsyncAveraging {
-        type Report = ();
-
-        fn par_on_timer(
+        fn on_timer(
             &self,
             id: NodeId,
             node: &mut f64,
@@ -1353,7 +1022,7 @@ mod tests {
             ctx.send(id, partner, Msg::Request(*node), 8);
         }
 
-        fn par_on_message(
+        fn on_message(
             &self,
             id: NodeId,
             node: &mut f64,
@@ -1382,7 +1051,7 @@ mod tests {
             .with_gossip_period(100)
             .with_latency(LatencyModel::Uniform { min: 5, max: 30 });
         let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
-        engine.run_until(100 * 60);
+        engine.run_until_parallel(100 * 60);
         let expected = 129.0 / 2.0;
         // Non-atomic push-pull does not conserve mass exactly, but with
         // short latencies relative to the period the drift is small.
@@ -1405,15 +1074,34 @@ mod tests {
         impl AsyncProtocol for TimerCounter {
             type Node = ();
             type Message = ();
+            type Report = u64;
             fn make_node(&mut self, _rng: &mut StdRng) {}
-            fn on_timer(&mut self, _id: NodeId, _ctx: &mut EventCtx<'_, (), ()>) {
-                self.fires += 1;
+            fn on_timer(
+                &self,
+                _id: NodeId,
+                _node: &mut (),
+                _ctx: &mut BatchCtx<'_, '_, ()>,
+                fires: &mut u64,
+            ) {
+                *fires += 1;
             }
-            fn on_message(&mut self, _: NodeId, _: NodeId, _: (), _: &mut EventCtx<'_, (), ()>) {}
+            fn on_message(
+                &self,
+                _: NodeId,
+                _: &mut (),
+                _: NodeId,
+                _: (),
+                _: &mut BatchCtx<'_, '_, ()>,
+                _: &mut u64,
+            ) {
+            }
+            fn absorb_report(&mut self, fires: u64) {
+                self.fires += fires;
+            }
         }
         let config = EventConfig::new(10, 6).with_gossip_period(100);
         let mut engine = EventEngine::new(config, TimerCounter { fires: 0 });
-        engine.run_until(1000);
+        engine.run_until_parallel(1000);
         // 10 nodes x ~10 periods (random phases make it 90..110).
         let fires = engine.protocol().fires;
         assert!((90..=110).contains(&fires), "fires = {fires}");
@@ -1425,7 +1113,7 @@ mod tests {
             .with_gossip_period(50)
             .with_loss_rate(0.5);
         let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
-        engine.run_until(50 * 40);
+        engine.run_until_parallel(50 * 40);
         let lost = engine.lost_count();
         let delivered = engine.delivered_count();
         let total = lost + delivered;
@@ -1443,7 +1131,7 @@ mod tests {
         let run = |seed| {
             let config = EventConfig::new(32, seed).with_gossip_period(80);
             let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
-            engine.run_until(2000);
+            engine.run_until_parallel(2000);
             engine.nodes().iter().map(|(_, v)| *v).collect::<Vec<f64>>()
         };
         assert_eq!(run(9), run(9));
@@ -1482,33 +1170,64 @@ mod tests {
         engine
             .set_fault_scenario(crate::faults::FaultScenario::new(1).with_burst_loss(2, 4, 1.0))
             .unwrap();
-        engine.run_until(50 * 2 - 1);
+        engine.run_until_parallel(50 * 2 - 1);
         assert_eq!(engine.lost_count(), 0, "no loss before the burst");
-        engine.run_until(50 * 4);
+        engine.run_until_parallel(50 * 4);
         let lost_in_burst = engine.lost_count();
         assert!(lost_in_burst > 0, "burst drops everything sent inside it");
-        engine.run_until(50 * 8);
+        engine.run_until_parallel(50 * 8);
         let sent_after = engine.delivered_count();
         assert!(sent_after > 0, "loss stops when the burst ends");
     }
 
     #[test]
-    fn fault_duplication_delivers_extra_copies() {
+    fn fault_duplication_delivers_each_send_once() {
         let config = EventConfig::new(32, 14).with_gossip_period(50);
         let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
+        // Every send of rounds 0..6 gets a twin; the last copies land
+        // well before the run ends at round 10.
         engine
-            .set_fault_scenario(crate::faults::FaultScenario::new(2).with_duplication(0, 100, 1.0))
+            .set_fault_scenario(crate::faults::FaultScenario::new(2).with_duplication(0, 6, 1.0))
             .unwrap();
-        engine.run_until(50 * 10);
+        engine.run_until_parallel(50 * 10);
         assert!(engine.duplicated_count() > 0);
-        // Every sent message got a twin, so deliveries far exceed charged
-        // sends / 2... just check the twin count matches extra deliveries.
-        assert!(
-            engine.delivered_count() >= engine.duplicated_count(),
-            "duplicates are delivered too"
+        assert_eq!(
+            engine.dup_dropped_count(),
+            engine.duplicated_count(),
+            "the second copy of every duplicated send is dropped"
         );
-        // The sequential driver leaves duplicate suppression to protocols.
-        assert_eq!(engine.dup_dropped_count(), 0);
+        assert_eq!(
+            engine.delivered_count() + engine.lost_count(),
+            engine.net().total_msgs() - in_flight_messages(&engine),
+            "protocols see every send exactly once"
+        );
+        assert!(engine.dup_in_flight.is_empty(), "bookkeeping drained");
+    }
+
+    /// Messages (not timers) still pending in the wheel: one timer per
+    /// live node is always pending.
+    fn in_flight_messages(engine: &EventEngine<AsyncAveraging>) -> u64 {
+        (engine.pending_events() - engine.nodes().len()) as u64
+    }
+
+    /// Regression: suppression used to be a 16 384-entry FIFO, so with
+    /// more duplicated sends than that in flight (40 000 nodes, latency
+    /// 0.9 periods, every send duplicated) the oldest stamps were evicted
+    /// before their copies arrived and both copies reached the protocol.
+    #[test]
+    fn duplicate_suppression_is_exact_with_many_copies_in_flight() {
+        let config = EventConfig::new(40_000, 3)
+            .with_gossip_period(1000)
+            .with_latency(LatencyModel::Fixed(900))
+            .with_threads(2);
+        let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
+        engine
+            .set_fault_scenario(crate::faults::FaultScenario::new(2).with_duplication(0, 3, 1.0))
+            .unwrap();
+        engine.run_until_parallel(8000);
+        assert!(engine.duplicated_count() > 1 << 14);
+        assert_eq!(engine.dup_dropped_count(), engine.duplicated_count());
+        assert!(engine.dup_in_flight.is_empty(), "bookkeeping drained");
     }
 
     #[test]
@@ -1522,9 +1241,9 @@ mod tests {
         engine
             .set_fault_scenario(crate::faults::FaultScenario::new(3).with_delay(0, 1, 200))
             .unwrap();
-        engine.run_until(100);
+        engine.run_until_parallel(100);
         assert_eq!(engine.delivered_count(), 0, "deliveries pushed past t=205");
-        engine.run_until(400);
+        engine.run_until_parallel(400);
         assert!(engine.delivered_count() > 0);
     }
 
@@ -1538,7 +1257,7 @@ mod tests {
             if attach {
                 engine.attach_telemetry(SimTelemetry::new());
             }
-            engine.run_until(50 * 20);
+            engine.run_until_parallel(50 * 20);
             engine.snapshot_telemetry();
             engine
         };
@@ -1587,7 +1306,7 @@ mod tests {
             .with_gossip_period(50)
             .with_loss_rate(1.0);
         let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
-        engine.run_until(500);
+        engine.run_until_parallel(500);
         assert!(
             engine.net().total_bytes() > 0,
             "senders still pay for lost messages"
@@ -1645,24 +1364,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_suppresses_duplicate_copies_at_the_engine() {
-        let config = EventConfig::new(32, 14)
-            .with_gossip_period(50)
-            .with_threads(2);
-        let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
-        engine
-            .set_fault_scenario(crate::faults::FaultScenario::new(2).with_duplication(0, 100, 1.0))
-            .unwrap();
-        engine.run_until_parallel(50 * 10);
-        assert!(engine.duplicated_count() > 0);
-        assert!(
-            engine.dup_dropped_count() > 0,
-            "batch driver drops redundant twins"
-        );
-        assert!(engine.dup_dropped_count() <= engine.duplicated_count());
-    }
-
-    #[test]
     fn parallel_batch_emits_windowed_snapshots() {
         let config = EventConfig::new(32, 19)
             .with_gossip_period(50)
@@ -1707,46 +1408,6 @@ mod tests {
         )
     }
 
-    /// Satellite check: replaying the fault matrix at 10^4 nodes through
-    /// the batch driver produces exactly the fault trace of the sequential
-    /// event path. Node trajectories legitimately differ (the drivers draw
-    /// randomness differently); the injected faults must not.
-    #[test]
-    fn fault_trace_parity_between_sequential_and_batch_drivers() {
-        let until = 50 * 16;
-        let mut seq = faulted_engine(1);
-        seq.run_until(until);
-        let mut batch = faulted_engine(2);
-        batch.run_until_parallel(until);
-
-        let seq_trace = seq.fault_trace().expect("scenario attached").clone();
-        let batch_trace = batch.fault_trace().expect("scenario attached").clone();
-        assert_eq!(seq_trace, batch_trace, "fault traces diverged");
-        assert!(seq_trace.total_crashed() > 0, "crash wave fired");
-        assert_eq!(
-            seq_trace.total_crashed(),
-            seq_trace.total_recovered(),
-            "every crashed node recovered"
-        );
-        assert!(
-            seq_trace.records.iter().any(|r| r.partition_active),
-            "partition window recorded"
-        );
-        assert!(
-            seq_trace
-                .records
-                .iter()
-                .any(|r| r.partition_active && r.partition_checksum != 0),
-            "partition checksum recorded"
-        );
-        // Both drivers end with the full population back (crash wave fully
-        // recovered), and the partition actually dropped traffic.
-        assert_eq!(seq.nodes().len(), 10_000);
-        assert_eq!(batch.nodes().len(), 10_000);
-        assert!(seq.lost_count() > 0);
-        assert!(batch.lost_count() > 0);
-    }
-
     /// Satellite check: the batch driver under the full fault matrix is
     /// bit-identical (states, counters, trace) at 1, 2, and 4 threads.
     #[test]
@@ -1772,13 +1433,30 @@ mod store_tests {
     impl AsyncProtocol for Ping {
         type Node = ();
         type Message = u64;
+        type Report = ();
         fn make_node(&mut self, _rng: &mut StdRng) {}
-        fn on_timer(&mut self, id: NodeId, ctx: &mut EventCtx<'_, (), u64>) {
+        fn on_timer(
+            &self,
+            id: NodeId,
+            _node: &mut (),
+            ctx: &mut BatchCtx<'_, '_, u64>,
+            _: &mut (),
+        ) {
             if let Some(p) = ctx.random_neighbour(id) {
-                ctx.send(id, p, ctx.now, 8);
+                ctx.send(id, p, ctx.now(), 8);
             }
         }
-        fn on_message(&mut self, _: NodeId, _: NodeId, _: u64, _: &mut EventCtx<'_, (), u64>) {}
+        fn on_message(
+            &self,
+            _: NodeId,
+            _: &mut (),
+            _: NodeId,
+            _: u64,
+            _: &mut BatchCtx<'_, '_, u64>,
+            _: &mut (),
+        ) {
+        }
+        fn absorb_report(&mut self, _: ()) {}
     }
 
     #[test]
@@ -1786,7 +1464,7 @@ mod store_tests {
         let config = EventConfig::new(64, 21).with_gossip_period(10);
         let mut engine = EventEngine::new(config, Ping);
         // Long run: thousands of events scheduled and consumed.
-        engine.run_until(10 * 2_000);
+        engine.run_until_parallel(10 * 2_000);
         // The wheel must hold only the *pending* events (one timer per
         // node plus in-flight messages), not the total ever scheduled
         // (~192k here).

@@ -15,8 +15,14 @@
 //! [`RoundFaults`] records, which tests compare across execution paths and
 //! benches report alongside protocol error.
 
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom as _;
+use rand::RngExt as _;
+
 use crate::engine::SimConfigError;
+use crate::node::NodeId;
 use crate::rng::{derive_seed, seeded_rng};
+use crate::telemetry::SimTelemetry;
 
 /// Fault-stream tags for [`derive_seed`], disjoint from the engine's
 /// parallel-phase counters (0, 1) by a wide margin.
@@ -679,7 +685,7 @@ impl FaultScenario {
 /// Everything here is a pure function of `(scenario seed, window start,
 /// counters)` — no engine RNG is ever consumed — so the same scenario
 /// produces the same attack on the cycle engine, `run_round_parallel`, and
-/// the event engine's batch path, at any thread count.
+/// the event engine, at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveAdversary {
     seed: u64,
@@ -817,15 +823,48 @@ impl FaultTrace {
     }
 }
 
+/// What an engine does differently when [`FaultRuntime::begin_round`]
+/// injects a fault. The schedule itself — which faults fire in a round, in
+/// what order, from which scenario-seeded streams, and what the trace
+/// records — is shared; a host only says how a victim leaves, how a
+/// recovered node is admitted and how the partition and loss rate take
+/// effect in its execution model.
+pub(crate) trait FaultHost {
+    /// Live node ids in slot order.
+    fn live_ids(&self) -> Vec<NodeId>;
+
+    /// Sets the round's effective per-message loss rate (the configured
+    /// base rate, or a burst override).
+    fn set_loss_rate(&mut self, loss_rate: f64);
+
+    /// Enforces the partition whose group of slot `i` is `groups[i]`
+    /// (slots beyond the vector are group 0), or heals it on `None`.
+    fn set_partition(&mut self, groups: Option<Vec<u32>>);
+
+    /// Removes one crash victim; `false` when it was already gone.
+    fn crash(&mut self, id: NodeId) -> bool;
+
+    /// Admits `count` recovered nodes whose state (and any admission
+    /// randomness) is drawn from `rng`, recording each in telemetry.
+    fn admit(&mut self, round: u64, count: u32, rng: &mut StdRng);
+
+    /// Applies one drift operation through the protocol's `drift_node`
+    /// hook; `false` when the node is gone.
+    fn drift(&mut self, id: NodeId, op: DriftOp, rng: &mut StdRng) -> bool;
+
+    /// The attached telemetry store, if any.
+    fn telemetry(&mut self) -> Option<&mut SimTelemetry>;
+}
+
 /// Engine-side runtime state for an attached scenario.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRuntime {
     /// The scenario being replayed.
     pub(crate) scenario: FaultScenario,
     /// Window start of the currently applied partition, if any.
-    pub(crate) partition_applied: Option<u64>,
+    partition_applied: Option<u64>,
     /// Crashed-node batches waiting to rejoin, as `(recover_round, count)`.
-    pub(crate) pending_recoveries: Vec<(u64, u32)>,
+    pending_recoveries: Vec<(u64, u32)>,
     /// Record of everything injected so far.
     pub(crate) trace: FaultTrace,
 }
@@ -840,31 +879,169 @@ impl FaultRuntime {
         }
     }
 
-    /// Deterministic RNG for selecting crash victims at `round`.
-    pub(crate) fn crash_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_CRASH),
-            round,
-        ))
+    /// The scenario-seeded stream for `phase` (crash victims, recovered
+    /// nodes, drift draws) at `round`. One stream per phase and round,
+    /// consumed sequentially, so replay is identical on every execution
+    /// path at any thread count.
+    fn stream_rng(&self, phase: u64, round: u64) -> StdRng {
+        seeded_rng(derive_seed(derive_seed(self.scenario.seed, phase), round))
     }
 
-    /// Deterministic RNG for rebuilding recovered nodes at `round`.
-    pub(crate) fn recover_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_RECOVER),
-            round,
-        ))
+    /// Injects the round-windowed faults of `round` into `host` and
+    /// appends the round's [`RoundFaults`] record: loss override,
+    /// partition set/heal, crash waves, due recoveries, attribute drift
+    /// and the Byzantine head count, always in that order. No engine RNG
+    /// is consumed. Returns the adversary window covering the round.
+    pub(crate) fn begin_round<H: FaultHost>(
+        &mut self,
+        round: u64,
+        base_loss_rate: f64,
+        host: &mut H,
+    ) -> Option<ActiveAdversary> {
+        let loss_override = self.scenario.loss_rate_at(round);
+        let loss_rate = loss_override.unwrap_or(base_loss_rate);
+        host.set_loss_rate(loss_rate);
+        if loss_override.is_some() {
+            if let Some(t) = host.telemetry() {
+                t.record_fault_loss(round, loss_rate);
+            }
+        }
+
+        // Groups are recomputed every round of a window so slots created
+        // by recoveries or churn since the cut are covered.
+        let active = self.scenario.active_partition(round);
+        let mut partition_checksum = 0u64;
+        match active {
+            Some((start, kind)) => {
+                let ids = host.live_ids();
+                let mut groups = vec![0u32; ids.last().map_or(0, |id| id.slot() + 1)];
+                for id in ids {
+                    let g = self
+                        .scenario
+                        .partition_group(start, id.slot(), kind.groups());
+                    groups[id.slot()] = g;
+                    partition_checksum ^= derive_seed(id.slot() as u64, u64::from(g));
+                }
+                host.set_partition(Some(groups));
+                self.partition_applied = Some(start);
+                if let Some(t) = host.telemetry() {
+                    t.record_fault_partition(round, partition_checksum);
+                }
+            }
+            None => {
+                if self.partition_applied.take().is_some() {
+                    host.set_partition(None);
+                }
+            }
+        }
+
+        // Each wave's victims are the head of a scenario-seeded shuffle of
+        // the live population; at least one node always survives.
+        let mut crashed: Vec<u32> = Vec::new();
+        for (recover_round, fraction) in self.scenario.crashes_at(round) {
+            let mut ids = host.live_ids();
+            let live = ids.len();
+            let k = ((fraction * live as f64).round() as usize).min(live.saturating_sub(1));
+            if k == 0 {
+                continue;
+            }
+            ids.shuffle(&mut self.stream_rng(PHASE_CRASH, round));
+            let before = crashed.len();
+            for id in ids.into_iter().take(k) {
+                if host.crash(id) {
+                    crashed.push(id.slot() as u32);
+                    if let Some(t) = host.telemetry() {
+                        t.record_crash(round, id.slot() as u32);
+                    }
+                }
+            }
+            let wave = (crashed.len() - before) as u32;
+            if wave > 0 {
+                self.pending_recoveries.push((recover_round, wave));
+            }
+        }
+
+        let mut recovered = 0u32;
+        self.pending_recoveries.retain(|&(when, count)| {
+            if when <= round {
+                recovered += count;
+                false
+            } else {
+                true
+            }
+        });
+        if recovered > 0 {
+            host.admit(round, recovered, &mut self.stream_rng(PHASE_RECOVER, round));
+        }
+
+        let drifted = self.apply_drift(round, host);
+        if drifted > 0 {
+            if let Some(t) = host.telemetry() {
+                t.record_fault_drift(round, drifted);
+            }
+        }
+
+        // Membership is a pure function of the scenario seed, counted over
+        // the post-crash, post-recovery live population.
+        let adversary = self.scenario.adversary_at(round);
+        let byzantine = adversary.as_ref().map_or(0, |adv| {
+            adv.count_byzantine(host.live_ids().iter().map(|id| id.slot()))
+        });
+
+        if loss_override.is_some()
+            || active.is_some()
+            || !crashed.is_empty()
+            || recovered > 0
+            || adversary.is_some()
+            || drifted > 0
+        {
+            self.trace.records.push(RoundFaults {
+                round,
+                loss_rate,
+                partition_active: active.is_some(),
+                partition_checksum,
+                crashed,
+                recovered,
+                byzantine,
+                drifted,
+            });
+        }
+        adversary
     }
 
-    /// Deterministic RNG for the attribute-drift draws at `round`. One
-    /// stream per round, consumed over live nodes in slot order — the
-    /// application loop is sequential in both engines, so replay is
-    /// thread-count invariant.
-    pub(crate) fn drift_rng(&self, round: u64) -> rand::rngs::StdRng {
-        seeded_rng(derive_seed(
-            derive_seed(self.scenario.seed, PHASE_DRIFT),
-            round,
-        ))
+    /// Applies the drift models active at `round` to every live node in
+    /// slot order from the round's drift stream, returning the number of
+    /// node mutations performed.
+    fn apply_drift<H: FaultHost>(&self, round: u64, host: &mut H) -> u32 {
+        let models = self.scenario.drifts_at(round);
+        if models.is_empty() {
+            return 0;
+        }
+        let mut rng = self.stream_rng(PHASE_DRIFT, round);
+        let ids = host.live_ids();
+        let mut drifted = 0u32;
+        for model in models {
+            for &id in &ids {
+                let op = match model {
+                    DriftModel::LinearRamp { per_round } => Some(DriftOp::Shift(per_round)),
+                    DriftModel::Step { shift } => Some(DriftOp::Shift(shift)),
+                    DriftModel::Jitter { sigma } => {
+                        // One draw per node, consumed even when sigma is 0,
+                        // keeping the stream aligned across scenarios.
+                        let u = rng.random::<f64>();
+                        Some(DriftOp::Shift((2.0 * u - 1.0) * sigma))
+                    }
+                    DriftModel::Replacement { rate } => {
+                        (rng.random::<f64>() < rate).then_some(DriftOp::Replace)
+                    }
+                };
+                let Some(op) = op else { continue };
+                if host.drift(id, op, &mut rng) {
+                    drifted += 1;
+                }
+            }
+        }
+        drifted
     }
 }
 
@@ -1152,27 +1329,129 @@ mod tests {
     }
 
     #[test]
-    fn drift_rng_is_per_round_deterministic() {
-        use rand::RngExt as _;
-        let rt = FaultRuntime::new(FaultScenario::new(9).with_drift(
-            0,
-            10,
-            DriftModel::Jitter { sigma: 1.0 },
-        ));
-        let a: Vec<f64> = {
-            let mut rng = rt.drift_rng(3);
+    fn fault_streams_are_per_phase_and_round_deterministic() {
+        let rt = FaultRuntime::new(FaultScenario::new(9));
+        let draws = |phase, round| -> Vec<f64> {
+            let mut rng = rt.stream_rng(phase, round);
             (0..8).map(|_| rng.random::<f64>()).collect()
         };
-        let b: Vec<f64> = {
-            let mut rng = rt.drift_rng(3);
-            (0..8).map(|_| rng.random::<f64>()).collect()
-        };
-        assert_eq!(a, b);
-        let c: Vec<f64> = {
-            let mut rng = rt.drift_rng(4);
-            (0..8).map(|_| rng.random::<f64>()).collect()
-        };
-        assert_ne!(a, c, "different rounds get different drift streams");
+        let a = draws(PHASE_DRIFT, 3);
+        assert_eq!(a, draws(PHASE_DRIFT, 3));
+        assert_ne!(a, draws(PHASE_DRIFT, 4), "rounds get different streams");
+        assert_ne!(a, draws(PHASE_CRASH, 3), "phases get different streams");
+    }
+
+    /// A host that keeps a bare id list and logs every hook call.
+    #[derive(Default)]
+    struct StubHost {
+        live: Vec<NodeId>,
+        next_slot: u32,
+        log: Vec<String>,
+    }
+
+    impl StubHost {
+        fn with_nodes(n: u32) -> Self {
+            Self {
+                live: (0..n).map(|slot| NodeId::for_tests(slot, 0)).collect(),
+                next_slot: n,
+                log: Vec::new(),
+            }
+        }
+    }
+
+    impl FaultHost for StubHost {
+        fn live_ids(&self) -> Vec<NodeId> {
+            self.live.clone()
+        }
+        fn set_loss_rate(&mut self, loss_rate: f64) {
+            self.log.push(format!("loss {loss_rate}"));
+        }
+        fn set_partition(&mut self, groups: Option<Vec<u32>>) {
+            self.log.push(match groups {
+                Some(g) => format!("cut {}", g.len()),
+                None => "heal".to_string(),
+            });
+        }
+        fn crash(&mut self, id: NodeId) -> bool {
+            self.log.push("crash".to_string());
+            let before = self.live.len();
+            self.live.retain(|&l| l != id);
+            self.live.len() < before
+        }
+        fn admit(&mut self, round: u64, count: u32, rng: &mut StdRng) {
+            let draw = rng.random::<u64>();
+            self.log.push(format!("admit {count} @{round} {draw}"));
+            for _ in 0..count {
+                self.live.push(NodeId::for_tests(self.next_slot, 0));
+                self.next_slot += 1;
+            }
+        }
+        fn drift(&mut self, id: NodeId, op: DriftOp, _rng: &mut StdRng) -> bool {
+            if id.slot() == 0 {
+                self.log.push(format!("drift {op:?}"));
+            }
+            true
+        }
+        fn telemetry(&mut self) -> Option<&mut SimTelemetry> {
+            None
+        }
+    }
+
+    #[test]
+    fn shared_schedule_drives_the_host_in_fixed_order() {
+        let scenario = FaultScenario::new(5)
+            .with_burst_loss(1, 2, 0.4)
+            .with_partition(1, 2, PartitionKind::Bisect)
+            .with_crash_recover(1, 3, 0.25)
+            .with_drift(1, 2, DriftModel::Step { shift: 2.0 })
+            .with_adversary(1, 2, 1.0, AdversaryModel::WeightInflation { factor: 3.0 });
+        let mut rt = FaultRuntime::new(scenario);
+        let mut host = StubHost::with_nodes(8);
+
+        // Round 0: nothing scheduled — only the base loss rate is set.
+        assert!(rt.begin_round(0, 0.1, &mut host).is_none());
+        assert_eq!(host.log, ["loss 0.1"]);
+        assert!(rt.trace.is_empty());
+
+        // Round 1: loss, cut, crash wave (25 % of 8), drift, adversary.
+        host.log.clear();
+        let adversary = rt.begin_round(1, 0.1, &mut host);
+        assert!(adversary.is_some());
+        assert_eq!(
+            host.log,
+            ["loss 0.4", "cut 8", "crash", "crash", "drift Shift(2.0)"]
+        );
+        assert_eq!(host.live.len(), 6);
+        assert_eq!(rt.pending_recoveries, [(3, 2)]);
+        let record = rt.trace.records.last().expect("round 1 recorded");
+        assert_eq!((record.round, record.loss_rate), (1, 0.4));
+        assert!(record.partition_active && record.partition_checksum != 0);
+        assert_eq!(record.crashed.len(), 2);
+        assert!(record.crashed.iter().all(|&slot| slot < 8));
+        assert_eq!(
+            (record.recovered, record.byzantine, record.drifted),
+            (0, 6, 6)
+        );
+
+        // Round 2: the windows closed — base loss restored, cut healed.
+        host.log.clear();
+        assert!(rt.begin_round(2, 0.1, &mut host).is_none());
+        assert_eq!(host.log, ["loss 0.1", "heal"]);
+        assert_eq!(rt.trace.len(), 1, "quiet rounds leave no record");
+
+        // Round 3: the wave recovers, from the round's recovery stream.
+        host.log.clear();
+        rt.begin_round(3, 0.1, &mut host);
+        let draw = rt.stream_rng(PHASE_RECOVER, 3).random::<u64>();
+        assert_eq!(
+            host.log,
+            ["loss 0.1".to_string(), format!("admit 2 @3 {draw}")]
+        );
+        assert!(rt.pending_recoveries.is_empty());
+        assert_eq!(host.live.len(), 8);
+        let record = rt.trace.records.last().expect("round 3 recorded");
+        assert_eq!((record.round, record.recovered), (3, 2));
+        assert_eq!(rt.trace.total_crashed(), rt.trace.total_recovered());
     }
 
     #[test]

@@ -74,9 +74,7 @@ pub use engine::{
     Ctx, Engine, EngineConfig, ExchangeFate, ExchangeOutcome, ExchangeRepair, ExchangeTraffic,
     ParLocal, PlannedExchange, Protocol, SimConfigError,
 };
-pub use event::{
-    AsyncProtocol, BatchAsyncProtocol, BatchCtx, EventConfig, EventCtx, EventEngine, LatencyModel,
-};
+pub use event::{AsyncProtocol, BatchCtx, EventConfig, EventCtx, EventEngine, LatencyModel};
 pub use faults::{
     ActiveAdversary, AdversaryModel, DriftModel, DriftOp, FaultEvent, FaultScenario, FaultTrace,
     PartitionKind, PlannedAttack, RoundFaults,
@@ -87,6 +85,11 @@ pub use peersampling::{PeerSamplingPolicy, PeerSelection, PsView, ViewEntry};
 pub use rng::{derive_seed, par_stream_rng, seeded_rng};
 pub use stats::{Accumulator, MassAuditor, MassViolation, NetShard, NetStats, NodeTraffic};
 pub use telemetry::{SimTelemetry, TelemetryHandle, TelemetryShard};
+
+/// The strict JSON document model [`FaultScenario::to_json_value`] and
+/// [`FaultScenario::from_json_value`] speak, re-exported so callers (and
+/// `telemetry_check`) can name and parse it without their own dependency.
+pub use serde::json;
 
 // Re-exported so downstream crates (core, bench) can use telemetry types
 // without their own `adam2-telemetry` dependency.
