@@ -285,6 +285,11 @@ fn main() {
             "event instance incomplete at n={nodes}: coverage {:.4}",
             run.coverage
         );
+        // Read before the `--check` re-run: the allocator keeps the first
+        // run's per-thread arenas while the second run, at another thread
+        // count, fills different ones, which would add ≈ 1 kB per node to
+        // a figure meant to describe one run.
+        let peak = peak_rss_bytes().unwrap_or(0);
         if check {
             // Bit-identity across thread counts: re-run with a different
             // worker count and require the exact same fingerprint.
@@ -309,7 +314,6 @@ fn main() {
             );
         }
         let ticks = period * (event_rounds + 2);
-        let peak = peak_rss_bytes().unwrap_or(0);
         let r = EventResult {
             nodes,
             rounds: event_rounds,

@@ -15,6 +15,23 @@
 //! survive asynchrony.
 //!
 //! This is an extension beyond the paper, flagged in DESIGN.md.
+//!
+//! # One buffer per exchange
+//!
+//! A simulated message never crosses a process boundary, so it is not
+//! encoded: an [`Adam2Message`] carries in-memory snapshots
+//! ([`InstanceLocal`] clones that share the sender's `Arc<InstanceMeta>`;
+//! the thresholds are not copied) and is *charged*
+//! [`wire::message_len`], which a unit test pins to the real encoder's
+//! output. The initiator's timer makes the exchange's only allocation —
+//! the snapshot list and its fraction vectors. The responder owns the
+//! request it is handed, merges against it directly and rewrites it into
+//! the response ([`InstanceLocal::merge_and_reply`]: pre-merge own state
+//! out, pair mean in), and the initiator frees the buffers when it has
+//! absorbed them — on the shard, hence the thread, that allocated them.
+//! Only the cases that are not a plain merge (robust mode, an epoch
+//! mismatch, an expired or unknown instance) copy the pre-merge state
+//! first; an integration test pins ≤ 3 allocations per exchange.
 
 use std::sync::Arc;
 
@@ -23,32 +40,42 @@ use rand::rngs::StdRng;
 use adam2_sim::{ActiveAdversary, AsyncProtocol, BatchCtx, DriftOp, EventCtx, NodeId};
 
 use crate::config::RobustPolicy;
-use crate::instance::{AttrValue, InstanceMeta};
+use crate::instance::{AttrValue, InstanceLocal, InstanceMeta};
 use crate::protocol::{corrupt_node, Adam2Node};
-use crate::wire::{GossipMessage, InstancePayload};
+use crate::wire;
 
-/// A gossip message of the asynchronous protocol: the request carries the
-/// initiator's instance states, the response the responder's *pre-merge*
-/// states.
+/// A gossip message of the asynchronous protocol, in memory: the sender's
+/// state for every instance it is running, as snapshots that share the
+/// sender's instance metadata (a snapshot's `initiator` flag is not wire
+/// state; receivers ignore it). The request carries the initiator's
+/// states, the response the responder's *pre-merge* states.
 #[derive(Debug, Clone)]
 pub enum Adam2Message {
     /// Push half of the exchange.
-    Request(GossipMessage),
-    /// Pull half of the exchange.
-    Response(GossipMessage),
+    Request {
+        /// Per-exchange sequence number ([`BatchCtx::event_stamp`] of the
+        /// initiator's timer).
+        seq: u64,
+        /// One snapshot per instance the initiator runs.
+        instances: Vec<InstanceLocal>,
+    },
+    /// Pull half of the exchange, in the request's buffers.
+    Response {
+        /// The request's sequence number, echoed.
+        seq: u64,
+        /// One snapshot per instance the responder runs.
+        instances: Vec<InstanceLocal>,
+    },
 }
 
 impl Adam2Message {
-    fn payloads(&self) -> &[InstancePayload] {
-        match self {
-            Adam2Message::Request(m) | Adam2Message::Response(m) => &m.instances,
-        }
-    }
-
-    /// Wire size of the message.
+    /// Wire size of the message: what [`wire::GossipMessage::encoded_len`]
+    /// is for the same instances.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Adam2Message::Request(m) | Adam2Message::Response(m) => m.encoded_len(),
+            Adam2Message::Request { instances, .. } | Adam2Message::Response { instances, .. } => {
+                wire::message_len(instances)
+            }
         }
     }
 
@@ -56,7 +83,7 @@ impl Adam2Message {
     /// request with [`BatchCtx::event_stamp`] and the response echoes it.
     pub fn seq(&self) -> u64 {
         match self {
-            Adam2Message::Request(m) | Adam2Message::Response(m) => m.seq,
+            Adam2Message::Request { seq, .. } | Adam2Message::Response { seq, .. } => *seq,
         }
     }
 }
@@ -168,9 +195,10 @@ impl AsyncAdam2 {
         now / self.ticks_per_round
     }
 
-    /// Merges each known instance with the received snapshot (one-sided
-    /// averaging). When `allow_join` is set, unknown instances are joined
-    /// first.
+    /// One-sided averaging with a received snapshot, which is consumed as
+    /// the merge's other side. When `allow_join` is set an unknown
+    /// instance is joined first; otherwise it is skipped before anything
+    /// of the snapshot (its metadata's refcount included) is touched.
     ///
     /// Joins are only allowed while handling a *request*: the joiner's
     /// response then carries its pre-merge initial state, so the requester
@@ -178,31 +206,64 @@ impl AsyncAdam2 {
     /// Joining from a response would credit mass the sender never debits
     /// and inflate the weight sum (collapsing the `N = 1/w` estimate).
     fn absorb(
+        &self,
         node: &mut Adam2Node,
-        payloads: &[InstancePayload],
+        snapshot: &mut InstanceLocal,
         round: u64,
         allow_join: bool,
-        robust: Option<&RobustPolicy>,
-    ) -> (u64, u64) {
-        let mut rejects = 0u64;
-        let mut trims = 0u64;
-        for payload in payloads {
-            if round >= payload.end_round {
-                continue;
-            }
-            if !allow_join
-                && node
-                    .active_instance(crate::InstanceId::from_u64(payload.id))
-                    .is_none()
-            {
-                continue;
-            }
-            let snapshot = payload.to_local();
-            let (r, t) = node.absorb_snapshot_with(&snapshot, round, robust);
-            rejects += u64::from(r);
-            trims += u64::from(t);
+        report: &mut AsyncBatchReport,
+    ) {
+        if round >= snapshot.meta.end_round
+            || (!allow_join && node.active_instance(snapshot.meta.id).is_none())
+        {
+            return;
         }
-        (rejects, trims)
+        let (rejects, trims) = node.absorb_snapshot_with(snapshot, round, self.robust.as_ref());
+        report.robust_rejects += u64::from(rejects);
+        report.robust_trims += u64::from(trims);
+    }
+
+    /// Absorbs a request and rewrites it, in its own buffers, into the
+    /// response: this node's *pre-merge* state for every instance it runs.
+    /// The plain case — vanilla merge, same epoch — is
+    /// [`InstanceLocal::merge_and_reply`]; every other case saves the
+    /// pre-merge state, absorbs as a response would be absorbed, and puts
+    /// the saved state in the snapshot's place.
+    fn absorb_and_reply(
+        &self,
+        node: &mut Adam2Node,
+        instances: &mut Vec<InstanceLocal>,
+        round: u64,
+        report: &mut AsyncBatchReport,
+    ) {
+        instances.retain_mut(|snapshot| {
+            let own = node.find_index(snapshot.meta.id);
+            if let Some(own) = own.map(|idx| &mut node.instances[idx]) {
+                if self.robust.is_none()
+                    && round < snapshot.meta.end_round
+                    && own.epoch == snapshot.epoch
+                {
+                    InstanceLocal::merge_and_reply(own, snapshot);
+                    return true;
+                }
+            }
+            let before = own.map(|idx| node.instances[idx].clone());
+            self.absorb(node, snapshot, round, true, report);
+            match before {
+                Some(before) if !before.is_due(round) => {
+                    *snapshot = before;
+                    true
+                }
+                // Not an instance this node runs: nothing to answer.
+                _ => false,
+            }
+        });
+        // Instances only this node runs ride along untouched.
+        for own in node.instances.iter().filter(|i| !i.is_due(round)) {
+            if !instances.iter().any(|s| s.meta.id == own.meta.id) {
+                instances.push(own.clone());
+            }
+        }
     }
 
     /// Applies the active adversary's corruption to `node`'s own state just
@@ -226,16 +287,23 @@ impl AsyncAdam2 {
         }
     }
 
-    /// Joins (without merging) every active instance in `payloads` that
+    /// Joins (without merging) every active instance in `snapshots` that
     /// the node does not know yet.
-    fn join_unknown(node: &mut Adam2Node, payloads: &[InstancePayload], round: u64) {
-        for payload in payloads {
-            if round >= payload.end_round {
-                continue;
+    fn join_unknown(node: &mut Adam2Node, snapshots: &[InstanceLocal], round: u64) {
+        for snapshot in snapshots {
+            if round < snapshot.meta.end_round && node.active_instance(snapshot.meta.id).is_none() {
+                node.join_instance_passively(snapshot.meta.clone());
             }
-            let snapshot = payload.to_local();
-            node.join_instance_passively(snapshot.meta.clone());
         }
+    }
+
+    /// The node's state for every instance still running at `round`, as
+    /// the snapshots a message carries.
+    fn snapshots(node: &Adam2Node, round: u64) -> Vec<InstanceLocal> {
+        let mut instances = Vec::with_capacity(node.active_instances().len());
+        let running = node.active_instances().iter().filter(|i| !i.is_due(round));
+        instances.extend(running.cloned());
+        instances
     }
 }
 
@@ -291,11 +359,12 @@ impl AsyncProtocol for AsyncAdam2 {
             partner.slot(),
             round,
         );
-        let mut message =
-            GossipMessage::from_locals(node.active_instances().iter().filter(|i| !i.is_due(round)));
-        message.seq = ctx.event_stamp();
-        let bytes = message.encoded_len();
-        ctx.send(id, partner, Adam2Message::Request(message), bytes);
+        let request = Adam2Message::Request {
+            seq: ctx.event_stamp(),
+            instances: Self::snapshots(node, round),
+        };
+        let bytes = request.encoded_len();
+        ctx.send(id, partner, request, bytes);
     }
 
     fn on_message(
@@ -309,15 +378,15 @@ impl AsyncProtocol for AsyncAdam2 {
     ) {
         let round = self.round_of(ctx.now());
         report.completed += node.finalize_due_instances(round).0;
-        match &message {
-            Adam2Message::Request(_) => {
+        match message {
+            Adam2Message::Request { seq, mut instances } => {
                 // Join unknown instances first so the response carries the
                 // pre-merge *initial* state (the requester will debit
                 // exactly the mass we are about to credit ourselves with),
-                // then reply, then absorb. A Byzantine responder corrupts
-                // its own state before replying, so the poison rides the
-                // pull half of the exchange.
-                Self::join_unknown(node, message.payloads(), round);
+                // then absorb and reply in one pass. A Byzantine responder
+                // corrupts its own state before replying, so the poison
+                // rides the pull half of the exchange.
+                Self::join_unknown(node, &instances, round);
                 Self::corrupt_if_byzantine(
                     &ctx.adversary(),
                     node,
@@ -326,22 +395,15 @@ impl AsyncProtocol for AsyncAdam2 {
                     from.slot(),
                     round,
                 );
-                let mut response = GossipMessage::from_locals(
-                    node.active_instances().iter().filter(|i| !i.is_due(round)),
-                );
-                response.seq = message.seq();
+                self.absorb_and_reply(node, &mut instances, round, report);
+                let response = Adam2Message::Response { seq, instances };
                 let bytes = response.encoded_len();
-                let (r, t) =
-                    Self::absorb(node, message.payloads(), round, true, self.robust.as_ref());
-                report.robust_rejects += r;
-                report.robust_trims += t;
-                ctx.send(id, from, Adam2Message::Response(response), bytes);
+                ctx.send(id, from, response, bytes);
             }
-            Adam2Message::Response(_) => {
-                let (r, t) =
-                    Self::absorb(node, message.payloads(), round, false, self.robust.as_ref());
-                report.robust_rejects += r;
-                report.robust_trims += t;
+            Adam2Message::Response { mut instances, .. } => {
+                for snapshot in &mut instances {
+                    self.absorb(node, snapshot, round, false, report);
+                }
             }
         }
     }
@@ -593,6 +655,154 @@ mod tests {
         let base = fingerprint(1);
         assert_eq!(base, fingerprint(2), "threads=2 diverged from threads=1");
         assert_eq!(base, fingerprint(4), "threads=4 diverged from threads=1");
+    }
+
+    /// Every field of a snapshot that goes on the wire, bit for bit.
+    fn wire_bits(inst: &InstanceLocal) -> Vec<u64> {
+        let mut bits = vec![inst.meta.id.as_u64(), u64::from(inst.epoch)];
+        bits.extend(inst.fractions.iter().map(|f| f.to_bits()));
+        bits.extend(inst.verify_fractions.iter().map(|f| f.to_bits()));
+        bits.extend([inst.count, inst.weight, inst.min, inst.max].map(f64::to_bits));
+        bits
+    }
+
+    fn sorted_bits(instances: &[InstanceLocal]) -> Vec<Vec<u64>> {
+        let mut bits: Vec<_> = instances.iter().map(wire_bits).collect();
+        bits.sort();
+        bits
+    }
+
+    /// Serves `request` at `node` twice — through the in-place
+    /// `absorb_and_reply` and through the sequence it replaces (copy the
+    /// pre-merge state into a fresh response, then absorb a copy of each
+    /// request snapshot) — and requires the same response, node state and
+    /// robust counters. Returns the response and the robust reject count.
+    fn served_both_ways(
+        proto: &AsyncAdam2,
+        node: &Adam2Node,
+        request: &[InstanceLocal],
+        round: u64,
+    ) -> (Vec<InstanceLocal>, u64) {
+        let mut reference = node.clone();
+        let mut reference_report = AsyncBatchReport::default();
+        AsyncAdam2::join_unknown(&mut reference, request, round);
+        let reference_response = AsyncAdam2::snapshots(&reference, round);
+        for snapshot in request {
+            let copy = &mut snapshot.clone();
+            proto.absorb(&mut reference, copy, round, true, &mut reference_report);
+        }
+
+        let mut node = node.clone();
+        let mut report = AsyncBatchReport::default();
+        let mut response = request.to_vec();
+        AsyncAdam2::join_unknown(&mut node, &response, round);
+        proto.absorb_and_reply(&mut node, &mut response, round, &mut report);
+
+        assert_eq!(sorted_bits(&response), sorted_bits(&reference_response));
+        assert_eq!(
+            sorted_bits(node.active_instances()),
+            sorted_bits(reference.active_instances())
+        );
+        assert_eq!(
+            (report.robust_rejects, report.robust_trims),
+            (
+                reference_report.robust_rejects,
+                reference_report.robust_trims
+            )
+        );
+        (response, report.robust_rejects)
+    }
+
+    #[test]
+    fn in_place_response_equals_copy_then_merge() {
+        let meta = |nonce: u64, verify: &[f64]| {
+            Arc::new(InstanceMeta {
+                id: InstanceId::derive(0, 0, nonce),
+                thresholds: vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0].into(),
+                verify_thresholds: verify.to_vec().into(),
+                start_round: 2,
+                end_round: 32,
+                multi: false,
+            })
+        };
+        let (shared, other) = (meta(1, &[15.0, 45.0]), meta(2, &[]));
+        // A mid-run state: a few merges in, so no component is 0 or 1.
+        let seasoned = |meta: &Arc<InstanceMeta>, value: f64, initiator: bool| {
+            let mut inst = InstanceLocal::join(meta.clone(), &AttrValue::Single(value), initiator);
+            for v in [5.0, 33.0, 58.0] {
+                let mut peer = InstanceLocal::join(meta.clone(), &AttrValue::Single(v), false);
+                InstanceLocal::merge_symmetric(&mut inst, &mut peer);
+            }
+            inst
+        };
+        let request = vec![seasoned(&shared, 25.0, true), seasoned(&other, 25.0, true)];
+        let responder = |instances: Vec<InstanceLocal>| {
+            let mut node = Adam2Node::new(AttrValue::Single(44.0), 100.0);
+            node.instances = instances;
+            node
+        };
+        let vanilla = AsyncAdam2::with_population(100, Vec::new(), |_| 1.0);
+        let robust = AsyncAdam2::with_population(100, Vec::new(), |_| 1.0)
+            .with_robust(RobustPolicy::new().with_trim_fraction(0.25));
+        let knows_shared = responder(vec![seasoned(&shared, 44.0, false)]);
+
+        for proto in [&vanilla, &robust] {
+            // Plain: one instance known (merged), one unknown (joined, then
+            // merged from its initial state); the response answers both.
+            let (response, rejects) = served_both_ways(proto, &knows_shared, &request, 10);
+            assert_eq!((response.len(), rejects), (2, 0));
+
+            // An instance only the responder runs rides along.
+            let runs_third = responder(vec![
+                seasoned(&meta(3, &[]), 44.0, false),
+                seasoned(&shared, 44.0, false),
+            ]);
+            let (response, _) = served_both_ways(proto, &runs_third, &request, 10);
+            assert_eq!(response.len(), 3);
+
+            // Epoch mismatch, both ways: a newer request epoch makes the
+            // responder re-enter first (its response still carries the old
+            // epoch); a stale one is answered but not merged.
+            for (ours, theirs) in [(0, 2), (3, 1)] {
+                let mut node = knows_shared.clone();
+                node.instances[0].epoch = ours;
+                let mut request = request.clone();
+                request[0].epoch = theirs;
+                let (response, _) = served_both_ways(proto, &node, &request, 10);
+                assert!(response.iter().any(|s| s.epoch == ours));
+            }
+
+            // Late joiner: it runs nothing and may join nothing.
+            let mut late = responder(Vec::new());
+            late.joined_round = 5;
+            assert!(served_both_ways(proto, &late, &request, 10).0.is_empty());
+
+            // Unknown instances that expired in flight are not joined; a
+            // known one the responder still runs (restart epoch) is answered
+            // unmerged.
+            let (response, _) = served_both_ways(proto, &responder(Vec::new()), &request, 32);
+            assert!(response.is_empty());
+            let mut restarted = knows_shared.clone();
+            restarted.instances[0].epoch = 1;
+            let (response, _) = served_both_ways(proto, &restarted, &request, 40);
+            assert_eq!(response.len(), 1);
+
+            // Poison, from either side: robust mode rejects it (and counts
+            // the reject even where the late joiner runs nothing), vanilla
+            // merges it.
+            let rejecting = u64::from(proto.robust.is_some());
+            let mut poisoned = request.clone();
+            poisoned[0].fractions[2] = 7.5;
+            poisoned[1].weight = 40.0;
+            let (_, rejects) = served_both_ways(proto, &knows_shared, &poisoned, 10);
+            assert_eq!(rejects, 2 * rejecting);
+            let (_, rejects) = served_both_ways(proto, &late, &poisoned, 10);
+            assert_eq!(rejects, 2 * rejecting);
+            let mut corrupted = knows_shared.clone();
+            corrupted.instances[0].fractions[0] = -3.0;
+            let (_, rejects) = served_both_ways(proto, &corrupted, &request, 10);
+            assert_eq!(rejects, rejecting);
+        }
     }
 
     #[test]

@@ -317,6 +317,46 @@ impl InstanceLocal {
         b.max = max;
     }
 
+    /// The responder's half of a non-atomic push–pull exchange, in place:
+    /// `own` moves exactly where [`merge_symmetric`](Self::merge_symmetric)
+    /// would move it, and `request` — the initiator's snapshot — leaves
+    /// holding `own`'s *pre-merge* averaging state, i.e. the response. No
+    /// buffer is allocated, copied or freed: the response travels back in
+    /// the allocation the request arrived in.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) if the two states belong to different
+    /// instances or epochs.
+    pub fn merge_and_reply(own: &mut InstanceLocal, request: &mut InstanceLocal) {
+        debug_assert_eq!(own.meta.id, request.meta.id, "instance id mismatch");
+        debug_assert_eq!(
+            own.epoch, request.epoch,
+            "epochs must be reconciled before merging"
+        );
+        /// `own` to the pair mean (operands in `merge_symmetric`'s order),
+        /// `request` to what `own` held.
+        fn mean_out(own: &mut f64, request: &mut f64) {
+            let before = *own;
+            *own = (before + *request) / 2.0;
+            *request = before;
+        }
+        for (fo, fr) in own.fractions.iter_mut().zip(&mut request.fractions) {
+            mean_out(fo, fr);
+        }
+        let verify = own.verify_fractions.iter_mut();
+        for (fo, fr) in verify.zip(&mut request.verify_fractions) {
+            mean_out(fo, fr);
+        }
+        mean_out(&mut own.count, &mut request.count);
+        mean_out(&mut own.weight, &mut request.weight);
+        let (min, max) = (own.min, own.max);
+        own.min = min.min(request.min);
+        own.max = max.max(request.max);
+        request.min = min;
+        request.max = max;
+    }
+
     /// Whether this state is a *plausible* honest contribution: every
     /// averaged component finite and non-negative, fractions and count
     /// within the bounds honest averaging can produce (`[0, 1]` per

@@ -210,16 +210,20 @@ impl Adam2Node {
     /// not conserve mass exactly when exchanges interleave; see
     /// [`AsyncAdam2`](crate::AsyncAdam2).
     pub fn absorb_snapshot(&mut self, snapshot: &InstanceLocal, round: u64) {
-        self.absorb_snapshot_with(snapshot, round, None);
+        self.absorb_snapshot_with(&mut snapshot.clone(), round, None);
     }
 
     /// [`absorb_snapshot`](Adam2Node::absorb_snapshot) with an optional
     /// robust policy: the snapshot is plausibility-checked and merged
     /// through the trimmed, influence-capped merge. Returns
     /// `(rejected, limited)` robust-mode counts (both 0 in vanilla mode).
+    ///
+    /// The snapshot is the caller's copy and serves as the other side of
+    /// the symmetric merge, so absorbing copies nothing; what it holds
+    /// afterwards (the pair mean, if it was merged) is of no use.
     pub fn absorb_snapshot_with(
         &mut self,
-        snapshot: &InstanceLocal,
+        snapshot: &mut InstanceLocal,
         round: u64,
         robust: Option<&RobustPolicy>,
     ) -> (u32, u32) {
@@ -256,18 +260,17 @@ impl Adam2Node {
         if snapshot.epoch > self.instances[idx].epoch {
             self.instances[idx].adopt_epoch(snapshot.epoch, &self.value);
         }
-        let mut other = snapshot.clone();
         match robust {
             Some(policy) => {
                 let outcome = InstanceLocal::merge_symmetric_robust(
                     &mut self.instances[idx],
-                    &mut other,
+                    snapshot,
                     policy,
                 );
                 (u32::from(outcome.rejected), outcome.limited)
             }
             None => {
-                InstanceLocal::merge_symmetric(&mut self.instances[idx], &mut other);
+                InstanceLocal::merge_symmetric(&mut self.instances[idx], snapshot);
                 (0, 0)
             }
         }
@@ -475,7 +478,7 @@ pub fn gossip_exchange_response_lost_with(
         request_bytes: wire::message_len(a.instances.iter().filter(|i| !i.is_due(round))),
         ..ExchangeReport::default()
     };
-    let snapshots: Vec<InstanceLocal> = a
+    let mut snapshots: Vec<InstanceLocal> = a
         .instances
         .iter()
         .filter(|i| !i.is_due(round))
@@ -490,7 +493,7 @@ pub fn gossip_exchange_response_lost_with(
         b.join_instance_passively(snap.meta.clone());
     }
     report.response_bytes = wire::message_len(b.instances.iter().filter(|i| !i.is_due(round)));
-    for snap in &snapshots {
+    for snap in &mut snapshots {
         let (rejects, trims) = b.absorb_snapshot_with(snap, round, robust);
         report.robust_rejects += rejects;
         report.robust_trims += trims;

@@ -161,7 +161,7 @@ pub fn serve_exchange(
                     outcome.skipped += 1;
                     continue;
                 }
-                let meta = payload.to_local().meta;
+                let meta = payload.meta();
                 node.instances
                     .push(InstanceLocal::join(meta, &node.value, false));
                 outcome.joined += 1;
@@ -227,7 +227,7 @@ pub fn absorb_exchange_response(
                 if node.joined_round > payload.start_round {
                     outcome.skipped += 1;
                 } else {
-                    let meta = payload.to_local().meta;
+                    let meta = payload.meta();
                     node.instances
                         .push(InstanceLocal::join(meta, &node.value, false));
                     outcome.joined += 1;

@@ -92,20 +92,26 @@ impl InstancePayload {
         payload_len(self.thresholds.len(), self.verify_thresholds.len())
     }
 
-    /// Reconstructs a receiver-side [`InstanceLocal`] from the payload
-    /// (used when a real deployment joins an instance it learned from the
-    /// wire).
-    pub fn to_local(&self) -> InstanceLocal {
-        let meta = Arc::new(InstanceMeta {
+    /// The instance metadata the payload announces — all a receiver needs
+    /// to join an instance it learned from the wire, without rebuilding
+    /// the sender's averaging state as [`to_local`](Self::to_local) does.
+    pub fn meta(&self) -> Arc<InstanceMeta> {
+        Arc::new(InstanceMeta {
             id: InstanceId::from_u64(self.id),
-            thresholds: self.thresholds.clone().into(),
-            verify_thresholds: self.verify_thresholds.clone().into(),
+            thresholds: self.thresholds.as_slice().into(),
+            verify_thresholds: self.verify_thresholds.as_slice().into(),
             start_round: self.start_round,
             end_round: self.end_round,
             multi: self.multi,
-        });
+        })
+    }
+
+    /// Reconstructs the sender's state as a receiver-side
+    /// [`InstanceLocal`] (used when a real deployment merges against a
+    /// snapshot it received over the wire).
+    pub fn to_local(&self) -> InstanceLocal {
         InstanceLocal {
-            meta,
+            meta: self.meta(),
             fractions: self.fractions.clone(),
             verify_fractions: self.verify_fractions.clone(),
             count: self.count,

