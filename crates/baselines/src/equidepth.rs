@@ -22,7 +22,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use adam2_core::{CdfError, InterpCdf};
-use adam2_sim::{Ctx, NodeId, Protocol};
+use adam2_sim::{Ctx, ExchangeTraffic, LocalReport, NodeId, PlannedExchange, Protocol};
 
 /// Configuration of the EquiDepth baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,7 +217,7 @@ impl EquiDepthNode {
 /// The EquiDepth protocol driver.
 pub struct EquiDepthProtocol {
     config: EquiDepthConfig,
-    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send>,
+    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send + Sync>,
     next_phase_id: u64,
     started: Vec<Arc<PhaseMeta>>,
 }
@@ -235,7 +235,7 @@ impl EquiDepthProtocol {
     /// Creates a protocol drawing node values from `source`.
     pub fn new(
         config: EquiDepthConfig,
-        source: impl FnMut(&mut StdRng) -> f64 + Send + 'static,
+        source: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static,
     ) -> Self {
         assert!(config.bins >= 2, "bins must be at least 2");
         assert!(
@@ -255,7 +255,7 @@ impl EquiDepthProtocol {
     pub fn with_population(
         config: EquiDepthConfig,
         initial: Vec<f64>,
-        mut fresh: impl FnMut(&mut StdRng) -> f64 + Send + 'static,
+        mut fresh: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static,
     ) -> Self {
         let mut queue = std::collections::VecDeque::from(initial);
         Self::new(config, move |rng| {
@@ -322,62 +322,58 @@ impl Protocol for EquiDepthProtocol {
         }
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, EquiDepthNode>) {
-        let round = ctx.round;
-        if let Some(node) = ctx.nodes.get_mut(id) {
-            Self::finalize_due(node, round);
+    fn local(
+        &self,
+        _id: NodeId,
+        node: &mut EquiDepthNode,
+        round: u64,
+        _rng: &mut StdRng,
+    ) -> LocalReport {
+        Self::finalize_due(node, round);
+        LocalReport {
+            initiates: true,
+            ..LocalReport::default()
         }
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
+    }
 
+    /// A phase still held here is running: [`local`](Protocol::local)
+    /// finalised the due ones before the round's first exchange.
+    fn apply(
+        &self,
+        _: &PlannedExchange,
+        _round: u64,
+        a: &mut EquiDepthNode,
+        b: &mut EquiDepthNode,
+    ) -> ExchangeTraffic {
         // Phase discovery: the receiver joins with its own value, exactly
         // like Adam2's instance join; late system-joiners ignore running
         // phases (evaluation parity with Adam2).
-        let a_active = a
-            .phase
-            .as_ref()
-            .filter(|p| !p.is_due(round))
-            .map(|p| p.meta.clone());
-        if let Some(meta) = &a_active {
-            if b.phase.is_none() && b.joined_round <= meta.start_round {
-                b.phase = Some(PhaseLocal::join(meta.clone(), b.value));
+        fn discover(holder: &EquiDepthNode, other: &mut EquiDepthNode) {
+            if let Some(p) = &holder.phase {
+                if other.phase.is_none() && other.joined_round <= p.meta.start_round {
+                    other.phase = Some(PhaseLocal::join(p.meta.clone(), other.value));
+                }
             }
         }
-        let b_active = b
-            .phase
-            .as_ref()
-            .filter(|p| !p.is_due(round))
-            .map(|p| p.meta.clone());
-        if let Some(meta) = &b_active {
-            if a.phase.is_none() && a.joined_round <= meta.start_round {
-                a.phase = Some(PhaseLocal::join(meta.clone(), a.value));
-            }
-        }
+        discover(a, b);
+        discover(b, a);
 
         // Message cost: one synopsis per direction (8 B per boundary plus
         // a small header), mirroring the paper's "similar information"
         // cost comparison.
-        let payload = |n: &EquiDepthNode| {
-            2 + n
-                .phase
-                .as_ref()
-                .filter(|p| !p.is_due(round))
-                .map(|p| 29 + p.synopsis.len() * 8)
-                .unwrap_or(0)
+        let payload =
+            |n: &EquiDepthNode| 2 + n.phase.as_ref().map_or(0, |p| 29 + p.synopsis.len() * 8);
+        let traffic = ExchangeTraffic {
+            request: Some(payload(a)),
+            response: Some(payload(b)),
+            ..ExchangeTraffic::default()
         };
-        let req = payload(a);
-        let resp = payload(b);
-
         if let (Some(pa), Some(pb)) = (a.phase.as_mut(), b.phase.as_mut()) {
-            if pa.meta.id == pb.meta.id && !pa.is_due(round) {
+            if pa.meta.id == pb.meta.id {
                 PhaseLocal::merge_symmetric(pa, pb);
             }
         }
-        ctx.net.charge_exchange(id, partner, req, resp);
+        traffic
     }
 
     fn on_join(&mut self, id: NodeId, ctx: &mut Ctx<'_, EquiDepthNode>) {

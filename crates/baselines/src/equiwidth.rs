@@ -19,7 +19,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use adam2_core::{CdfError, InterpCdf};
-use adam2_sim::{Ctx, NodeId, Protocol};
+use adam2_sim::{Ctx, ExchangeTraffic, LocalReport, NodeId, PlannedExchange, Protocol};
 
 /// Configuration of the equi-width baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,7 +158,7 @@ impl EquiWidthNode {
 /// The equi-width histogram protocol driver.
 pub struct EquiWidthProtocol {
     config: EquiWidthConfig,
-    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send>,
+    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send + Sync>,
     next_phase_id: u64,
 }
 
@@ -174,7 +174,7 @@ impl EquiWidthProtocol {
     /// Creates a protocol drawing node values from `source`.
     pub fn new(
         config: EquiWidthConfig,
-        source: impl FnMut(&mut StdRng) -> f64 + Send + 'static,
+        source: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static,
     ) -> Self {
         Self {
             config,
@@ -187,7 +187,7 @@ impl EquiWidthProtocol {
     pub fn with_population(
         config: EquiWidthConfig,
         initial: Vec<f64>,
-        mut fresh: impl FnMut(&mut StdRng) -> f64 + Send + 'static,
+        mut fresh: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static,
     ) -> Self {
         let mut queue = std::collections::VecDeque::from(initial);
         Self::new(config, move |rng| {
@@ -231,65 +231,61 @@ impl Protocol for EquiWidthProtocol {
         }
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, EquiWidthNode>) {
-        let round = ctx.round;
-        if let Some(node) = ctx.nodes.get_mut(id) {
-            let due = node
-                .phase
-                .as_ref()
-                .map(|p| p.is_due(round))
-                .unwrap_or(false);
-            if due {
-                let phase = node.phase.take().expect("phase checked above");
-                if let Ok(est) = phase.estimate() {
-                    node.estimate = Some(est);
+    fn local(
+        &self,
+        _id: NodeId,
+        node: &mut EquiWidthNode,
+        round: u64,
+        _rng: &mut StdRng,
+    ) -> LocalReport {
+        if node.phase.as_ref().is_some_and(|p| p.is_due(round)) {
+            let phase = node.phase.take().expect("phase checked above");
+            if let Ok(est) = phase.estimate() {
+                node.estimate = Some(est);
+            }
+        }
+        LocalReport {
+            initiates: true,
+            ..LocalReport::default()
+        }
+    }
+
+    /// A phase still held here is running: [`local`](Protocol::local)
+    /// finalised the due ones before the round's first exchange.
+    fn apply(
+        &self,
+        _: &PlannedExchange,
+        _round: u64,
+        a: &mut EquiWidthNode,
+        b: &mut EquiWidthNode,
+    ) -> ExchangeTraffic {
+        // Phase discovery: the receiver joins with its own value, exactly
+        // like Adam2's instance join; late system-joiners ignore running
+        // phases (evaluation parity with Adam2).
+        fn discover(holder: &EquiWidthNode, other: &mut EquiWidthNode) {
+            if let Some(p) = &holder.phase {
+                if other.phase.is_none() && other.joined_round <= p.meta.start_round {
+                    other.phase = Some(WidthPhaseLocal::join(p.meta.clone(), other.value));
                 }
             }
         }
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
+        discover(a, b);
+        discover(b, a);
 
-        let a_active = a
-            .phase
-            .as_ref()
-            .filter(|p| !p.is_due(round))
-            .map(|p| p.meta.clone());
-        if let Some(meta) = &a_active {
-            if b.phase.is_none() && b.joined_round <= meta.start_round {
-                b.phase = Some(WidthPhaseLocal::join(meta.clone(), b.value));
-            }
-        }
-        let b_active = b
-            .phase
-            .as_ref()
-            .filter(|p| !p.is_due(round))
-            .map(|p| p.meta.clone());
-        if let Some(meta) = &b_active {
-            if a.phase.is_none() && a.joined_round <= meta.start_round {
-                a.phase = Some(WidthPhaseLocal::join(meta.clone(), a.value));
-            }
-        }
-
-        let payload = |n: &EquiWidthNode| {
-            2 + n
-                .phase
-                .as_ref()
-                .filter(|p| !p.is_due(round))
-                .map(|p| 29 + p.masses.len() * 8)
-                .unwrap_or(0)
+        // Message cost: 8 B per bin mass plus a small header, per direction.
+        let payload =
+            |n: &EquiWidthNode| 2 + n.phase.as_ref().map_or(0, |p| 29 + p.masses.len() * 8);
+        let traffic = ExchangeTraffic {
+            request: Some(payload(a)),
+            response: Some(payload(b)),
+            ..ExchangeTraffic::default()
         };
-        let req = payload(a);
-        let resp = payload(b);
         if let (Some(pa), Some(pb)) = (a.phase.as_mut(), b.phase.as_mut()) {
-            if pa.meta.id == pb.meta.id && !pa.is_due(round) {
+            if pa.meta.id == pb.meta.id {
                 WidthPhaseLocal::merge_symmetric(pa, pb);
             }
         }
-        ctx.net.charge_exchange(id, partner, req, resp);
+        traffic
     }
 
     fn on_join(&mut self, id: NodeId, ctx: &mut Ctx<'_, EquiWidthNode>) {

@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use adam2_baselines::{EquiDepthConfig, EquiDepthProtocol};
 use adam2_bench::{
-    adam2_engine, adam2_engine_threaded, equidepth_engine, setup, start_instance, start_phase,
+    adam2_engine, adam2_engine_with, equidepth_engine, setup, start_instance, start_phase,
 };
 use adam2_core::{
     uniform_points, Adam2Config, Adam2Protocol, AsyncAdam2, InstanceId, InstanceMeta,
@@ -16,34 +16,17 @@ use adam2_core::{
 use adam2_sim::{ChurnModel, Engine, EventConfig, EventEngine, LatencyModel};
 use adam2_traces::Attribute;
 
-fn adam2_round_engine(nodes: usize, with_instance: bool) -> Engine<Adam2Protocol> {
+fn adam2_round_engine(nodes: usize, with_instance: bool, threads: usize) -> Engine<Adam2Protocol> {
     let s = setup(Attribute::Ram, nodes, 42);
     // A duration long enough that the benchmark never finalises it.
     let config = Adam2Config::new()
         .with_lambda(50)
         .with_rounds_per_instance(1_000_000);
-    let mut engine = adam2_engine(&s, config, 42, ChurnModel::None);
+    let mut engine = adam2_engine_with(&s, config, 42, |c| c.with_threads(threads));
     if with_instance {
         start_instance(&mut engine);
         // Let the instance spread so rounds carry full payloads.
         engine.run_rounds(10);
-    }
-    engine
-}
-
-fn adam2_round_engine_par(
-    nodes: usize,
-    with_instance: bool,
-    threads: usize,
-) -> Engine<Adam2Protocol> {
-    let s = setup(Attribute::Ram, nodes, 42);
-    let config = Adam2Config::new()
-        .with_lambda(50)
-        .with_rounds_per_instance(1_000_000);
-    let mut engine = adam2_engine_threaded(&s, config, 42, ChurnModel::None, threads);
-    if with_instance {
-        start_instance(&mut engine);
-        engine.run_rounds_parallel(10);
     }
     engine
 }
@@ -66,41 +49,26 @@ fn bench_rounds(c: &mut Criterion) {
     for nodes in [1_000usize, 10_000] {
         group.throughput(Throughput::Elements(nodes as u64));
         group.bench_with_input(BenchmarkId::new("adam2_idle", nodes), &nodes, |b, &n| {
-            let mut engine = adam2_round_engine(n, false);
+            let mut engine = adam2_round_engine(n, false, 1);
             b.iter(|| engine.run_round());
         });
-        group.bench_with_input(
-            BenchmarkId::new("adam2_instance_lambda50", nodes),
-            &nodes,
-            |b, &n| {
-                let mut engine = adam2_round_engine(n, true);
+        // One thread (the slot-order loop) and the auto-detected thread
+        // count (the same plan as a coloured schedule).
+        for (name, threads) in [
+            ("adam2_instance_lambda50", 1),
+            ("adam2_instance_lambda50_auto", 0),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, nodes), &nodes, |b, &n| {
+                let mut engine = adam2_round_engine(n, true, threads);
                 b.iter(|| engine.run_round());
-            },
-        );
+            });
+        }
         group.bench_with_input(
             BenchmarkId::new("equidepth_bins50", nodes),
             &nodes,
             |b, &n| {
                 let mut engine = equidepth_round_engine(n);
                 b.iter(|| engine.run_round());
-            },
-        );
-        // Phase-split parallel path: inline (1 thread, measures the
-        // phase-split overhead) and auto-detected thread count.
-        group.bench_with_input(
-            BenchmarkId::new("adam2_instance_par_t1", nodes),
-            &nodes,
-            |b, &n| {
-                let mut engine = adam2_round_engine_par(n, true, 1);
-                b.iter(|| engine.run_round_parallel());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("adam2_instance_par_auto", nodes),
-            &nodes,
-            |b, &n| {
-                let mut engine = adam2_round_engine_par(n, true, 0);
-                b.iter(|| engine.run_round_parallel());
             },
         );
     }

@@ -176,7 +176,7 @@ fn honest_initiator(ids: &[NodeId], adversary: Option<&ActiveAdversary>) -> Node
         .expect("at least one honest node")
 }
 
-/// One cycle-engine run on the phase-split parallel round path.
+/// One cycle-engine run.
 fn run_cycle(
     s: &ExperimentSetup,
     args: &Args,
@@ -203,7 +203,7 @@ fn run_cycle(
     engine
         .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
         .expect("instance start");
-    engine.run_rounds_parallel(ROUNDS + 1 + SETTLE_ROUNDS);
+    engine.run_rounds(ROUNDS + 1 + SETTLE_ROUNDS);
 
     let peers: Vec<(usize, Option<PeerEstimate>)> = engine
         .nodes()

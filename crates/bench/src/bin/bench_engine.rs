@@ -1,18 +1,20 @@
-//! Sequential vs. parallel engine throughput, plus the event-engine
+//! Cycle-engine throughput at one thread and at `T`, plus the event-engine
 //! scaling curve.
 //!
-//! Part 1 measures `Engine::run_round` against `Engine::run_round_parallel`
-//! on an Adam2 simulation with one spread λ=50 instance, for
-//! N ∈ {1k, 10k, 100k}. Part 2 runs a full Adam2 instance on the
-//! event-driven engine (`EventEngine::run_until_parallel`) for
-//! N ∈ {10k, 100k, 1M}, reporting simulated ticks/sec, delivered
+//! Part 1 measures `Engine::run_round` at 1 thread (the slot-order loop)
+//! against `T` threads (the same plan as a coloured schedule) on an Adam2
+//! simulation with one spread λ=50 instance, for N ∈ {1k, 10k, 100k}, and
+//! fails unless both legs end in the same fingerprint. Part 2 runs a full
+//! Adam2 instance on the event-driven engine
+//! (`EventEngine::run_until_parallel`) for N ∈ {10k, 100k, 1M}, reporting
+//! simulated ticks/sec, delivered
 //! messages/sec, instance coverage, and peak-RSS bytes per node (VmHWM
 //! from `/proc/self/status`; the process high-water mark is monotone, so
 //! the per-node figure is exact at the largest size and an upper bound
 //! below it). Results are written as JSON to `BENCH_engine.json` at the
 //! repository root (override with `--out PATH`).
 //!
-//! Extra flags: `--threads T` (parallel worker threads, default 0 = auto),
+//! Extra flags: `--threads T` (worker threads, default 0 = auto),
 //! `--out PATH`, `--event-max N` (largest event-engine size, default 1M),
 //! `--event-only` (skip the cycle-driven comparison), `--check` (re-run
 //! each event size at a different thread count and fail unless the result
@@ -23,19 +25,22 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adam2_bench::{
-    adam2_engine, adam2_engine_threaded, export_telemetry, maybe_attach_telemetry, setup,
-    start_instance, Args, ExperimentSetup,
+    adam2_engine_with, export_telemetry, maybe_attach_telemetry, setup, start_instance, Args,
+    ExperimentSetup,
 };
-use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta};
-use adam2_sim::{ChurnModel, EventConfig, EventEngine, LatencyModel, RunManifest};
+use adam2_core::{
+    uniform_points, Adam2Config, Adam2Protocol, AsyncAdam2, InstanceId, InstanceMeta,
+};
+use adam2_sim::{Engine, EventConfig, EventEngine, LatencyModel, RunManifest};
 use adam2_traces::Attribute;
 
 struct SizeResult {
     nodes: usize,
     rounds: u64,
-    seq_rounds_per_sec: f64,
-    par_rounds_per_sec: f64,
+    t1_rounds_per_sec: f64,
+    tn_rounds_per_sec: f64,
     speedup: f64,
+    fingerprint: u64,
 }
 
 struct EventResult {
@@ -87,6 +92,22 @@ fn peak_rss_bytes() -> Option<u64> {
         .parse()
         .ok()?;
     Some(kb * 1024)
+}
+
+/// Bit-exact fingerprint of a cycle engine: every node's running averages
+/// plus the traffic totals.
+fn cycle_fingerprint(engine: &Engine<Adam2Protocol>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (_, node) in engine.nodes().iter() {
+        for inst in node.active_instances() {
+            for f in &inst.fractions {
+                h = mix(h, f.to_bits());
+            }
+            h = mix(h, inst.weight.to_bits());
+        }
+    }
+    h = mix(h, engine.net().total_bytes());
+    mix(h, engine.net().total_msgs())
 }
 
 /// Runs one full Adam2 instance on the event engine and reduces it to
@@ -209,25 +230,25 @@ fn main() {
             let rounds = measured_rounds(nodes);
             let s = setup(Attribute::Ram, nodes, args.seed);
 
-            let mut seq = adam2_engine(&s, config, args.seed, ChurnModel::None);
-            start_instance(&mut seq);
-            seq.run_rounds(10); // spread the instance so rounds carry payloads
-            let t0 = Instant::now();
-            seq.run_rounds(rounds);
-            let seq_secs = t0.elapsed().as_secs_f64();
-
-            let mut par = adam2_engine_threaded(&s, config, args.seed, ChurnModel::None, threads);
-            // Telemetry only on the parallel leg, and only when requested:
-            // with the flag absent both legs run with the zero-cost no-op sink.
-            maybe_attach_telemetry(&mut par, args.telemetry.as_ref());
-            start_instance(&mut par);
-            par.run_rounds_parallel(10);
-            let t0 = Instant::now();
-            par.run_rounds_parallel(rounds);
-            let par_secs = t0.elapsed().as_secs_f64();
+            // One instance, spread for 10 rounds so the measured rounds
+            // carry payloads. Telemetry only on the T-thread leg, and only
+            // when requested: without the flag both legs run with the
+            // zero-cost no-op sink.
+            let leg = |threads: usize, telemetry: Option<&String>| {
+                let mut engine =
+                    adam2_engine_with(&s, config, args.seed, |c| c.with_threads(threads));
+                maybe_attach_telemetry(&mut engine, telemetry);
+                start_instance(&mut engine);
+                engine.run_rounds(10);
+                let t0 = Instant::now();
+                engine.run_rounds(rounds);
+                (t0.elapsed().as_secs_f64(), engine)
+            };
+            let (t1_secs, t1) = leg(1, None);
+            let (tn_secs, mut tn) = leg(threads, args.telemetry.as_ref());
             if let Some(dir) = &args.telemetry {
                 export_telemetry(
-                    &mut par,
+                    &mut tn,
                     dir,
                     &format!("n{nodes}"),
                     "bench_engine",
@@ -239,23 +260,32 @@ fn main() {
                 );
             }
 
-            // Both paths must have carried the same number of messages.
+            // One path: the thread count must not show in the result.
+            let fingerprint = cycle_fingerprint(&t1);
             assert_eq!(
-                seq.net().total_msgs(),
-                par.net().total_msgs(),
-                "message-count equivalence violated at n={nodes}"
+                fingerprint,
+                cycle_fingerprint(&tn),
+                "1 thread and {effective_threads} threads diverged at n={nodes}"
             );
 
             let r = SizeResult {
                 nodes,
                 rounds,
-                seq_rounds_per_sec: rounds as f64 / seq_secs,
-                par_rounds_per_sec: rounds as f64 / par_secs,
-                speedup: seq_secs / par_secs,
+                t1_rounds_per_sec: rounds as f64 / t1_secs,
+                tn_rounds_per_sec: rounds as f64 / tn_secs,
+                speedup: t1_secs / tn_secs,
+                fingerprint,
             };
             println!(
-                "n={:>7}  rounds={:>3}  seq {:>9.2} r/s  par {:>9.2} r/s  speedup {:.2}x",
-                r.nodes, r.rounds, r.seq_rounds_per_sec, r.par_rounds_per_sec, r.speedup
+                "n={:>7}  rounds={:>3}  1 thread {:>9.2} r/s  {} threads {:>9.2} r/s  \
+                 speedup {:.2}x  fingerprint {:016x}",
+                r.nodes,
+                r.rounds,
+                r.t1_rounds_per_sec,
+                effective_threads,
+                r.tn_rounds_per_sec,
+                r.speedup,
+                r.fingerprint
             );
             results.push(r);
         }
@@ -356,13 +386,15 @@ fn main() {
     json.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"nodes\": {}, \"rounds\": {}, \"seq_rounds_per_sec\": {:.4}, \
-             \"par_rounds_per_sec\": {:.4}, \"speedup\": {:.4}}}{}\n",
+            "    {{\"nodes\": {}, \"rounds\": {}, \"t1_rounds_per_sec\": {:.4}, \
+             \"tn_rounds_per_sec\": {:.4}, \"speedup\": {:.4}, \
+             \"fingerprint\": \"{:016x}\"}}{}\n",
             r.nodes,
             r.rounds,
-            r.seq_rounds_per_sec,
-            r.par_rounds_per_sec,
+            r.t1_rounds_per_sec,
+            r.tn_rounds_per_sec,
             r.speedup,
+            r.fingerprint,
             if i + 1 < results.len() { "," } else { "" }
         ));
     }

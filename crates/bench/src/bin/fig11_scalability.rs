@@ -2,17 +2,14 @@
 //! size (100 .. 100 000 nodes).
 //!
 //! Extra flags: `--instances K` (aggregation instances per size, default
-//! 4) and `--threads T` (run rounds on the parallel engine with `T`
-//! worker threads, `0` = auto-detect; omitted = sequential reference
-//! path). Thanks to the deterministic phase-split design, `--threads`
-//! changes wall-clock time, not results.
+//! 4) and `--threads T` (worker threads a round runs on, default 1, `0` =
+//! auto-detect). `--threads` changes wall-clock time, not results: apart
+//! from the `engine:` header line the output is the same for every `T`.
 
 use adam2_bench::{
-    adam2_engine, adam2_engine_threaded, complete_instance, complete_instance_parallel,
-    evaluate_estimates, fmt_err, start_instance, Args, Table,
+    adam2_engine_with, complete_instance, evaluate_estimates, fmt_err, start_instance, Args, Table,
 };
 use adam2_core::{Adam2Config, RefineKind};
-use adam2_sim::ChurnModel;
 
 fn main() {
     let args = Args::parse("fig11_scalability");
@@ -21,13 +18,12 @@ fn main() {
         .extra_parsed("instances")
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(4);
-    let threads: Option<usize> = args
+    let threads: usize = args
         .extra_parsed("threads")
-        .unwrap_or_else(|e| panic!("{e}"));
-    if let Some(t) = threads {
-        println!("engine: parallel round path, threads={t} (0 = auto)");
-        println!();
-    }
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or(1);
+    println!("engine: threads={threads} (0 = auto)");
+    println!();
     let mut sizes: Vec<usize> = vec![100, 316, 1_000, 3_162, 10_000];
     if args.full {
         sizes.push(31_623);
@@ -49,18 +45,11 @@ fn main() {
                     .with_lambda(args.lambda)
                     .with_rounds_per_instance(args.rounds)
                     .with_refine(refine);
-                let mut engine = match threads {
-                    Some(t) => {
-                        adam2_engine_threaded(&setup, config, args.seed, ChurnModel::None, t)
-                    }
-                    None => adam2_engine(&setup, config, args.seed, ChurnModel::None),
-                };
+                let mut engine =
+                    adam2_engine_with(&setup, config, args.seed, |c| c.with_threads(threads));
                 for _ in 0..instances {
                     start_instance(&mut engine);
-                    match threads {
-                        Some(_) => complete_instance_parallel(&mut engine, args.rounds),
-                        None => complete_instance(&mut engine, args.rounds),
-                    }
+                    complete_instance(&mut engine, args.rounds);
                 }
                 let report =
                     evaluate_estimates(&engine, &setup.truth, args.sample_peers, args.seed);

@@ -41,34 +41,7 @@ pub fn adam2_engine(
     seed: u64,
     churn: ChurnModel,
 ) -> Engine<Adam2Protocol> {
-    let pop = setup.population.clone();
-    let proto = Adam2Protocol::with_population(config, pop.values().to_vec(), move |rng| {
-        pop.draw_fresh(rng)
-    });
-    let engine_config =
-        EngineConfig::new(setup.population.len(), derive_seed(seed, 0xE7_61)).with_churn(churn);
-    Engine::new(engine_config, proto)
-}
-
-/// Builds an Adam2 engine configured for the phase-split parallel round
-/// path with `threads` worker threads (`0` = auto-detect). Identical to
-/// [`adam2_engine`] except for the thread count, so sequential/parallel
-/// comparisons start from the same population and seed.
-pub fn adam2_engine_threaded(
-    setup: &ExperimentSetup,
-    config: Adam2Config,
-    seed: u64,
-    churn: ChurnModel,
-    threads: usize,
-) -> Engine<Adam2Protocol> {
-    let pop = setup.population.clone();
-    let proto = Adam2Protocol::with_population(config, pop.values().to_vec(), move |rng| {
-        pop.draw_fresh(rng)
-    });
-    let engine_config = EngineConfig::new(setup.population.len(), derive_seed(seed, 0xE7_61))
-        .with_churn(churn)
-        .with_threads(threads);
-    Engine::new(engine_config, proto)
+    adam2_engine_with(setup, config, seed, |c| c.with_churn(churn))
 }
 
 /// Builds an Adam2 engine with full control over the engine configuration:
@@ -134,15 +107,6 @@ pub fn start_phase(engine: &mut Engine<EquiDepthProtocol>) -> Arc<PhaseMeta> {
 /// finalisation round.
 pub fn complete_instance<P: adam2_sim::Protocol>(engine: &mut Engine<P>, duration: u64) {
     engine.run_rounds(duration + 1);
-}
-
-/// Like [`complete_instance`], but on the parallel round path.
-pub fn complete_instance_parallel<P>(engine: &mut Engine<P>, duration: u64)
-where
-    P: adam2_sim::Protocol + Sync,
-    P::Node: Send + Sync,
-{
-    engine.run_rounds_parallel(duration + 1);
 }
 
 /// The exact CDF of the *current* (possibly churned) population.

@@ -17,16 +17,34 @@
 
 use rand::rngs::StdRng;
 
-use adam2_sim::{Ctx, NodeId, Protocol};
+use adam2_sim::{Ctx, ExchangeTraffic, NodeId, PlannedExchange, Protocol};
+
+/// The push–pull averaging step on one scalar, 8 bytes each way.
+fn average_pair(a: &mut f64, b: &mut f64) -> ExchangeTraffic {
+    let mean = (*a + *b) / 2.0;
+    *a = mean;
+    *b = mean;
+    symmetric_traffic(8)
+}
+
+/// A request and a response of `bytes` each. These protocols ignore the
+/// planned fate, i.e. they run as on a lossless network.
+fn symmetric_traffic(bytes: usize) -> ExchangeTraffic {
+    ExchangeTraffic {
+        request: Some(bytes),
+        response: Some(bytes),
+        ..ExchangeTraffic::default()
+    }
+}
 
 /// Push–pull averaging of one scalar per node.
 pub struct MeanAggregation {
-    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send>,
+    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send + Sync>,
 }
 
 impl MeanAggregation {
     /// Creates the protocol with a per-node value source.
-    pub fn new(source: impl FnMut(&mut StdRng) -> f64 + Send + 'static) -> Self {
+    pub fn new(source: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static) -> Self {
         Self {
             source: Box::new(source),
         }
@@ -46,23 +64,14 @@ impl Protocol for MeanAggregation {
         (self.source)(rng)
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, f64>) {
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
-        let mean = (*a + *b) / 2.0;
-        *a = mean;
-        *b = mean;
-        ctx.net.charge_exchange(id, partner, 8, 8);
+    fn apply(&self, _: &PlannedExchange, _round: u64, a: &mut f64, b: &mut f64) -> ExchangeTraffic {
+        average_pair(a, b)
     }
 }
 
 /// Epidemic minimum/maximum dissemination.
 pub struct ExtremaAggregation {
-    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send>,
+    source: Box<dyn FnMut(&mut StdRng) -> f64 + Send + Sync>,
 }
 
 impl std::fmt::Debug for ExtremaAggregation {
@@ -84,7 +93,7 @@ pub struct Extrema {
 
 impl ExtremaAggregation {
     /// Creates the protocol with a per-node value source.
-    pub fn new(source: impl FnMut(&mut StdRng) -> f64 + Send + 'static) -> Self {
+    pub fn new(source: impl FnMut(&mut StdRng) -> f64 + Send + Sync + 'static) -> Self {
         Self {
             source: Box::new(source),
         }
@@ -103,20 +112,20 @@ impl Protocol for ExtremaAggregation {
         }
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, Extrema>) {
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
+    fn apply(
+        &self,
+        _: &PlannedExchange,
+        _round: u64,
+        a: &mut Extrema,
+        b: &mut Extrema,
+    ) -> ExchangeTraffic {
         let min = a.min.min(b.min);
         let max = a.max.max(b.max);
         a.min = min;
         b.min = min;
         a.max = max;
         b.max = max;
-        ctx.net.charge_exchange(id, partner, 16, 16);
+        symmetric_traffic(16)
     }
 }
 
@@ -167,17 +176,8 @@ impl Protocol for CountAggregation {
         0.0
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, f64>) {
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
-        let mean = (*a + *b) / 2.0;
-        *a = mean;
-        *b = mean;
-        ctx.net.charge_exchange(id, partner, 8, 8);
+    fn apply(&self, _: &PlannedExchange, _round: u64, a: &mut f64, b: &mut f64) -> ExchangeTraffic {
+        average_pair(a, b)
     }
 }
 

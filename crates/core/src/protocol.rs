@@ -13,6 +13,10 @@
 //!    conserving the total mass exactly (see DESIGN.md on why the
 //!    mass-conserving reading of the paper's join rule is the right one).
 //!
+//! Steps 1 and 2 are the protocol's [`Protocol::local`] and
+//! [`Protocol::absorb`], step 3 its [`Protocol::apply`]: every node is
+//! through 1 and 2 before the round's first exchange.
+//!
 //! Nodes that joined the *system* after an instance started ignore that
 //! instance (Section VII-G), so late arrivals do not distort a running
 //! average; they bootstrap their estimate and system-size guess from a
@@ -24,8 +28,8 @@ use rand::rngs::StdRng;
 use rand::RngExt as _;
 
 use adam2_sim::{
-    AdversaryModel, Ctx, DriftOp, ExchangeFate, ExchangeTraffic, NodeId, ParLocal, PlannedAttack,
-    PlannedExchange, Protocol,
+    AdversaryModel, Ctx, DriftOp, ExchangeFate, ExchangeTraffic, LocalReport, NodeId,
+    PlannedAttack, PlannedExchange, Protocol,
 };
 
 use crate::confidence::verification_thresholds;
@@ -566,8 +570,7 @@ fn apply_attack(
 /// sticking with whatever it happened to adopt first. A staler partner
 /// snapshot never downgrades an already-adopted estimate.
 ///
-/// Runs on both engine paths (the sequential `on_round` delegates to
-/// `par_apply`). Returns the bootstrap bitmask for
+/// Returns the bootstrap bitmask for
 /// [`ExchangeTraffic::bootstraps`] (bit 0 = `a`, bit 1 = `b`) so telemetry
 /// can count recoveries healed this way; only the first adoption (no prior
 /// estimate) counts as a bootstrap, freshness upgrades are silent.
@@ -766,19 +769,6 @@ impl Adam2Protocol {
             .record_instance_started(ctx.round, initiator.slot() as u32, meta.id.as_u64());
         Some(meta)
     }
-
-    fn finalize_due(&mut self, id: NodeId, ctx: &mut Ctx<'_, Adam2Node>) {
-        let round = ctx.round;
-        let Some(node) = ctx.nodes.get_mut(id) else {
-            return;
-        };
-        let (completed, failed, restarted) = node.finalize_or_heal(round, self.config.self_heal);
-        self.completed += completed;
-        self.finalize_failures += failed;
-        self.healed += restarted;
-        ctx.telemetry
-            .record_heal_bump(round, id.slot() as u32, restarted);
-    }
 }
 
 impl Protocol for Adam2Protocol {
@@ -795,67 +785,17 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, Adam2Node>) {
-        self.finalize_due(id, ctx);
-
-        if let Scheduling::Probabilistic {
-            mean_rounds_between,
-        } = self.config.scheduling
-        {
-            let n_est = match ctx.nodes.get(id) {
-                Some(node) => node.n_estimate.max(1.0),
-                None => return,
-            };
-            let p = 1.0 / (n_est * mean_rounds_between);
-            if ctx.rng.random::<f64>() < p {
-                self.start_instance(id, ctx);
-            }
-        }
-
-        let Some(partner) = ctx.random_neighbour(id) else {
-            return;
-        };
-        let round = ctx.round;
-        let outcome = ctx.sample_exchange();
-        // The exchange state transitions and per-message byte sizes are one
-        // code path for both engine paths: build the plan the parallel
-        // engine would have produced and apply it, then charge the traffic
-        // (multiplied by the transmission counts) and record telemetry.
-        let attack = ctx
-            .adversary
-            .as_ref()
-            .and_then(|adv| adv.plan(round, id.slot(), partner.slot()));
-        let plan = PlannedExchange {
-            initiator: id,
-            partner,
-            fate: outcome.fate,
-            request_msgs: outcome.request_msgs,
-            response_msgs: outcome.response_msgs,
-            attack,
-        };
-        let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-            return;
-        };
-        let traffic = self.par_apply(&plan, round, a, b);
-        ctx.charge_planned(&plan, traffic);
-    }
-
-    fn parallel_capable(&self) -> bool {
-        true
-    }
-
-    /// Plan-phase half of [`on_round`](Protocol::on_round): finalise due
-    /// instances and draw the probabilistic start decision, both from the
-    /// node's own RNG stream. The start itself needs `&mut self` (nonce,
-    /// instance registry) and neighbour sampling, so it is deferred to
-    /// [`par_absorb`](Protocol::par_absorb) via `wants_sequential`.
-    fn par_local(
+    /// Finalise due instances and draw the probabilistic start decision,
+    /// both from the node's own RNG stream. The start itself needs
+    /// `&mut self` (nonce, instance registry) and neighbour sampling, so it
+    /// is deferred to [`absorb`](Protocol::absorb) via `wants_sequential`.
+    fn local(
         &self,
         _id: NodeId,
         node: &mut Adam2Node,
         round: u64,
         rng: &mut StdRng,
-    ) -> ParLocal {
+    ) -> LocalReport {
         let (completed, failed, restarted) = node.finalize_or_heal(round, self.config.self_heal);
         let mut wants_sequential = false;
         if let Scheduling::Probabilistic {
@@ -865,7 +805,7 @@ impl Protocol for Adam2Protocol {
             let p = 1.0 / (node.n_estimate.max(1.0) * mean_rounds_between);
             wants_sequential = rng.random::<f64>() < p;
         }
-        ParLocal {
+        LocalReport {
             completions: completed,
             failures: failed,
             restarts: restarted,
@@ -874,7 +814,7 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    fn par_absorb(&mut self, id: NodeId, report: &ParLocal, ctx: &mut Ctx<'_, Adam2Node>) {
+    fn absorb(&mut self, id: NodeId, report: &LocalReport, ctx: &mut Ctx<'_, Adam2Node>) {
         self.completed += report.completions;
         self.finalize_failures += report.failures;
         self.healed += report.restarts;
@@ -885,10 +825,9 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    /// Apply-phase half of [`on_round`](Protocol::on_round): the planned
-    /// push–pull exchange itself, identical state transitions to the
-    /// sequential path for each [`ExchangeFate`].
-    fn par_apply(
+    /// The planned push–pull exchange itself, one state transition per
+    /// [`ExchangeFate`].
+    fn apply(
         &self,
         plan: &PlannedExchange,
         round: u64,
@@ -1017,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn single_instance_converges_to_true_fractions() {
+    fn single_instance_converges_to_true_fractions_at_any_thread_count() {
         let values: Vec<f64> = (1..=200).map(f64::from).collect();
         let truth = StepCdf::from_values(values.clone());
         let config = Adam2Config::new()
@@ -1025,65 +964,30 @@ mod tests {
             .with_rounds_per_instance(40)
             .with_bootstrap(BootstrapKind::Uniform)
             .with_domain_hint(1.0, 200.0);
-        let mut engine = engine_with_values(values, config, 11);
-        let meta = start_manual(&mut engine);
-        engine.run_rounds(41);
+        for threads in [1, 4] {
+            let mut engine = engine_with_values(values.clone(), config, 11);
+            engine.set_threads(threads);
+            let meta = start_manual(&mut engine);
+            engine.run_rounds(41);
 
-        let mut checked = 0;
-        for (_, node) in engine.nodes().iter() {
-            let est = node.estimate().expect("estimate after instance end");
-            let (max_err, _) = point_errors(&truth, &est.thresholds, &est.fractions);
-            assert!(max_err < 1e-6, "point error {max_err} too high");
-            let n = est.n_hat.expect("weight mass received");
-            assert!((n - 200.0).abs() < 0.5, "N estimate {n}");
-            assert_eq!(est.instance, meta.id);
-            checked += 1;
-        }
-        assert_eq!(checked, 200);
-    }
-
-    #[test]
-    fn parallel_round_matches_sequential_convergence() {
-        // Statistical-equivalence gate for the phase-split parallel path:
-        // same population, same seed, one manually started instance. The
-        // two paths interleave exchanges differently, so node states are
-        // not bit-equal — but both must converge to the true fractions,
-        // and on a lossless network they carry the same message count
-        // (one push–pull exchange per live node per round).
-        let values: Vec<f64> = (1..=200).map(f64::from).collect();
-        let truth = StepCdf::from_values(values.clone());
-        let config = Adam2Config::new()
-            .with_lambda(10)
-            .with_rounds_per_instance(40)
-            .with_bootstrap(BootstrapKind::Uniform)
-            .with_domain_hint(1.0, 200.0);
-
-        let mut seq = engine_with_values(values.clone(), config, 11);
-        start_manual(&mut seq);
-        seq.run_rounds(41);
-
-        let n = values.len();
-        let proto = Adam2Protocol::with_population(config, values, |rng| {
-            rng.random_range(1.0..=100.0f64).round()
-        });
-        let mut par = Engine::new(EngineConfig::new(n, 11).with_threads(4), proto);
-        start_manual(&mut par);
-        par.run_rounds_parallel(41);
-
-        assert_eq!(par.net().total_msgs(), seq.net().total_msgs());
-        for engine in [&seq, &par] {
+            // Lossless: one push–pull exchange per live node per round.
+            assert_eq!(engine.net().total_msgs(), 2 * 200 * 41);
+            let mut checked = 0;
             for (_, node) in engine.nodes().iter() {
                 let est = node.estimate().expect("estimate after instance end");
                 let (max_err, _) = point_errors(&truth, &est.thresholds, &est.fractions);
                 assert!(max_err < 1e-6, "point error {max_err} too high");
-                let n_hat = est.n_hat.expect("weight mass received");
-                assert!((n_hat - 200.0).abs() < 0.5, "N estimate {n_hat}");
+                let n = est.n_hat.expect("weight mass received");
+                assert!((n - 200.0).abs() < 0.5, "N estimate {n}");
+                assert_eq!(est.instance, meta.id);
+                checked += 1;
             }
+            assert_eq!(checked, 200);
         }
     }
 
     #[test]
-    fn parallel_rounds_are_deterministic_for_adam2() {
+    fn rounds_are_deterministic_for_adam2() {
         // Same config + seed + thread count twice, and across thread
         // counts: bit-identical estimates and traffic totals.
         let snapshot = |threads: usize| {
@@ -1103,7 +1007,7 @@ mod tests {
                 .with_churn(ChurnModel::uniform(0.01))
                 .with_threads(threads);
             let mut engine = Engine::new(engine_config, proto);
-            engine.run_rounds_parallel(60);
+            engine.run_rounds(60);
             let states: Vec<(usize, u64, Vec<u64>)> = engine
                 .nodes()
                 .iter()
@@ -1470,11 +1374,10 @@ mod tests {
         let mut engine = engine_with_values(values, config, 53);
         let meta = start_manual(&mut engine);
         engine.run_rounds(26);
-        // Round 25: nobody finalised — nodes either voted to restart
-        // themselves or were pulled into the new epoch by an exchange with
-        // an already-restarted peer before their own finalisation ran.
+        // Round 25: nobody finalised — the local step runs before any
+        // exchange of the round, so every node voted to restart itself.
         let healed = engine.protocol().healed_count();
-        assert!((1..=100).contains(&healed), "restart votes: {healed}");
+        assert_eq!(healed, 100, "restart votes");
         assert_eq!(engine.protocol().completed_count(), 0);
         for (_, node) in engine.nodes().iter() {
             let inst = node.active_instance(meta.id).expect("still running");
@@ -1495,7 +1398,7 @@ mod tests {
     }
 
     #[test]
-    fn self_healing_runs_on_the_parallel_path() {
+    fn self_healing_is_thread_count_invariant() {
         let snapshot = |threads: usize| {
             let mut values = vec![512.0; 40];
             values.extend(vec![2048.0; 60]);
@@ -1509,16 +1412,17 @@ mod tests {
             let proto = Adam2Protocol::with_population(config, values, |_| 1.0);
             let mut engine = Engine::new(EngineConfig::new(100, 53).with_threads(threads), proto);
             start_manual(&mut engine);
-            engine.run_rounds_parallel(51);
+            engine.run_rounds(51);
             (
                 engine.protocol().healed_count(),
                 engine.protocol().completed_count(),
                 engine.net().total_bytes(),
             )
         };
-        let reference = snapshot(2);
+        let reference = snapshot(1);
         assert_eq!(reference.0, 100, "every node restarts once");
         assert_eq!(reference.1, 100, "every node finalises the healed epoch");
+        assert_eq!(snapshot(2), reference, "thread count must not matter");
         assert_eq!(snapshot(4), reference, "thread count must not matter");
     }
 
@@ -1636,7 +1540,7 @@ mod tests {
     fn telemetry_attach_is_bit_identical_for_adam2() {
         // Full-protocol determinism check: self-healing + loss repair with
         // telemetry attached must produce bit-identical estimates and
-        // traffic to a bare run, sequentially and at 1 and 4 threads.
+        // traffic to a bare run, at 1 and 4 threads.
         let run = |threads: usize, with_telemetry: bool| {
             let mut values = vec![512.0; 40];
             values.extend(vec![2048.0; 60]);
@@ -1650,17 +1554,13 @@ mod tests {
             let proto = Adam2Protocol::with_population(config, values, |_| 1.0);
             let engine_config = EngineConfig::new(100, 53)
                 .with_loss_rate(0.05)
-                .with_threads(threads.max(1));
+                .with_threads(threads);
             let mut engine = Engine::new(engine_config, proto);
             if with_telemetry {
                 engine.attach_telemetry(adam2_sim::SimTelemetry::new());
             }
             start_manual(&mut engine);
-            if threads == 0 {
-                engine.run_rounds(51);
-            } else {
-                engine.run_rounds_parallel(51);
-            }
+            engine.run_rounds(51);
             let estimates: Vec<(usize, u64, u64)> = engine
                 .nodes()
                 .iter()
@@ -1680,12 +1580,9 @@ mod tests {
                 engine.protocol().healed_count(),
             )
         };
-        for threads in [0, 1, 4] {
-            assert_eq!(
-                run(threads, true),
-                run(threads, false),
-                "threads={threads} (0 = sequential path)"
-            );
+        let bare = run(1, false);
+        for threads in [1, 4] {
+            assert_eq!(run(threads, true), bare, "threads={threads}");
         }
     }
 
@@ -1772,7 +1669,7 @@ mod tests {
                 engine
                     .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
                     .expect("instance started");
-                engine.run_rounds_parallel(ROUNDS + 2);
+                engine.run_rounds(ROUNDS + 2);
 
                 let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0100_0000_01b3);
                 let mut hash = 0xcbf2_9ce4_8422_2325u64;

@@ -1,10 +1,12 @@
 //! Golden trajectory fingerprints, recorded at the commit before the event
 //! engine's sequential driver and the engines' duplicated fault-round logic
-//! were deleted (PR 13's parent, 01ac495). Every public driver that
-//! survives — `run_until_parallel`, `run_rounds`, `run_rounds_parallel` —
-//! must keep producing these exact values: node state, counters, traffic
-//! and the `FaultTrace`, fault-free and under a scenario that exercises
-//! every fault axis at once.
+//! were deleted (PR 13's parent, 01ac495). The two drivers that survive —
+//! `run_until_parallel` and `run_rounds` — must keep producing these exact
+//! values: node state, counters, traffic and the `FaultTrace`, fault-free
+//! and under a scenario that exercises every fault axis at once. The cycle
+//! constant is the one that commit's `run_rounds_parallel` produced: the
+//! phase-split round it ran is the only cycle round since the shuffled
+//! sequential `run_round` (and its `CYCLE_SEQ_HOSTILE`) was deleted.
 
 use std::sync::Arc;
 
@@ -173,23 +175,24 @@ fn event_run(threads: usize, scenario: Option<FaultScenario>) -> Golden {
     )
 }
 
-fn cycle_run(parallel: Option<usize>, scenario: FaultScenario) -> Golden {
+fn cycle_run(threads: usize, through_alias: bool, scenario: FaultScenario) -> Golden {
     let config = Adam2Config::new()
         .with_lambda(LAMBDA)
         .with_rounds_per_instance(ROUNDS);
     let proto = Adam2Protocol::with_population(config, values(), |_| 500.0);
     let engine_config = EngineConfig::new(NODES, SEED)
         .with_loss_rate(0.02)
-        .with_threads(parallel.unwrap_or(1));
+        .with_threads(threads);
     let mut engine = Engine::new(engine_config, proto);
     engine.set_fault_scenario(scenario).expect("valid scenario");
     engine.with_ctx(|proto, ctx| {
         let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
         proto.start_instance(initiator, ctx)
     });
-    match parallel {
-        None => engine.run_rounds(ROUNDS + 2),
-        Some(_) => engine.run_rounds_parallel(ROUNDS + 2),
+    if through_alias {
+        engine.run_rounds_parallel(ROUNDS + 2);
+    } else {
+        engine.run_rounds(ROUNDS + 2);
     }
     let mut counters = mix(engine.net().total_bytes(), engine.net().total_msgs());
     counters = mix(counters, engine.protocol().completed_count());
@@ -213,11 +216,6 @@ const EVENT_HOSTILE: [u64; 3] = [
     0xce2d_c08e_6bdf_04d4,
     0xaa5e_a82d_86d3_f003,
     0xaebc_f8d9_8bb2_2671,
-];
-const CYCLE_SEQ_HOSTILE: [u64; 3] = [
-    0x2ca5_fdbe_4519_ab63,
-    0x9bd3_d1c4_eb02_3f50,
-    0xcbe0_1269_788f_5d89,
 ];
 const CYCLE_PAR_HOSTILE: [u64; 3] = [
     0x7199_3b7b_f4e2_7266,
@@ -247,13 +245,11 @@ fn event_driver_under_every_fault_axis_matches_the_parent() {
 
 #[test]
 fn cycle_engine_under_every_fault_axis_matches_the_parent() {
-    let (seq, seq_trace) = cycle_run(None, hostile());
-    let (par1, par1_trace) = cycle_run(Some(1), hostile());
-    let (par4, par4_trace) = cycle_run(Some(4), hostile());
-    // Injected faults are path-independent; trajectories are not.
-    assert_traces_equal(&seq_trace, &par1_trace);
-    assert_traces_equal(&seq_trace, &par4_trace);
-    assert_eq!(par1, par4, "thread-count invariance");
-    assert_eq!(seq, CYCLE_SEQ_HOSTILE, "fingerprint moved: {seq:#x?}");
-    assert_eq!(par4, CYCLE_PAR_HOSTILE, "fingerprint moved: {par4:#x?}");
+    let (t1, trace1) = cycle_run(1, false, hostile());
+    let (t4, trace4) = cycle_run(4, false, hostile());
+    let (alias, _) = cycle_run(2, true, hostile());
+    assert_traces_equal(&trace1, &trace4);
+    assert_eq!(t1, t4, "thread-count invariance");
+    assert_eq!(alias, t1, "run_rounds_parallel is run_rounds");
+    assert_eq!(t1, CYCLE_PAR_HOSTILE, "fingerprint moved: {t1:#x?}");
 }

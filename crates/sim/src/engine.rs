@@ -1,21 +1,29 @@
 //! The cycle-driven simulation engine.
 //!
-//! Two execution paths drive a round:
+//! A round ([`Engine::run_round`]) is churn and overlay maintenance
+//! followed by four phases over the live nodes:
 //!
-//! * [`Engine::run_round`] — the sequential reference semantics: every live
-//!   node runs [`Protocol::on_round`] in a fresh random order, exchanges
-//!   applied immediately.
-//! * [`Engine::run_round_parallel`] — a phase-split path for protocols that
-//!   opt in via the `par_*` methods of [`Protocol`]: a *plan* phase where
-//!   every node concurrently does its local work and picks its gossip
-//!   partner using a counter-based per-node RNG stream, and an *apply*
-//!   phase where the planned exchanges are bucketed into slot-disjoint
-//!   batches and applied conflict-free across threads (with a sequential
-//!   fallback for small, contended batches). Results are bit-identical for
-//!   every thread count.
+//! 1. **local** — every node does its own bookkeeping
+//!    ([`Protocol::local`]) and says whether it initiates an exchange,
+//! 2. **plan** — every initiator picks its partner and the fate of its
+//!    exchange from the state at the start of the round, drawing from a
+//!    counter-based RNG stream keyed by `(seed, round, slot)`,
+//! 3. **absorb** — the local reports are folded into shared protocol
+//!    state in slot order ([`Protocol::absorb`]),
+//! 4. **apply** — the planned exchanges are applied *in slot order*
+//!    ([`Protocol::apply`]).
+//!
+//! That serial order is the round's definition, and with
+//! [`EngineConfig::threads`] ≤ 1 it is executed literally: one loop over
+//! the plan. With more threads the same plan is coloured into
+//! slot-disjoint batches and each batch is applied concurrently. The
+//! greedy colouring gives two exchanges that share a node increasing
+//! batch numbers in slot order, and exchanges that share no node commute
+//! (`apply` takes `&self`, traffic counters are integer sums) — so
+//! batch-major order is a parallel schedule of slot order, and results are
+//! bit-identical for every thread count.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::RngExt as _;
 
 use crate::churn::{ChurnModel, ChurnState};
@@ -52,8 +60,8 @@ impl std::fmt::Display for SimConfigError {
 
 impl std::error::Error for SimConfigError {}
 
-/// Stream tag separating the parallel path's per-node RNG streams from the
-/// main engine RNG (both derive from the master seed).
+/// Stream tag separating the per-node RNG streams of the local and plan
+/// phases from the main engine RNG (both derive from the master seed).
 const PAR_SEED_STREAM: u64 = 0x7061_7261; // "para"
 
 /// RNG phase counters for [`par_stream_rng`]: local work vs. planning.
@@ -69,21 +77,68 @@ const PAR_APPLY_MIN_BATCH: usize = 64;
 ///
 /// One protocol instance is shared across all nodes (it plays the role of
 /// PeerSim's protocol class); per-node state lives in [`Protocol::Node`].
-pub trait Protocol {
+/// A round calls [`local`](Protocol::local), [`absorb`](Protocol::absorb)
+/// and [`apply`](Protocol::apply), in that order, whatever the thread
+/// count; a plain averaging protocol implements only `apply`. The `Sync`
+/// and `Send` bounds are what lets the engine run `local` and `apply` on
+/// worker threads.
+pub trait Protocol: Sync {
     /// Per-node protocol state.
-    type Node;
+    type Node: Send + Sync;
 
     /// Creates the state of a fresh node (initial population and churn
     /// replacements).
     fn make_node(&mut self, rng: &mut StdRng) -> Self::Node;
 
-    /// Executes one round step for node `id`: typically one push–pull
-    /// gossip exchange with a random neighbour plus local bookkeeping.
+    /// Round phase 1 — purely local per-node work (e.g. finalising due
+    /// aggregation instances and drawing scheduling decisions).
     ///
-    /// The node is guaranteed to be live when called. Implementations use
-    /// [`Ctx::random_neighbour`] to pick a partner and
-    /// [`NodeSlab::pair_mut`] for the symmetric exchange.
-    fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, Self::Node>);
+    /// Called for every live node with exclusive access to that node only,
+    /// possibly concurrently; implementations must not touch shared
+    /// protocol state (hence `&self`) — shared effects are deferred to
+    /// [`absorb`](Protocol::absorb) via the returned [`LocalReport`]. `rng`
+    /// is a deterministic stream unique to `(seed, round, node slot)`. The
+    /// default does nothing and initiates one exchange.
+    fn local(
+        &self,
+        id: NodeId,
+        node: &mut Self::Node,
+        round: u64,
+        rng: &mut StdRng,
+    ) -> LocalReport {
+        let _ = (id, node, round, rng);
+        LocalReport {
+            initiates: true,
+            ..LocalReport::default()
+        }
+    }
+
+    /// Round phase 3 — sequential absorption of one node's [`LocalReport`]
+    /// into shared protocol state, in deterministic slot order.
+    ///
+    /// This is where work that genuinely needs `&mut self` or the full
+    /// [`Ctx`] happens (counters, starting new aggregation instances, ...).
+    /// Implementations must not remove nodes — liveness is fixed for the
+    /// rest of the round. The default does nothing.
+    fn absorb(&mut self, id: NodeId, report: &LocalReport, ctx: &mut Ctx<'_, Self::Node>) {
+        let _ = (id, report, ctx);
+    }
+
+    /// Round phase 4 — applies one planned exchange between `initiator`
+    /// and `partner`, both exclusively borrowed.
+    ///
+    /// Possibly called concurrently for slot-disjoint pairs; shared state
+    /// access is `&self` only. Returns the wire traffic, which the engine
+    /// charges to [`NetStats`] (once per transmission recorded in the
+    /// plan). A protocol that ignores [`PlannedExchange::fate`] behaves as
+    /// on a lossless network.
+    fn apply(
+        &self,
+        plan: &PlannedExchange,
+        round: u64,
+        initiator: &mut Self::Node,
+        partner: &mut Self::Node,
+    ) -> ExchangeTraffic;
 
     /// Called after a node joined a running system (churn replacement),
     /// with the node already registered in the overlay. The default does
@@ -107,70 +162,13 @@ pub trait Protocol {
     fn drift_node(&mut self, id: NodeId, node: &mut Self::Node, op: DriftOp, rng: &mut StdRng) {
         let _ = (id, node, op, rng);
     }
-
-    /// Whether this protocol implements the plan/apply parallel round API
-    /// (`par_local` / `par_absorb` / `par_apply`).
-    ///
-    /// The default is `false`, in which case
-    /// [`Engine::run_round_parallel`] transparently adapts to the
-    /// sequential [`on_round`](Protocol::on_round) path.
-    fn parallel_capable(&self) -> bool {
-        false
-    }
-
-    /// Parallel phase 1 — purely local per-node work (e.g. finalising due
-    /// aggregation instances and drawing scheduling decisions).
-    ///
-    /// Called concurrently for every live node with exclusive access to
-    /// that node only; implementations must not touch shared protocol
-    /// state (hence `&self`) — shared effects are deferred to
-    /// [`par_absorb`](Protocol::par_absorb) via the returned [`ParLocal`].
-    /// `rng` is a deterministic stream unique to `(seed, round, node slot)`.
-    fn par_local(
-        &self,
-        id: NodeId,
-        node: &mut Self::Node,
-        round: u64,
-        rng: &mut StdRng,
-    ) -> ParLocal {
-        let _ = (id, node, round, rng);
-        ParLocal::default()
-    }
-
-    /// Parallel phase 2 — sequential absorption of one node's [`ParLocal`]
-    /// report into shared protocol state, in deterministic slot order.
-    ///
-    /// This is where work that genuinely needs `&mut self` or the full
-    /// [`Ctx`] happens (counters, starting new aggregation instances, ...).
-    /// Implementations must not remove nodes — liveness is fixed for the
-    /// rest of the round.
-    fn par_absorb(&mut self, id: NodeId, report: &ParLocal, ctx: &mut Ctx<'_, Self::Node>) {
-        let _ = (id, report, ctx);
-    }
-
-    /// Parallel phase 3 — applies one planned exchange between `initiator`
-    /// and `partner`, both exclusively borrowed.
-    ///
-    /// Called concurrently for slot-disjoint pairs; shared state access is
-    /// `&self` only. Returns the wire traffic, which the engine charges to
-    /// [`NetStats`] through per-thread shards.
-    fn par_apply(
-        &self,
-        plan: &PlannedExchange,
-        round: u64,
-        initiator: &mut Self::Node,
-        partner: &mut Self::Node,
-    ) -> ExchangeTraffic {
-        let _ = (plan, round, initiator, partner);
-        ExchangeTraffic::default()
-    }
 }
 
-/// Result of one node's [`Protocol::par_local`] step.
+/// Result of one node's [`Protocol::local`] step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParLocal {
+pub struct LocalReport {
     /// Locally completed events (for Adam2: finalised instances that
-    /// produced an estimate), summed into shared state by `par_absorb`.
+    /// produced an estimate), summed into shared state by `absorb`.
     pub completions: u64,
     /// Locally failed events (for Adam2: instances that expired without
     /// reaching all-values mode).
@@ -178,15 +176,15 @@ pub struct ParLocal {
     /// Locally restarted events (for Adam2: self-healing instances that
     /// voted to re-enter averaging instead of finalising).
     pub restarts: u64,
-    /// Whether the engine must invoke [`Protocol::par_absorb`]-side
-    /// sequential work beyond counter sums (for Adam2: start a new
-    /// aggregation instance at this node).
+    /// Whether [`Protocol::absorb`] has sequential work beyond counter
+    /// sums for this node (for Adam2: start a new aggregation instance
+    /// here).
     pub wants_sequential: bool,
     /// Whether this node initiates a gossip exchange this round.
     pub initiates: bool,
 }
 
-/// One gossip exchange scheduled by the parallel plan phase.
+/// One gossip exchange scheduled by the plan phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedExchange {
     /// The node that initiates the push–pull exchange.
@@ -207,7 +205,7 @@ pub struct PlannedExchange {
 }
 
 /// Wire traffic of one applied exchange, as reported by
-/// [`Protocol::par_apply`].
+/// [`Protocol::apply`].
 ///
 /// `request` is charged initiator → partner, `response` partner →
 /// initiator; `None` means the message was never sent (e.g. the response
@@ -233,9 +231,8 @@ pub struct ExchangeTraffic {
 
 /// What happened to the two messages of one push–pull exchange.
 ///
-/// Sampled by [`Ctx::sample_exchange_fate`] according to the engine's
-/// configured loss rate. Protocols that ignore it behave as on a lossless
-/// network.
+/// Sampled in the plan phase according to the engine's loss rate and
+/// repair policy. Protocols that ignore it behave as on a lossless network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeFate {
     /// Both messages delivered.
@@ -296,19 +293,20 @@ impl ExchangeRepair {
 /// the two messages was actually transmitted (for byte accounting under
 /// retransmission).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExchangeOutcome {
-    /// What happened to the exchange.
-    pub fate: ExchangeFate,
+struct ExchangeOutcome {
+    fate: ExchangeFate,
     /// Request transmissions (initiator → partner).
-    pub request_msgs: u32,
+    request_msgs: u32,
     /// Response transmissions (partner → initiator).
-    pub response_msgs: u32,
+    response_msgs: u32,
 }
 
-/// Per-round execution context handed to [`Protocol`] callbacks.
+/// Execution context handed to the [`Protocol`] callbacks that run on the
+/// driving thread ([`absorb`](Protocol::absorb), [`on_join`](Protocol::on_join))
+/// and to [`Engine::with_ctx`].
 ///
-/// Fields are public so a protocol can split-borrow them (e.g. hold a
-/// [`NodeSlab::pair_mut`] result while charging [`NetStats`]).
+/// Fields are public so a protocol can split-borrow them (e.g. read
+/// [`Ctx::nodes`] while drawing from [`Ctx::rng`]).
 pub struct Ctx<'a, N> {
     /// Current round number (starts at 0).
     pub round: u64,
@@ -318,35 +316,16 @@ pub struct Ctx<'a, N> {
     pub overlay: &'a Overlay,
     /// Engine RNG.
     pub rng: &'a mut StdRng,
-    /// Network accounting.
-    pub net: &'a mut NetStats,
-    /// Per-message loss probability (0 by default).
-    pub loss_rate: f64,
-    /// Exchange repair policy (disabled by default).
-    pub repair: ExchangeRepair,
     /// Telemetry sink; a zero-cost no-op unless the engine has telemetry
     /// attached (see [`Engine::attach_telemetry`]).
     pub telemetry: TelemetryHandle<'a>,
     /// The Byzantine adversary active this round, if the attached
-    /// [`FaultScenario`] has an adversary window covering it. Protocols use
-    /// it to plan per-exchange corruption (see [`ActiveAdversary::plan`]).
+    /// [`FaultScenario`] has an adversary window covering it (see
+    /// [`Ctx::random_neighbour`]).
     pub adversary: Option<ActiveAdversary>,
 }
 
 impl<N> Ctx<'_, N> {
-    /// Samples the fate of one request/response exchange under the
-    /// engine's loss rate: each of the two messages is lost independently
-    /// with probability `loss_rate`.
-    pub fn sample_exchange_fate(&mut self) -> ExchangeFate {
-        sample_fate(self.rng, self.loss_rate)
-    }
-
-    /// Samples the full outcome of one exchange under the engine's loss
-    /// rate and repair policy, including transmission counts.
-    pub fn sample_exchange(&mut self) -> ExchangeOutcome {
-        sample_exchange(self.rng, self.loss_rate, self.repair)
-    }
-
     /// Draws a random live neighbour of `of`.
     ///
     /// When a targeted-partner adversary is active and `of` is Byzantine,
@@ -372,33 +351,24 @@ impl<N> Ctx<'_, N> {
     pub fn live_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Charges the traffic of one applied exchange to [`NetStats`] and
-    /// records it in telemetry (when attached) — the sequential-path
-    /// counterpart of the engine's parallel apply accounting, using the
-    /// identical arithmetic.
-    pub fn charge_planned(&mut self, plan: &PlannedExchange, traffic: ExchangeTraffic) {
-        charge_traffic(self.net, plan, traffic);
-        self.telemetry.record_exchange(self.round, plan, &traffic);
-    }
 }
 
-/// Samples the fate of one request/response exchange: each of the two
-/// messages is lost independently with probability `loss_rate`. Shared by
-/// the sequential [`Ctx::sample_exchange_fate`] and the parallel plan
-/// phase (which draws from per-node streams).
-/// Charges the traffic of one applied exchange directly to [`NetStats`]
-/// (the inline/contended apply path; the threaded path goes through
-/// [`NetShard`]s with identical arithmetic).
-fn charge_traffic(net: &mut NetStats, plan: &PlannedExchange, traffic: ExchangeTraffic) {
+/// Charges the traffic of one applied exchange through `charge(from, to,
+/// bytes)` — [`NetStats::charge_message`] on the driving thread, a
+/// [`NetShard`]'s on a worker — once per transmission recorded in the plan.
+fn charge_traffic(
+    plan: &PlannedExchange,
+    traffic: ExchangeTraffic,
+    mut charge: impl FnMut(NodeId, NodeId, usize),
+) {
     if let Some(bytes) = traffic.request {
         for _ in 0..plan.request_msgs.max(1) {
-            net.charge_message(plan.initiator, plan.partner, bytes);
+            charge(plan.initiator, plan.partner, bytes);
         }
     }
     if let Some(bytes) = traffic.response {
         for _ in 0..plan.response_msgs.max(1) {
-            net.charge_message(plan.partner, plan.initiator, bytes);
+            charge(plan.partner, plan.initiator, bytes);
         }
     }
 }
@@ -425,6 +395,8 @@ fn targeted_victim<N>(
     }
 }
 
+/// Samples the fate of one request/response exchange: each of the two
+/// messages is lost independently with probability `loss_rate`.
 fn sample_fate(rng: &mut StdRng, loss_rate: f64) -> ExchangeFate {
     if loss_rate <= 0.0 {
         return ExchangeFate::Complete;
@@ -509,15 +481,16 @@ pub struct EngineConfig {
     pub overlay: OverlayConfig,
     /// Churn model.
     pub churn: ChurnModel,
-    /// Per-message loss probability in `[0, 1]` (see
-    /// [`Ctx::sample_exchange_fate`]).
+    /// Per-message loss probability in `[0, 1]`: each of the two messages
+    /// of an exchange is lost independently (see [`ExchangeFate`]).
     pub loss_rate: f64,
     /// Exchange repair policy (two-phase commit with retransmission);
     /// disabled by default.
     pub repair: ExchangeRepair,
-    /// Worker threads for [`Engine::run_round_parallel`]: `0` means "use
-    /// [`std::thread::available_parallelism`]", `1` runs the parallel
-    /// semantics inline. Thread count never affects results.
+    /// Worker threads a round runs on: `0` means "use
+    /// [`std::thread::available_parallelism`]", `1` (the default) runs
+    /// every phase inline on the calling thread. Thread count never
+    /// affects results.
     pub threads: usize,
 }
 
@@ -567,8 +540,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the worker-thread count for [`Engine::run_round_parallel`]
-    /// (`0` = auto-detect).
+    /// Sets the worker-thread count (`0` = auto-detect); see
+    /// [`EngineConfig::threads`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -612,14 +585,93 @@ impl EngineConfig {
     }
 }
 
+/// Working memory of a round, owned by the engine and reused from round to
+/// round: once the population is stable a round allocates nothing, and its
+/// pages are touched for the first time only once per run.
+#[derive(Default)]
+struct RoundBuffers {
+    /// Live ids in slot order.
+    ids: Vec<NodeId>,
+    /// [`Protocol::local`] reports, indexed by slot.
+    reports: Vec<Option<LocalReport>>,
+    /// The round's plan, aligned with `ids`: `plans[i]` is the exchange
+    /// `ids[i]` initiates, if any. Never copied: batches refer to it by
+    /// index.
+    plans: Vec<Option<PlannedExchange>>,
+    /// Colouring scratch: the first batch still free at each slot.
+    next_batch: Vec<u32>,
+    /// Batch of `plans[i]` ([`NO_BATCH`] where there is no exchange).
+    batch_of: Vec<u32>,
+    /// Width of each batch after [`colour`](RoundBuffers::colour); its end
+    /// offset in `order` after [`sort_by_batch`](RoundBuffers::sort_by_batch).
+    batches: Vec<u32>,
+    /// Indices into `plans`, sorted by batch and by slot within a batch.
+    order: Vec<u32>,
+}
+
+/// `batch_of` entry of a node that initiates no exchange.
+const NO_BATCH: u32 = u32::MAX;
+
+impl RoundBuffers {
+    /// Greedily colours the plan into slot-disjoint batches: each exchange
+    /// gets the earliest batch after the last one touching either
+    /// endpoint. Within one batch every slot appears at most once, and two
+    /// exchanges that share a slot get increasing batch numbers in slot
+    /// order. Returns the widest batch.
+    fn colour(&mut self, slot_count: usize) -> u32 {
+        self.next_batch.clear();
+        self.next_batch.resize(slot_count, 0);
+        self.batch_of.clear();
+        self.batches.clear();
+        for plan in &self.plans {
+            self.batch_of.push(match plan {
+                None => NO_BATCH,
+                Some(p) => {
+                    let (i, j) = (p.initiator.slot(), p.partner.slot());
+                    let b = self.next_batch[i].max(self.next_batch[j]);
+                    self.next_batch[i] = b + 1;
+                    self.next_batch[j] = b + 1;
+                    if b as usize == self.batches.len() {
+                        self.batches.push(0);
+                    }
+                    self.batches[b as usize] += 1;
+                    b
+                }
+            });
+        }
+        self.batches.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Counting sort of the coloured plan indices into `order`; stable, so
+    /// a batch keeps slot order. Batch `b` is then
+    /// `order[batches[b - 1]..batches[b]]`.
+    fn sort_by_batch(&mut self) {
+        let mut total = 0;
+        for width in &mut self.batches {
+            total += std::mem::replace(width, total);
+        }
+        self.order.clear();
+        self.order.resize(total as usize, 0);
+        for (i, &b) in self.batch_of.iter().enumerate() {
+            if b != NO_BATCH {
+                let at = &mut self.batches[b as usize];
+                self.order[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+    }
+}
+
 /// The cycle-driven simulator.
 ///
 /// Each [`run_round`](Engine::run_round):
 ///
 /// 1. applies churn (replacing departed nodes with fresh ones),
 /// 2. runs overlay maintenance (view shuffling, if configured),
-/// 3. calls [`Protocol::on_round`] once per live node, in a fresh random
-///    order.
+/// 3. runs the local, plan, absorb and apply phases described in the
+///    module documentation: every live node that initiates picks one
+///    partner from the state at the start of the round, and the planned
+///    exchanges are applied in slot order.
 pub struct Engine<P: Protocol> {
     protocol: P,
     nodes: NodeSlab<P::Node>,
@@ -627,8 +679,8 @@ pub struct Engine<P: Protocol> {
     churn: ChurnModel,
     churn_state: ChurnState,
     rng: StdRng,
-    /// Base of the counter-based per-node streams used by the parallel
-    /// path; independent of `rng` so both paths share one master seed.
+    /// Base of the counter-based per-node streams of the local and plan
+    /// phases; independent of `rng`, both derive from the master seed.
     par_seed: u64,
     threads: usize,
     round: u64,
@@ -642,10 +694,7 @@ pub struct Engine<P: Protocol> {
     /// Adversary window covering the round about to run (resolved by
     /// `begin_round_faults`); `None` outside Byzantine windows.
     adversary: Option<ActiveAdversary>,
-    /// Reused per-round shuffle buffer (avoids one allocation per round).
-    order_buf: Vec<NodeId>,
-    /// Reused per-round live-id buffer for the parallel path.
-    ids_buf: Vec<NodeId>,
+    buffers: RoundBuffers,
     /// Attached telemetry store; `None` (the default) records nothing.
     telemetry: Option<Box<SimTelemetry>>,
 }
@@ -707,8 +756,7 @@ impl<P: Protocol> Engine<P> {
             repair: config.repair,
             faults: None,
             adversary: None,
-            order_buf: Vec::new(),
-            ids_buf: Vec::new(),
+            buffers: RoundBuffers::default(),
             telemetry: None,
         })
     }
@@ -751,77 +799,17 @@ impl<P: Protocol> Engine<P> {
         self.faults.as_ref().map(|rt| &rt.trace)
     }
 
-    /// Runs a single round.
+    /// Runs a single round: churn and overlay maintenance (sequential,
+    /// engine RNG), then the local, plan, absorb and apply phases of the
+    /// module documentation.
+    ///
+    /// With one thread every phase runs inline and apply is a loop over
+    /// the plan. With more, local and plan run slot-chunked across threads
+    /// and apply runs the plan's colouring batch by batch: wide batches
+    /// conflict-free across threads with traffic accumulated in per-thread
+    /// [`NetShard`]s, narrow contended ones inline. The outcome is the
+    /// serial one, bit for bit, at every thread count.
     pub fn run_round(&mut self) {
-        self.net.begin_round();
-        self.begin_round_faults();
-        self.apply_churn();
-        self.overlay.maintain(&self.nodes, &mut self.rng);
-        let mut order = std::mem::take(&mut self.order_buf);
-        order.clear();
-        order.extend(self.nodes.ids());
-        order.shuffle(&mut self.rng);
-        for &id in &order {
-            if !self.nodes.contains(id) {
-                continue;
-            }
-            self.with_ctx(|protocol, ctx| protocol.on_round(id, ctx));
-        }
-        self.order_buf = order;
-        self.end_round_telemetry();
-        self.round += 1;
-    }
-
-    /// Closes the telemetry round (if attached) with the engine-known
-    /// totals. Must run after all round work, before `round` advances.
-    fn end_round_telemetry(&mut self) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.end_round(
-                self.round,
-                self.nodes.len() as u64,
-                self.net.round_bytes(),
-                self.net.round_msgs(),
-            );
-        }
-    }
-
-    /// Runs `n` rounds.
-    pub fn run_rounds(&mut self, n: u64) {
-        for _ in 0..n {
-            self.run_round();
-        }
-    }
-
-    /// Runs a single round on the phase-split parallel path.
-    ///
-    /// Falls back to [`run_round`](Engine::run_round) when the protocol is
-    /// not [`parallel_capable`](Protocol::parallel_capable). Otherwise the
-    /// round proceeds in phases:
-    ///
-    /// 1. churn + overlay maintenance (sequential, engine RNG — identical
-    ///    to the sequential path),
-    /// 2. **plan** — concurrently for every live node: local work
-    ///    ([`Protocol::par_local`]) and partner/fate selection, each node
-    ///    drawing from its own counter-based RNG stream,
-    /// 3. **absorb** — sequential slot-order fold of the local reports
-    ///    into shared protocol state ([`Protocol::par_absorb`]),
-    /// 4. **apply** — the planned exchanges are greedily coloured into
-    ///    slot-disjoint batches; big batches run conflict-free across
-    ///    threads ([`Protocol::par_apply`]) with traffic accumulated in
-    ///    per-thread [`NetShard`]s, small contended batches run inline.
-    ///
-    /// Because every random draw is keyed by `(seed, round, slot)` and all
-    /// stat reductions are commutative sums, the outcome is bit-identical
-    /// for every thread count (including 1).
-    pub fn run_round_parallel(&mut self)
-    where
-        P: Sync,
-        P::Node: Send + Sync,
-    {
-        if !self.protocol.parallel_capable() {
-            self.run_round();
-            return;
-        }
         let threads = self.resolved_threads();
         self.net.begin_round();
         self.begin_round_faults();
@@ -834,183 +822,186 @@ impl<P: Protocol> Engine<P> {
         let repair = self.repair;
         let slot_count = self.nodes.slot_count();
         self.net.ensure_slots(slot_count);
+        let mut buf = std::mem::take(&mut self.buffers);
 
-        // Phase 2a: local work, exclusive per-node access, slot-chunked.
-        let mut reports: Vec<Option<ParLocal>> = vec![None; slot_count];
+        // Local: exclusive per-node access, slot-chunked. Every live slot's
+        // report is overwritten and only live slots' reports are read, so
+        // the buffer only ever grows.
+        buf.reports.resize(slot_count, None);
         {
             let protocol = &self.protocol;
             self.nodes
-                .par_for_each_live_mut(threads, &mut reports, |id, node| {
+                .par_for_each_live_mut(threads, &mut buf.reports, |id, node| {
                     let mut rng =
                         par_stream_rng(par_seed, round, id.slot() as u64, PAR_PHASE_LOCAL);
-                    protocol.par_local(id, node, round, &mut rng)
+                    protocol.local(id, node, round, &mut rng)
                 });
         }
 
-        // Phase 2b: partner + fate selection, shared slab/overlay access.
-        let mut ids = std::mem::take(&mut self.ids_buf);
-        self.nodes.collect_ids(&mut ids);
-        let mut plans: Vec<Option<PlannedExchange>> = vec![None; ids.len()];
+        // Plan: partner + fate selection, shared slab/overlay access.
+        self.nodes.collect_ids(&mut buf.ids);
+        buf.plans.resize(buf.ids.len(), None);
         {
             let nodes = &self.nodes;
             let overlay = &self.overlay;
-            let reports = &reports;
+            let reports = &buf.reports;
             let adversary = self.adversary;
-            executor::par_zip(&mut ids, &mut plans, threads, |_, id_chunk, plan_chunk| {
-                for (id, plan) in id_chunk.iter().zip(plan_chunk.iter_mut()) {
-                    let initiates = reports[id.slot()].is_some_and(|r| r.initiates);
-                    if !initiates {
-                        continue;
-                    }
-                    let mut rng = par_stream_rng(par_seed, round, id.slot() as u64, PAR_PHASE_PLAN);
-                    // Mirror of `Ctx::random_neighbour`: a targeted
-                    // attacker aims at the deterministic victim without
-                    // consuming its plan stream.
-                    let partner = match targeted_victim(&adversary, nodes, *id) {
-                        Some(victim) => victim,
-                        None => {
-                            let Some(partner) = overlay.random_neighbour(*id, nodes, &mut rng)
-                            else {
-                                continue;
-                            };
-                            partner
-                        }
-                    };
-                    let outcome = sample_exchange(&mut rng, loss_rate, repair);
-                    let attack = adversary
+            let plan = |id: NodeId| {
+                if !reports[id.slot()].is_some_and(|r| r.initiates) {
+                    return None;
+                }
+                let mut rng = par_stream_rng(par_seed, round, id.slot() as u64, PAR_PHASE_PLAN);
+                // As in `Ctx::random_neighbour`, a targeted attacker aims
+                // at the deterministic victim without consuming its stream.
+                let partner = match targeted_victim(&adversary, nodes, id) {
+                    Some(victim) => victim,
+                    None => overlay.random_neighbour(id, nodes, &mut rng)?,
+                };
+                let outcome = sample_exchange(&mut rng, loss_rate, repair);
+                Some(PlannedExchange {
+                    initiator: id,
+                    partner,
+                    fate: outcome.fate,
+                    request_msgs: outcome.request_msgs,
+                    response_msgs: outcome.response_msgs,
+                    attack: adversary
                         .as_ref()
-                        .and_then(|adv| adv.plan(round, id.slot(), partner.slot()));
-                    *plan = Some(PlannedExchange {
-                        initiator: *id,
-                        partner,
-                        fate: outcome.fate,
-                        request_msgs: outcome.request_msgs,
-                        response_msgs: outcome.response_msgs,
-                        attack,
-                    });
+                        .and_then(|adv| adv.plan(round, id.slot(), partner.slot())),
+                })
+            };
+            executor::par_zip(&mut buf.ids, &mut buf.plans, threads, |_, ids, plans| {
+                for (id, slot) in ids.iter().zip(plans) {
+                    *slot = plan(*id);
                 }
             });
         }
 
-        // Phase 3: absorb local reports sequentially, in slot order.
-        for &id in &ids {
-            let Some(report) = reports[id.slot()] else {
-                continue;
-            };
-            self.with_ctx(|protocol, ctx| protocol.par_absorb(id, &report, ctx));
-        }
-        self.ids_buf = ids;
+        // Absorb: local reports, sequentially, in slot order.
+        self.with_ctx(|protocol, ctx| {
+            for &id in &buf.ids {
+                if let Some(report) = &buf.reports[id.slot()] {
+                    protocol.absorb(id, report, ctx);
+                }
+            }
+        });
 
-        // Phase 4: colour the exchanges into slot-disjoint batches. The
-        // greedy rule assigns each exchange the earliest batch after the
-        // last batch touching either endpoint, so within one batch every
-        // slot appears at most once.
-        let plans: Vec<PlannedExchange> = plans.into_iter().flatten().collect();
         // Plan-derived telemetry (started/repaired/aborted events and
-        // counters) is emitted here, in deterministic slot order, for every
-        // planned exchange — identical at any thread count. The
-        // traffic-derived half is recorded at apply time below.
+        // counters) in slot order, and the in-flight gauge: the widest
+        // slot-disjoint batch, whether or not batches are what runs.
+        let coloured = threads > 1 || self.telemetry.is_some();
+        let widest = if coloured { buf.colour(slot_count) } else { 0 };
         if let Some(t) = self.telemetry.as_deref_mut() {
-            for p in &plans {
+            for p in buf.plans.iter().flatten() {
                 t.record_exchange_plan(round, p);
             }
-        }
-        let mut next_batch = vec![0u32; slot_count];
-        let mut num_batches = 0u32;
-        let mut batch_of = Vec::with_capacity(plans.len());
-        for p in &plans {
-            let b = next_batch[p.initiator.slot()].max(next_batch[p.partner.slot()]);
-            batch_of.push(b);
-            next_batch[p.initiator.slot()] = b + 1;
-            next_batch[p.partner.slot()] = b + 1;
-            num_batches = num_batches.max(b + 1);
-        }
-        let mut batches: Vec<Vec<PlannedExchange>> = vec![Vec::new(); num_batches as usize];
-        for (p, b) in plans.iter().zip(&batch_of) {
-            batches[*b as usize].push(*p);
+            t.record_inflight_exchanges(u64::from(widest));
         }
 
-        for batch in &batches {
-            // A batch is slot-disjoint, so its exchanges apply
-            // concurrently: its width is the round's in-flight peak.
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                t.record_inflight_exchanges(batch.len() as u64);
+        // Apply.
+        if threads <= 1 {
+            for p in buf.plans.iter().flatten() {
+                self.apply_one(p);
             }
-            if threads <= 1 || batch.len() < PAR_APPLY_MIN_BATCH {
-                // Contended / tiny tail: apply inline, charging NetStats
-                // directly (same commutative sums as the shard path).
-                for p in batch {
-                    let Some((a, b)) = self.nodes.pair_mut(p.initiator, p.partner) else {
-                        continue;
-                    };
-                    let traffic = self.protocol.par_apply(p, round, a, b);
-                    charge_traffic(&mut self.net, p, traffic);
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record_exchange_traffic(&traffic);
+        } else {
+            buf.sort_by_batch();
+            let mut start = 0;
+            for &end in &buf.batches {
+                let batch = &buf.order[start as usize..end as usize];
+                start = end;
+                if batch.len() < PAR_APPLY_MIN_BATCH {
+                    for &i in batch {
+                        self.apply_one(buf.plans[i as usize].as_ref().expect("coloured"));
                     }
-                }
-            } else {
-                let protocol = &self.protocol;
-                let raw = self.nodes.raw_slots();
-                // Telemetry traffic recording shards like NetStats does: a
-                // clone of an empty shard per chunk, merged in chunk order.
-                let tshard_seed = self.telemetry.as_deref().map(|t| t.shard());
-                let histograms = self.telemetry.as_deref().map(|t| t.traffic_histograms());
-                let shards = executor::par_chunks_map(batch, threads, |chunk| {
-                    let mut shard = NetShard::with_slots(slot_count);
-                    let mut tshard = tshard_seed.clone();
-                    for p in chunk {
-                        // Safety: slots within one batch are pairwise
-                        // distinct by construction, and batches are applied
-                        // one at a time, so these two borrows are the only
-                        // live references to their slots.
-                        let (Some(a), Some(b)) = (unsafe { raw.get_mut(p.initiator) }, unsafe {
-                            raw.get_mut(p.partner)
-                        }) else {
-                            continue;
-                        };
-                        let traffic = protocol.par_apply(p, round, a, b);
-                        if let (Some(ts), Some((hreq, hresp))) = (tshard.as_mut(), histograms) {
-                            ts.record_traffic(&traffic, hreq, hresp);
-                        }
-                        if let Some(bytes) = traffic.request {
-                            for _ in 0..p.request_msgs.max(1) {
-                                shard.charge_message(p.initiator, p.partner, bytes);
-                            }
-                        }
-                        if let Some(bytes) = traffic.response {
-                            for _ in 0..p.response_msgs.max(1) {
-                                shard.charge_message(p.partner, p.initiator, bytes);
-                            }
-                        }
-                    }
-                    (shard, tshard)
-                });
-                for (shard, tshard) in &shards {
-                    self.net.merge_shard(shard);
-                    if let (Some(t), Some(ts)) = (self.telemetry.as_deref_mut(), tshard.as_ref()) {
-                        t.merge_shard(ts);
-                    }
+                } else {
+                    self.apply_batch(&buf.plans, batch, threads);
                 }
             }
         }
-        self.end_round_telemetry();
+        self.buffers = buf;
+
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.end_round(
+                round,
+                self.nodes.len() as u64,
+                self.net.round_bytes(),
+                self.net.round_msgs(),
+            );
+        }
         self.round += 1;
     }
 
-    /// Runs `n` rounds on the parallel path.
-    pub fn run_rounds_parallel(&mut self, n: u64)
-    where
-        P: Sync,
-        P::Node: Send + Sync,
-    {
-        for _ in 0..n {
-            self.run_round_parallel();
+    /// Applies one planned exchange on the driving thread.
+    fn apply_one(&mut self, p: &PlannedExchange) {
+        let Some((a, b)) = self.nodes.pair_mut(p.initiator, p.partner) else {
+            return;
+        };
+        let traffic = self.protocol.apply(p, self.round, a, b);
+        charge_traffic(p, traffic, |from, to, bytes| {
+            self.net.charge_message(from, to, bytes)
+        });
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.record_exchange_traffic(&traffic);
         }
     }
 
-    /// Replaces the worker-thread count (`0` = auto-detect) used by
-    /// [`run_round_parallel`](Engine::run_round_parallel).
+    /// Applies one slot-disjoint batch (indices into `plans`) across
+    /// `threads` threads, accumulating traffic and telemetry in per-chunk
+    /// shards merged in chunk order.
+    fn apply_batch(&mut self, plans: &[Option<PlannedExchange>], batch: &[u32], threads: usize) {
+        let round = self.round;
+        let slot_count = self.nodes.slot_count();
+        let protocol = &self.protocol;
+        let raw = self.nodes.raw_slots();
+        let tshard_seed = self.telemetry.as_deref().map(|t| t.shard());
+        let histograms = self.telemetry.as_deref().map(|t| t.traffic_histograms());
+        let shards = executor::par_chunks_map(batch, threads, |chunk| {
+            let mut shard = NetShard::with_slots(slot_count);
+            let mut tshard = tshard_seed.clone();
+            for &i in chunk {
+                let p = plans[i as usize].as_ref().expect("coloured");
+                // SAFETY: slots within one batch are pairwise distinct by
+                // construction, and batches are applied one at a time, so
+                // these two borrows are the only live references to their
+                // slots.
+                let (Some(a), Some(b)) = (unsafe { raw.get_mut(p.initiator) }, unsafe {
+                    raw.get_mut(p.partner)
+                }) else {
+                    continue;
+                };
+                let traffic = protocol.apply(p, round, a, b);
+                if let (Some(ts), Some((hreq, hresp))) = (tshard.as_mut(), histograms) {
+                    ts.record_traffic(&traffic, hreq, hresp);
+                }
+                charge_traffic(p, traffic, |from, to, bytes| {
+                    shard.charge_message(from, to, bytes)
+                });
+            }
+            (shard, tshard)
+        });
+        for (shard, tshard) in &shards {
+            self.net.merge_shard(shard);
+            if let (Some(t), Some(ts)) = (self.telemetry.as_deref_mut(), tshard.as_ref()) {
+                t.merge_shard(ts);
+            }
+        }
+    }
+
+    /// Runs `n` rounds.
+    pub fn run_rounds(&mut self, n: u64) {
+        for _ in 0..n {
+            self.run_round();
+        }
+    }
+
+    /// Alias of [`run_rounds`](Engine::run_rounds) from when the engine had
+    /// a second, sequential round path; kept because `benchmark/` calls it.
+    #[doc(hidden)]
+    pub fn run_rounds_parallel(&mut self, n: u64) {
+        self.run_rounds(n);
+    }
+
+    /// Replaces the worker-thread count (`0` = auto-detect); see
+    /// [`EngineConfig::threads`].
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -1032,9 +1023,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Applies the attached fault scenario for the round about to run (see
     /// [`FaultRuntime::begin_round`]). All fault randomness comes from
-    /// scenario-seeded streams (never the engine RNG), so the injected
-    /// faults are identical under the sequential and parallel paths at any
-    /// thread count.
+    /// scenario-seeded streams (never the engine RNG).
     fn begin_round_faults(&mut self) {
         self.adversary = None;
         if let Some(mut rt) = self.faults.take() {
@@ -1203,9 +1192,6 @@ impl<P: Protocol> Engine<P> {
             nodes: &mut self.nodes,
             overlay: &self.overlay,
             rng: &mut self.rng,
-            net: &mut self.net,
-            loss_rate: self.loss_rate,
-            repair: self.repair,
             telemetry: TelemetryHandle::new(self.telemetry.as_deref_mut()),
             adversary: self.adversary,
         };
@@ -1277,11 +1263,17 @@ impl<P: Protocol> FaultHost for Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{AdversaryModel, PartitionKind};
     use crate::overlay::OverlayKind;
+    use crate::stats::NodeTraffic;
 
     /// Test protocol: push–pull averaging of a per-node value.
     struct Averaging {
         next_value: f64,
+    }
+
+    fn averaging(config: EngineConfig) -> Engine<Averaging> {
+        Engine::new(config, Averaging { next_value: 0.0 })
     }
 
     impl Protocol for Averaging {
@@ -1292,37 +1284,7 @@ mod tests {
             self.next_value
         }
 
-        fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, f64>) {
-            let Some(partner) = ctx.random_neighbour(id) else {
-                return;
-            };
-            let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else {
-                return;
-            };
-            let mean = (*a + *b) / 2.0;
-            *a = mean;
-            *b = mean;
-            ctx.net.charge_exchange(id, partner, 8, 8);
-        }
-
-        fn parallel_capable(&self) -> bool {
-            true
-        }
-
-        fn par_local(
-            &self,
-            _id: NodeId,
-            _node: &mut f64,
-            _round: u64,
-            _rng: &mut StdRng,
-        ) -> ParLocal {
-            ParLocal {
-                initiates: true,
-                ..ParLocal::default()
-            }
-        }
-
-        fn par_apply(
+        fn apply(
             &self,
             plan: &PlannedExchange,
             _round: u64,
@@ -1334,79 +1296,116 @@ mod tests {
                     let mean = (*a + *b) / 2.0;
                     *a = mean;
                     *b = mean;
-                    ExchangeTraffic {
-                        request: Some(8),
-                        response: Some(8),
-                        ..ExchangeTraffic::default()
-                    }
                 }
-                ExchangeFate::RequestLost => ExchangeTraffic {
-                    request: Some(8),
-                    response: None,
-                    ..ExchangeTraffic::default()
-                },
-                ExchangeFate::ResponseLost => {
-                    *b = (*a + *b) / 2.0;
-                    ExchangeTraffic {
-                        request: Some(8),
-                        response: Some(8),
-                        ..ExchangeTraffic::default()
-                    }
-                }
-                ExchangeFate::Aborted => ExchangeTraffic {
-                    request: Some(8),
-                    response: Some(8),
-                    ..ExchangeTraffic::default()
-                },
+                ExchangeFate::ResponseLost => *b = (*a + *b) / 2.0,
+                ExchangeFate::RequestLost | ExchangeFate::Aborted => {}
+            }
+            ExchangeTraffic {
+                request: Some(8),
+                response: (plan.fate != ExchangeFate::RequestLost).then_some(8),
+                ..ExchangeTraffic::default()
             }
         }
     }
 
-    /// Full observable state of an engine run, for bit-exact comparisons.
-    #[allow(clippy::type_complexity)]
-    fn snapshot(engine: &Engine<Averaging>) -> (Vec<(usize, u64)>, u64, u64, Vec<(u64, u64)>) {
-        let values: Vec<(usize, u64)> = engine
-            .nodes()
-            .iter()
-            .map(|(id, v)| (id.slot(), v.to_bits()))
-            .collect();
-        let traffic: Vec<(u64, u64)> = engine
-            .nodes()
-            .iter()
-            .map(|(id, _)| {
-                let t = engine.net().node(id);
-                (t.total_bytes(), t.total_msgs())
-            })
-            .collect();
-        (
-            values,
-            engine.net().total_bytes(),
-            engine.net().total_msgs(),
-            traffic,
-        )
+    /// What a run leaves in the engine, for bit-exact comparisons.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        values: Vec<(usize, u64)>,
+        totals: (u64, u64),
+        per_node: Vec<NodeTraffic>,
+        trace: Option<FaultTrace>,
+    }
+
+    /// Exported telemetry: counters, round snapshots, events.
+    type Exported = (Vec<(String, u64)>, Vec<String>, Vec<String>);
+
+    fn observe(
+        config: EngineConfig,
+        scenario: Option<&FaultScenario>,
+        with_telemetry: bool,
+        rounds: u64,
+    ) -> (Observed, Option<Exported>) {
+        let mut engine = averaging(config);
+        if let Some(scenario) = scenario {
+            engine.set_fault_scenario(scenario.clone()).unwrap();
+        }
+        if with_telemetry {
+            engine.attach_telemetry(SimTelemetry::new());
+        }
+        engine.run_rounds(rounds);
+        let exported = engine.detach_telemetry().map(|t| {
+            let t = t.telemetry();
+            (
+                t.metrics
+                    .counters()
+                    .map(|(name, v)| (name.to_string(), v))
+                    .collect(),
+                t.snapshots().iter().map(|s| s.jsonl()).collect(),
+                t.events.iter().map(|e| e.jsonl()).collect(),
+            )
+        });
+        let observed = Observed {
+            values: engine
+                .nodes()
+                .iter()
+                .map(|(id, v)| (id.slot(), v.to_bits()))
+                .collect(),
+            totals: (engine.net().total_bytes(), engine.net().total_msgs()),
+            per_node: engine
+                .nodes()
+                .ids()
+                .map(|id| engine.net().node(id))
+                .collect(),
+            trace: engine.fault_trace().cloned(),
+        };
+        (observed, exported)
+    }
+
+    /// The serial slot-order loop (1 thread) and its coloured schedule
+    /// (2 and 3 threads) leave the same node state, traffic tables, fault
+    /// trace and exported telemetry, and attaching telemetry changes none
+    /// of the first three. Returns the serial run.
+    fn assert_serial_equals_coloured(
+        config: EngineConfig,
+        scenario: Option<&FaultScenario>,
+        rounds: u64,
+    ) -> (Observed, Exported) {
+        let serial = observe(config.with_threads(1), scenario, true, rounds);
+        for threads in [2, 3] {
+            let coloured = observe(config.with_threads(threads), scenario, true, rounds);
+            assert_eq!(coloured, serial, "threads={threads} diverged");
+        }
+        let bare = observe(config.with_threads(1), scenario, false, rounds);
+        assert_eq!(bare.0, serial.0, "attaching telemetry changed the run");
+        (serial.0, serial.1.expect("telemetry was attached"))
     }
 
     #[test]
     fn averaging_converges_to_global_mean() {
-        let mut engine = Engine::new(EngineConfig::new(128, 42), Averaging { next_value: 0.0 });
-        engine.run_rounds(60);
-        let expected = 129.0 / 2.0;
-        for (_, v) in engine.nodes().iter() {
-            assert!((v - expected).abs() < 1e-9, "value {v} far from {expected}");
+        for threads in [1, 4] {
+            let mut engine = averaging(EngineConfig::new(128, 42).with_threads(threads));
+            engine.run_rounds(60);
+            let expected = 129.0 / 2.0;
+            for (_, v) in engine.nodes().iter() {
+                assert!((v - expected).abs() < 1e-9, "value {v} far from {expected}");
+            }
         }
     }
 
     #[test]
     fn averaging_conserves_mass_every_round() {
-        let mut engine = Engine::new(EngineConfig::new(64, 7), Averaging { next_value: 0.0 });
-        let initial: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-        for _ in 0..20 {
-            engine.run_round();
-            let sum: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-            assert!(
-                (sum - initial).abs() < 1e-6,
-                "mass leaked: {sum} vs {initial}"
-            );
+        for threads in [1, 4] {
+            let mut engine = averaging(EngineConfig::new(300, 7).with_threads(threads));
+            let initial: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
+            for _ in 0..20 {
+                engine.run_round();
+                let sum: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
+                assert!(
+                    (sum - initial).abs() < 1e-6,
+                    "mass leaked: {sum} vs {initial}"
+                );
+            }
         }
     }
 
@@ -1417,7 +1416,7 @@ mod tests {
             degree: 10,
             shuffle_len: 3,
         });
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
+        let mut engine = averaging(config);
         engine.run_rounds(60);
         let expected = 129.0 / 2.0;
         for (_, v) in engine.nodes().iter() {
@@ -1428,7 +1427,7 @@ mod tests {
     #[test]
     fn churn_keeps_population_constant() {
         let config = EngineConfig::new(100, 1).with_churn(ChurnModel::uniform(0.05));
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
+        let mut engine = averaging(config);
         for _ in 0..50 {
             engine.run_round();
             assert_eq!(engine.nodes().len(), 100);
@@ -1438,7 +1437,7 @@ mod tests {
     #[test]
     fn session_churn_keeps_population_constant() {
         let config = EngineConfig::new(100, 2).with_churn(ChurnModel::sessions(10.0));
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
+        let mut engine = averaging(config);
         for _ in 0..100 {
             engine.run_round();
             assert_eq!(engine.nodes().len(), 100);
@@ -1446,17 +1445,20 @@ mod tests {
     }
 
     #[test]
-    fn network_traffic_is_recorded() {
-        let mut engine = Engine::new(EngineConfig::new(10, 3), Averaging { next_value: 0.0 });
-        engine.run_round();
-        // Every node initiates one exchange of 8+8 bytes.
-        assert_eq!(engine.net().total_msgs(), 20);
-        assert_eq!(engine.net().total_bytes(), 160);
+    fn lossless_round_carries_one_exchange_per_node_at_any_thread_count() {
+        for threads in [1, 2] {
+            let mut engine = averaging(EngineConfig::new(10, 3).with_threads(threads));
+            engine.run_round();
+            // Every node initiates one exchange of 8+8 bytes.
+            assert_eq!(engine.net().round_msgs(), 20);
+            assert_eq!(engine.net().total_msgs(), 20);
+            assert_eq!(engine.net().total_bytes(), 160);
+        }
     }
 
     #[test]
     fn rounds_advance() {
-        let mut engine = Engine::new(EngineConfig::new(4, 4), Averaging { next_value: 0.0 });
+        let mut engine = averaging(EngineConfig::new(4, 4));
         assert_eq!(engine.round(), 0);
         engine.run_rounds(5);
         assert_eq!(engine.round(), 5);
@@ -1464,7 +1466,7 @@ mod tests {
 
     #[test]
     fn partitions_prevent_cross_group_averaging() {
-        let mut engine = Engine::new(EngineConfig::new(200, 8), Averaging { next_value: 0.0 });
+        let mut engine = averaging(EngineConfig::new(200, 8));
         engine.partition_into(2);
         engine.run_rounds(40);
         // Each group converges to its own mean; the two means must differ
@@ -1493,210 +1495,148 @@ mod tests {
         }
     }
 
-    struct JoinTracker {
+    /// Implements only the required methods plus the membership hooks;
+    /// a node's state counts the exchanges it initiated.
+    #[derive(Default)]
+    struct ApplyOnly {
         joins: usize,
         leaves: usize,
     }
 
-    impl Protocol for JoinTracker {
-        type Node = ();
+    impl Protocol for ApplyOnly {
+        type Node = u64;
 
-        fn make_node(&mut self, _rng: &mut StdRng) {}
+        fn make_node(&mut self, _rng: &mut StdRng) -> u64 {
+            0
+        }
 
-        fn on_round(&mut self, _id: NodeId, _ctx: &mut Ctx<'_, ()>) {}
+        fn apply(&self, _: &PlannedExchange, _: u64, a: &mut u64, _: &mut u64) -> ExchangeTraffic {
+            *a += 1;
+            ExchangeTraffic {
+                request: Some(1),
+                response: Some(1),
+                ..ExchangeTraffic::default()
+            }
+        }
 
-        fn on_join(&mut self, _id: NodeId, _ctx: &mut Ctx<'_, ()>) {
+        fn on_join(&mut self, _id: NodeId, _ctx: &mut Ctx<'_, u64>) {
             self.joins += 1;
         }
 
-        fn on_leave(&mut self, _id: NodeId, _node: ()) {
+        fn on_leave(&mut self, _id: NodeId, _node: u64) {
             self.leaves += 1;
         }
     }
 
     #[test]
-    fn parallel_averaging_converges_to_global_mean() {
-        let config = EngineConfig::new(128, 42).with_threads(4);
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-        engine.run_rounds_parallel(60);
-        let expected = 129.0 / 2.0;
-        for (_, v) in engine.nodes().iter() {
-            assert!((v - expected).abs() < 1e-9, "value {v} far from {expected}");
-        }
-    }
-
-    #[test]
-    fn parallel_conserves_mass_every_round() {
-        let config = EngineConfig::new(300, 7).with_threads(4);
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-        let initial: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-        for _ in 0..20 {
-            engine.run_round_parallel();
-            let sum: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-            assert!(
-                (sum - initial).abs() < 1e-6,
-                "mass leaked: {sum} vs {initial}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_records_same_message_count_as_sequential() {
-        // Lossless network: both paths carry exactly one exchange per node
-        // per round, so the counters must agree exactly.
-        let mut seq = Engine::new(EngineConfig::new(10, 3), Averaging { next_value: 0.0 });
-        seq.run_round();
-        let config = EngineConfig::new(10, 3).with_threads(2);
-        let mut par = Engine::new(config, Averaging { next_value: 0.0 });
-        par.run_round_parallel();
-        assert_eq!(par.net().total_msgs(), seq.net().total_msgs());
-        assert_eq!(par.net().total_bytes(), seq.net().total_bytes());
-        assert_eq!(par.net().round_msgs(), 20);
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_across_thread_counts() {
-        // Churn + shuffle overlay + loss: the full feature surface must be
-        // thread-count invariant, including per-node traffic tables.
-        let base = EngineConfig::new(300, 11)
-            .with_overlay(OverlayConfig {
-                kind: OverlayKind::Shuffle,
-                degree: 10,
-                shuffle_len: 3,
-            })
-            .with_churn(ChurnModel::uniform(0.02))
-            .with_loss_rate(0.05);
-        let mut reference = None;
-        for threads in [1, 2, 4, 7] {
-            let config = base.with_threads(threads);
-            let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-            engine.run_rounds_parallel(25);
-            let snap = snapshot(&engine);
-            match &reference {
-                None => reference = Some(snap),
-                Some(r) => assert_eq!(&snap, r, "threads={threads} diverged"),
+    fn apply_only_protocol_initiates_one_exchange_per_live_node_per_round() {
+        for threads in [1, 3] {
+            let config = EngineConfig::new(150, 5).with_threads(threads);
+            let mut engine = Engine::new(config, ApplyOnly::default());
+            for round in 1..=10 {
+                engine.run_round();
+                assert_eq!(engine.net().round_msgs(), 300);
+                assert!(engine.nodes().iter().all(|(_, n)| *n == round));
             }
         }
     }
 
     #[test]
-    fn telemetry_attach_leaves_simulation_bit_identical() {
-        // Tentpole invariant: recording is purely observational — it never
-        // consumes engine RNG or touches simulation state, so runs with and
-        // without an attached store are bit-identical under both engine
-        // paths at any thread count.
-        let base = EngineConfig::new(300, 11)
-            .with_overlay(OverlayConfig {
-                kind: OverlayKind::Shuffle,
-                degree: 10,
-                shuffle_len: 3,
-            })
-            .with_churn(ChurnModel::uniform(0.02))
-            .with_loss_rate(0.05);
-        let run = |parallel: bool, threads: usize, with_telemetry: bool| {
-            let config = base.with_threads(threads);
-            let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-            if with_telemetry {
-                engine.attach_telemetry(SimTelemetry::new());
-            }
-            if parallel {
-                engine.run_rounds_parallel(25);
-            } else {
-                engine.run_rounds(25);
-            }
-            snapshot(&engine)
+    fn join_and_leave_hooks_fire_under_churn_at_any_thread_count() {
+        let config = EngineConfig::new(200, 5).with_churn(ChurnModel::uniform(0.01));
+        let counts = [1, 4].map(|threads| {
+            let mut engine = Engine::new(config.with_threads(threads), ApplyOnly::default());
+            engine.run_rounds(50);
+            (engine.protocol().joins, engine.protocol().leaves)
+        });
+        let (joins, leaves) = counts[0];
+        assert_eq!(joins, leaves);
+        // 1%/round * 200 nodes * 50 rounds = ~100 replacements.
+        assert!((80..=120).contains(&joins), "joins {joins}");
+        assert_eq!(counts[1], counts[0]);
+    }
+
+    #[test]
+    fn serial_order_equals_coloured_schedule_under_maximal_conflict() {
+        // 30 % of the nodes are attackers and every one of them targets
+        // slot 0, so their exchanges chain through one node: one batch per
+        // attacker, narrow ones applied inline between the wide honest
+        // batches that go to the workers.
+        let model = AdversaryModel::TargetedPartner { magnitude: 5.0 };
+        let scenario = FaultScenario::new(77).with_adversary(2, 12, 0.3, model);
+        let config = EngineConfig::new(300, 19).with_loss_rate(0.05);
+        let (serial, _) = assert_serial_equals_coloured(config, Some(&scenario), 15);
+        let attackers = serial.trace.unwrap().records[0].byzantine as usize;
+        assert!(attackers > 60, "{attackers} attackers");
+
+        let mut engine = averaging(config.with_threads(2));
+        engine.set_fault_scenario(scenario).unwrap();
+        engine.run_rounds(3);
+        let batches = engine.buffers.batches.len();
+        assert!(
+            batches >= attackers,
+            "{batches} batches, {attackers} attackers"
+        );
+        // Everyone an attacker: the whole round is one chain through slot 0.
+        let all = FaultScenario::new(78).with_adversary(0, 10, 1.0, model);
+        assert_serial_equals_coloured(EngineConfig::new(80, 20), Some(&all), 10);
+    }
+
+    fn crash_scenario() -> FaultScenario {
+        FaultScenario::new(99)
+            .with_burst_loss(3, 8, 0.4)
+            .with_partition(5, 12, PartitionKind::Bisect)
+            .with_crash_recover(2, 9, 0.2)
+    }
+
+    #[test]
+    fn serial_order_equals_coloured_schedule_under_loss_repair_crashes_and_churn() {
+        let shuffle = OverlayConfig {
+            kind: OverlayKind::Shuffle,
+            degree: 10,
+            shuffle_len: 3,
         };
-        for (parallel, threads) in [(false, 1), (true, 1), (true, 4)] {
+        let config = EngineConfig::new(300, 11)
+            .with_churn(ChurnModel::uniform(0.02))
+            .with_loss_rate(0.05);
+        for config in [
+            config.with_repair(ExchangeRepair::enabled()),
+            config.with_overlay(shuffle),
+        ] {
+            let (serial, exported) =
+                assert_serial_equals_coloured(config, Some(&crash_scenario()), 20);
+            assert!(!serial.trace.unwrap().is_empty());
+            assert_eq!(exported.1.len(), 20, "one snapshot per round");
+            assert!(!exported.2.is_empty(), "events recorded");
+        }
+    }
+
+    #[test]
+    fn serial_order_equals_coloured_schedule_at_degenerate_sizes() {
+        // n = 1: no neighbour, so every round's plan is empty.
+        let (lone, _) = assert_serial_equals_coloured(EngineConfig::new(1, 3), None, 5);
+        assert_eq!(lone.totals, (0, 0));
+        for n in [2, 3] {
+            let config = EngineConfig::new(n, 3).with_loss_rate(0.2);
+            let (run, _) = assert_serial_equals_coloured(config, None, 10);
+            assert!(run.totals.1 > 0);
+            let everyone = AdversaryModel::TargetedPartner { magnitude: 1.0 };
+            let scenario = FaultScenario::new(5).with_adversary(0, 10, 1.0, everyone);
+            assert_serial_equals_coloured(config, Some(&scenario), 10);
+        }
+    }
+
+    #[test]
+    fn same_config_twice_is_identical() {
+        for threads in [1, 4] {
+            let config = EngineConfig::new(200, 9)
+                .with_churn(ChurnModel::uniform(0.01))
+                .with_threads(threads);
             assert_eq!(
-                run(parallel, threads, true),
-                run(parallel, threads, false),
-                "parallel={parallel} threads={threads}"
+                observe(config, None, false, 30),
+                observe(config, None, false, 30)
             );
         }
-    }
-
-    #[test]
-    fn telemetry_output_is_thread_count_invariant() {
-        // The recorded telemetry itself must not depend on the thread
-        // count: plan-derived events are emitted on the driver in slot
-        // order, and shard merges are commutative sums.
-        let base = EngineConfig::new(300, 11)
-            .with_churn(ChurnModel::uniform(0.02))
-            .with_loss_rate(0.05);
-        let run = |threads: usize| {
-            let mut engine = Engine::new(base.with_threads(threads), Averaging { next_value: 0.0 });
-            engine.attach_telemetry(SimTelemetry::new());
-            engine.run_rounds_parallel(25);
-            let t = engine.detach_telemetry().unwrap();
-            let counters: Vec<(&str, u64)> = t.telemetry().metrics.counters().collect();
-            let rounds: Vec<String> = t
-                .telemetry()
-                .snapshots()
-                .iter()
-                .map(|s| s.jsonl())
-                .collect();
-            let events: Vec<String> = t.telemetry().events.iter().map(|e| e.jsonl()).collect();
-            (counters, rounds, events)
-        };
-        let single = run(1);
-        assert!(!single.2.is_empty(), "events recorded");
-        assert_eq!(single.1.len(), 25, "one snapshot per round");
-        assert_eq!(single, run(4));
-    }
-
-    #[test]
-    fn parallel_same_config_twice_is_identical() {
-        let config = EngineConfig::new(200, 9)
-            .with_churn(ChurnModel::uniform(0.01))
-            .with_threads(4);
-        let runs: Vec<_> = (0..2)
-            .map(|_| {
-                let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-                engine.run_rounds_parallel(30);
-                snapshot(&engine)
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn sequential_same_config_twice_is_identical() {
-        let config = EngineConfig::new(200, 9).with_churn(ChurnModel::uniform(0.01));
-        let runs: Vec<_> = (0..2)
-            .map(|_| {
-                let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
-                engine.run_rounds(30);
-                snapshot(&engine)
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn parallel_falls_back_for_non_capable_protocols() {
-        // JoinTracker does not implement the parallel API; the parallel
-        // entry point must behave exactly like the sequential path.
-        let config = EngineConfig::new(100, 5)
-            .with_churn(ChurnModel::uniform(0.02))
-            .with_threads(4);
-        let mut seq = Engine::new(
-            config,
-            JoinTracker {
-                joins: 0,
-                leaves: 0,
-            },
-        );
-        seq.run_rounds(20);
-        let mut par = Engine::new(
-            config,
-            JoinTracker {
-                joins: 0,
-                leaves: 0,
-            },
-        );
-        par.run_rounds_parallel(20);
-        assert_eq!(par.protocol().joins, seq.protocol().joins);
-        assert_eq!(par.protocol().leaves, seq.protocol().leaves);
     }
 
     #[test]
@@ -1797,7 +1737,7 @@ mod tests {
         // `set_churn` re-registers every node's session; duplicate heap
         // entries for the same node must not cause double replacement.
         let config = EngineConfig::new(100, 3).with_churn(ChurnModel::sessions(5.0));
-        let mut engine = Engine::new(config, Averaging { next_value: 0.0 });
+        let mut engine = averaging(config);
         for round in 0..60 {
             if round % 10 == 0 {
                 engine.set_churn(ChurnModel::sessions(5.0));
@@ -1807,18 +1747,11 @@ mod tests {
         }
     }
 
-    fn crash_scenario() -> crate::faults::FaultScenario {
-        crate::faults::FaultScenario::new(99)
-            .with_burst_loss(3, 8, 0.4)
-            .with_partition(5, 12, crate::faults::PartitionKind::Bisect)
-            .with_crash_recover(2, 9, 0.2)
-    }
-
     #[test]
     fn crash_recover_restores_population() {
-        let mut engine = Engine::new(EngineConfig::new(100, 21), Averaging { next_value: 0.0 });
+        let mut engine = averaging(EngineConfig::new(100, 21));
         engine
-            .set_fault_scenario(crate::faults::FaultScenario::new(5).with_crash_recover(2, 5, 0.2))
+            .set_fault_scenario(FaultScenario::new(5).with_crash_recover(2, 5, 0.2))
             .unwrap();
         engine.run_rounds(2);
         assert_eq!(engine.nodes().len(), 100);
@@ -1835,12 +1768,12 @@ mod tests {
 
     #[test]
     fn fault_partition_applies_and_heals() {
-        let mut engine = Engine::new(EngineConfig::new(64, 22), Averaging { next_value: 0.0 });
+        let mut engine = averaging(EngineConfig::new(64, 22));
         engine
-            .set_fault_scenario(crate::faults::FaultScenario::new(4).with_partition(
+            .set_fault_scenario(FaultScenario::new(4).with_partition(
                 1,
                 3,
-                crate::faults::PartitionKind::Islands(4),
+                PartitionKind::Islands(4),
             ))
             .unwrap();
         engine.run_round();
@@ -1860,12 +1793,9 @@ mod tests {
 
     #[test]
     fn fault_burst_overrides_and_restores_loss_rate() {
-        let mut engine = Engine::new(
-            EngineConfig::new(50, 23).with_loss_rate(0.01),
-            Averaging { next_value: 0.0 },
-        );
+        let mut engine = averaging(EngineConfig::new(50, 23).with_loss_rate(0.01));
         engine
-            .set_fault_scenario(crate::faults::FaultScenario::new(6).with_burst_loss(1, 3, 0.9))
+            .set_fault_scenario(FaultScenario::new(6).with_burst_loss(1, 3, 0.9))
             .unwrap();
         engine.run_rounds(4);
         let trace = engine.fault_trace().unwrap();
@@ -1878,51 +1808,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_trace_is_identical_across_engine_paths_and_threads() {
-        // The injector draws only from scenario-seeded streams, so the
-        // sequential path and the parallel path at any thread count must
-        // inject byte-identical faults (no churn: uniform churn victims
-        // come from the engine RNG, whose draw sequence legitimately
-        // differs between paths).
-        let config = EngineConfig::new(200, 31).with_loss_rate(0.05);
-        let mut seq = Engine::new(config, Averaging { next_value: 0.0 });
-        seq.set_fault_scenario(crash_scenario()).unwrap();
-        for _ in 0..15 {
-            seq.run_round();
-        }
-        let reference = seq.fault_trace().unwrap().clone();
-        assert!(!reference.is_empty());
-        for threads in [1, 2, 4] {
-            let mut par = Engine::new(config.with_threads(threads), Averaging { next_value: 0.0 });
-            par.set_fault_scenario(crash_scenario()).unwrap();
-            par.run_rounds_parallel(15);
-            assert_eq!(
-                par.fault_trace().unwrap(),
-                &reference,
-                "threads={threads} trace diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_faulted_run_is_bit_identical_across_thread_counts() {
-        let base = EngineConfig::new(300, 17)
-            .with_loss_rate(0.05)
-            .with_repair(ExchangeRepair::enabled());
-        let mut reference = None;
-        for threads in [1, 2, 4, 7] {
-            let mut engine = Engine::new(base.with_threads(threads), Averaging { next_value: 0.0 });
-            engine.set_fault_scenario(crash_scenario()).unwrap();
-            engine.run_rounds_parallel(20);
-            let snap = snapshot(&engine);
-            match &reference {
-                None => reference = Some(snap),
-                Some(r) => assert_eq!(&snap, r, "threads={threads} diverged"),
-            }
-        }
-    }
-
-    #[test]
     fn repair_conserves_mass_under_loss() {
         // With repair enabled an exchange either completes on both sides
         // or aborts with no state change, so the global sum is exact even
@@ -1932,9 +1817,9 @@ mod tests {
             .with_loss_rate(0.3)
             .with_repair(ExchangeRepair::enabled())
             .with_threads(2);
-        let mut engine = Engine::new(repaired, Averaging { next_value: 0.0 });
+        let mut engine = averaging(repaired);
         let initial: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-        engine.run_rounds_parallel(30);
+        engine.run_rounds(30);
         let sum: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
         assert!(
             (sum - initial).abs() < 1e-6,
@@ -1944,30 +1829,13 @@ mod tests {
         let unrepaired = EngineConfig::new(200, 13)
             .with_loss_rate(0.3)
             .with_threads(2);
-        let mut engine = Engine::new(unrepaired, Averaging { next_value: 0.0 });
+        let mut engine = averaging(unrepaired);
         let initial: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
-        engine.run_rounds_parallel(30);
+        engine.run_rounds(30);
         let sum: f64 = engine.nodes().iter().map(|(_, v)| *v).sum();
         assert!(
             (sum - initial).abs() > 1e-3,
             "unrepaired path should visibly drift: {sum} vs {initial}"
         );
-    }
-
-    #[test]
-    fn join_and_leave_hooks_fire_under_churn() {
-        let config = EngineConfig::new(200, 5).with_churn(ChurnModel::uniform(0.01));
-        let mut engine = Engine::new(
-            config,
-            JoinTracker {
-                joins: 0,
-                leaves: 0,
-            },
-        );
-        engine.run_rounds(50);
-        let p = engine.protocol();
-        assert_eq!(p.joins, p.leaves);
-        // 1%/round * 200 nodes * 50 rounds = ~100 replacements.
-        assert!((80..=120).contains(&p.joins), "joins {}", p.joins);
     }
 }

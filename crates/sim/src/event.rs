@@ -19,7 +19,7 @@
 //! [`EventEngine::run_until_parallel`] is the one driver that drains it;
 //! `threads = 1` is simply the sequential case. Time advances in
 //! *lookahead windows*, each processed as one batch in three phases
-//! mirroring `Engine::run_round_parallel`: a sequential pre-pass (drop
+//! mirroring `Engine::run_round`: a sequential pre-pass (drop
 //! events for dead nodes, suppress fault-injected duplicate copies,
 //! canonical delivery accounting), a parallel compute phase over the
 //! slot-disjoint wheel shards (per-event RNG streams derived from `(seed,

@@ -1,20 +1,20 @@
-//! Minimal fork–join executor for the parallel engine.
+//! Minimal fork–join executor for the engines' threaded phases.
 //!
-//! The workspace builds offline without rayon, so the parallel round path
-//! uses plain `std::thread::scope` fan-out over contiguous chunks. Work
+//! The workspace builds offline without rayon, so the round phases use
+//! plain `std::thread::scope` fan-out over contiguous chunks. Work
 //! items are pre-partitioned (no work stealing): every phase of a round
 //! splits its input into at most `threads` chunks, processes the last one
 //! on the calling thread and the others on scoped threads (a fork–join
 //! costs one spawn per *extra* thread — 95 µs for two spawns measured on a
 //! 2-core VM, which is why the event engine batches ticks into windows),
 //! and joins before the next phase. For `threads <= 1` all helpers degrade
-//! to inline calls with zero spawn overhead, so the parallel engine can
-//! run on any machine.
+//! to inline calls with zero spawn overhead, so the engines run on any
+//! machine.
 //!
 //! Determinism note: chunk boundaries depend on the thread count, but every
 //! closure the engine passes here derives its randomness from the item's
 //! identity (node slot), never from the chunk, and all reductions are
-//! commutative sums — which is why `Engine::run_round_parallel` produces
+//! commutative sums — which is why `Engine::run_round` produces
 //! bit-identical results for every thread count.
 
 /// Chunk size that spreads `total` items over at most `threads` chunks.

@@ -8,11 +8,10 @@
 //! async one) and replayed deterministically: every random draw the injector
 //! makes comes from counter-based streams keyed by the *scenario* seed and
 //! the round (never from the engine RNG), so the same scenario produces the
-//! same faults under the sequential and parallel round paths at any thread
-//! count.
+//! same faults at any thread count.
 //!
 //! The engine records what it injected each round in a [`FaultTrace`] of
-//! [`RoundFaults`] records, which tests compare across execution paths and
+//! [`RoundFaults`] records, which tests compare across thread counts and
 //! benches report alongside protocol error.
 
 use rand::rngs::StdRng;
@@ -684,8 +683,8 @@ impl FaultScenario {
 ///
 /// Everything here is a pure function of `(scenario seed, window start,
 /// counters)` — no engine RNG is ever consumed — so the same scenario
-/// produces the same attack on the cycle engine, `run_round_parallel`, and
-/// the event engine, at any thread count.
+/// produces the same attack on the cycle engine and the event engine, at
+/// any thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActiveAdversary {
     seed: u64,

@@ -4,7 +4,9 @@
 //! time advances in synchronous *rounds*; in each round every node initiates
 //! one push–pull gossip exchange with a randomly chosen neighbour; exchanges
 //! are atomic (request and response are delivered within the round). This
-//! crate reproduces exactly that model and adds:
+//! crate reproduces that model — every node picks its partner from the
+//! state at the start of the round, and the exchanges are applied in node
+//! order, on any number of threads with the same result — and adds:
 //!
 //! * a generational node slab so membership *churn* can recycle node slots
 //!   without dangling references ([`NodeSlab`], [`NodeId`]),
@@ -23,7 +25,7 @@
 //! mean):
 //!
 //! ```
-//! use adam2_sim::{Ctx, Engine, EngineConfig, NodeId, Protocol};
+//! use adam2_sim::{Engine, EngineConfig, ExchangeTraffic, PlannedExchange, Protocol};
 //!
 //! struct Averaging { next: f64 }
 //!
@@ -35,13 +37,13 @@
 //!         self.next
 //!     }
 //!
-//!     fn on_round(&mut self, id: NodeId, ctx: &mut Ctx<'_, f64>) {
-//!         let Some(partner) = ctx.random_neighbour(id) else { return };
-//!         let Some((a, b)) = ctx.nodes.pair_mut(id, partner) else { return };
+//!     // Every node initiates one exchange per round by default; the engine
+//!     // picks the partner and charges the returned traffic.
+//!     fn apply(&self, _: &PlannedExchange, _round: u64, a: &mut f64, b: &mut f64) -> ExchangeTraffic {
 //!         let mean = (*a + *b) / 2.0;
 //!         *a = mean;
 //!         *b = mean;
-//!         ctx.net.charge_exchange(id, partner, 8, 8);
+//!         ExchangeTraffic { request: Some(8), response: Some(8), ..Default::default() }
 //!     }
 //! }
 //!
@@ -71,8 +73,8 @@ pub use wheel::TimerWheel;
 
 pub use churn::ChurnModel;
 pub use engine::{
-    Ctx, Engine, EngineConfig, ExchangeFate, ExchangeOutcome, ExchangeRepair, ExchangeTraffic,
-    ParLocal, PlannedExchange, Protocol, SimConfigError,
+    Ctx, Engine, EngineConfig, ExchangeFate, ExchangeRepair, ExchangeTraffic, LocalReport,
+    PlannedExchange, Protocol, SimConfigError,
 };
 pub use event::{AsyncProtocol, BatchCtx, EventConfig, EventCtx, EventEngine, LatencyModel};
 pub use faults::{

@@ -37,14 +37,14 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Counter-based per-node RNG stream for the parallel engine.
+/// Counter-based per-node RNG stream for the cycle engine's round phases.
 ///
 /// Builds a generator unique to `(base, round, slot, phase)` by chaining
 /// [`derive_seed`]. Because the stream identity depends only on those four
-/// counters — never on thread assignment or execution order — the parallel
-/// round path draws identical random sequences regardless of how many
-/// worker threads process the nodes, which is what makes
-/// `Engine::run_round_parallel` bit-deterministic across thread counts.
+/// counters — never on thread assignment or execution order — a round
+/// draws identical random sequences regardless of how many worker threads
+/// process the nodes, which is what makes `Engine::run_round`
+/// bit-deterministic across thread counts.
 pub fn par_stream_rng(base: u64, round: u64, slot: u64, phase: u64) -> StdRng {
     seeded_rng(derive_seed(
         derive_seed(derive_seed(base, round), slot),

@@ -169,12 +169,12 @@ impl NetStats {
     }
 }
 
-/// A thread-local slice of [`NetStats`], accumulated during the parallel
+/// A thread-local slice of [`NetStats`], accumulated during a threaded
 /// apply phase and folded back with [`NetStats::merge_shard`] at round end.
 ///
 /// Every field is a plain sum, so shards merge commutatively: the totals
 /// are identical no matter how the work was distributed over threads — the
-/// property the parallel engine's determinism guarantee rests on.
+/// property the engines' thread-count invariance rests on.
 #[derive(Debug, Clone, Default)]
 pub struct NetShard {
     per_slot: Vec<NodeTraffic>,

@@ -147,10 +147,6 @@ impl SimTelemetry {
     /// it can be emitted on the driver thread in deterministic order.
     pub fn record_exchange_plan(&mut self, round: u64, plan: &PlannedExchange) {
         self.scratch.exchanges += 1;
-        // The sequential path applies exchanges one at a time, so at least
-        // one is in flight whenever any exchange ran this round; the
-        // parallel engine raises the peak via record_inflight_exchanges.
-        self.scratch.inflight_peak = self.scratch.inflight_peak.max(1);
         self.inner.metrics.add(self.c_exchanges, 1);
         self.event(
             round,
@@ -216,10 +212,10 @@ impl SimTelemetry {
         }
     }
 
-    /// Records `n` exchanges being applied concurrently (the parallel
-    /// engine's conflict-free batch width, or the deploy runtime's live
-    /// in-flight count). The per-round peak lands in the round snapshot
-    /// and the `inflight_exchanges` gauge.
+    /// Records `n` exchanges being applied concurrently (the cycle
+    /// engine's widest conflict-free batch, at any thread count, or the
+    /// deploy runtime's live in-flight count). The per-round peak lands in
+    /// the round snapshot and the `inflight_exchanges` gauge.
     pub fn record_inflight_exchanges(&mut self, n: u64) {
         self.scratch.inflight_peak = self.scratch.inflight_peak.max(n);
     }
@@ -486,20 +482,6 @@ impl<'a> TelemetryHandle<'a> {
         TelemetryHandle(self.0.as_deref_mut())
     }
 
-    /// Records both halves of one applied exchange.
-    #[inline]
-    pub fn record_exchange(
-        &mut self,
-        round: u64,
-        plan: &PlannedExchange,
-        traffic: &ExchangeTraffic,
-    ) {
-        if let Some(t) = self.0.as_deref_mut() {
-            t.record_exchange_plan(round, plan);
-            t.record_exchange_traffic(traffic);
-        }
-    }
-
     /// Records self-healing restarts voted at one node this round.
     #[inline]
     pub fn record_heal_bump(&mut self, round: u64, slot: u32, restarts: u64) {
@@ -641,11 +623,9 @@ mod tests {
     }
 
     #[test]
-    fn inflight_peak_defaults_to_exchange_presence() {
-        // Sequential path: record_exchange_plan alone must yield peak 1,
-        // and an idle round must reset it to 0.
+    fn inflight_peak_resets_each_round() {
         let mut t = SimTelemetry::new();
-        t.record_exchange_plan(0, &plan(1, 1, ExchangeFate::Complete));
+        t.record_inflight_exchanges(1);
         t.end_round(0, 2, 0, 0);
         t.end_round(1, 2, 0, 0);
         let snaps = t.telemetry().snapshots();
@@ -659,10 +639,5 @@ mod tests {
         assert!(!h.is_enabled());
         h.record_heal_bump(0, 0, 3);
         h.record_instance_started(0, 0, 1);
-        h.record_exchange(
-            0,
-            &plan(1, 1, ExchangeFate::Complete),
-            &ExchangeTraffic::default(),
-        );
     }
 }

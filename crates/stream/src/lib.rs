@@ -322,8 +322,8 @@ impl InstancePipeline {
 
     /// Advances one gossip round: launches a due instance (unless the
     /// pipeline is full — a deferred launch fires as soon as a slot
-    /// frees), runs the round on the phase-split parallel path, absorbs
-    /// any instance that finalised, and samples the tracking error.
+    /// frees), runs the round, absorbs any instance that finalised, and
+    /// samples the tracking error.
     pub fn step(&mut self) {
         let round = self.engine.round();
         if round >= self.next_launch && self.pending.len() < self.config.effective_overlap() {
@@ -332,7 +332,7 @@ impl InstancePipeline {
             self.launched += 1;
             self.next_launch = round + self.period;
         }
-        self.engine.run_round_parallel();
+        self.engine.run_round();
         self.probe_completions();
         self.sample();
     }
