@@ -1,16 +1,16 @@
 //! Deploy-runtime benchmark: the socket-based cluster vs the sequential
-//! simulator on an identical trace, across both deploy backends.
+//! simulator on an identical trace.
 //!
 //! Runs the sequential simulator once to get the ground-truth accuracy of
 //! one aggregation instance, then launches real N-node loopback clusters
-//! (`adam2-deploy`) on **both** runtimes — thread-per-node and the reactor
-//! pool — injects an instance with the *same thresholds* over a control
-//! socket, lets the nodes gossip over TCP to convergence, collects every
-//! node's estimate back over the control sockets, and scores everything
-//! through the same [`evaluate_peer_estimates`] pipeline. Each backend
-//! runs two scenarios: clean, and a 10 % socket-loss shim exercising the
-//! retransmit/seq-cache repair path. Every run reports gossip throughput
-//! (completed exchanges/sec) and p99 exchange latency.
+//! (`adam2-deploy`, on the reactor's default thread count), injects an
+//! instance with the *same thresholds* over a control socket, lets the
+//! nodes gossip over TCP to convergence, collects every node's estimate
+//! back over the control sockets, and scores everything through the same
+//! [`evaluate_peer_estimates`] pipeline. Two scenarios run: clean, and a
+//! 10 % socket-loss shim exercising the retransmit/seq-cache repair path.
+//! Every run reports gossip throughput (completed exchanges/sec) and p99
+//! exchange latency.
 //!
 //! A separate *scale sweep* (`--scale N`) boots an N-node reactor cluster
 //! — ten thousand nodes on one host — with the round length stretched to
@@ -24,9 +24,10 @@
 //! clean shutdown; CI's deploy jobs use this), `--tick-ms T` (gossip round
 //! length, default 40), `--scale N` (reactor scale sweep, default off).
 //! The standard `--nodes` / `--seed` / `--lambda` / `--telemetry` flags
-//! also apply; `--nodes` is clamped to 256 because the comparison matrix
-//! includes the thread-per-node backend (three OS threads per node). The
-//! scale sweep is additionally clamped to what `ulimit -n` leaves room
+//! also apply; `--nodes` is clamped to 256 because the scenario runs keep
+//! the fixed `--tick-ms` round, which a larger cluster cannot gossip in on
+//! one host (`--scale` is the large-cluster run: it stretches the round).
+//! The scale sweep is additionally clamped to what `ulimit -n` leaves room
 //! for (every node holds a listener fd).
 
 use std::sync::Arc;
@@ -37,9 +38,7 @@ use adam2_bench::{
     start_instance, Args, ErrorReport, PeerEstimate,
 };
 use adam2_core::{Adam2Config, AttrValue, InstanceMeta};
-use adam2_deploy::{
-    Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig, RuntimeKind,
-};
+use adam2_deploy::{Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig};
 use adam2_sim::{ChurnModel, RunManifest};
 use adam2_traces::Attribute;
 
@@ -50,8 +49,10 @@ const ROUNDS: u64 = 30;
 /// for the injected `StartInstance` to land before gossip begins.
 const WARMUP_ROUNDS: u64 = 3;
 
-/// Node cap for the backend comparison matrix (the threaded backend burns
-/// three OS threads per node).
+/// Node cap for the scenario runs: the scale sweep's own rule gives one
+/// host about five nodes per millisecond of round, so past ~200 nodes the
+/// default 40 ms round falls behind its clock. `--scale` stretches the
+/// round instead.
 const MAX_DEPLOY_NODES: usize = 256;
 
 /// File descriptors reserved for everything that is not a node listener:
@@ -60,7 +61,6 @@ const FD_SLACK: usize = 2048;
 
 struct ScenarioResult {
     name: &'static str,
-    backend: &'static str,
     nodes: usize,
     tick_ms: u64,
     outcome: DeployOutcome,
@@ -93,13 +93,13 @@ fn main() {
     let nodes = args.nodes.clamp(2, MAX_DEPLOY_NODES);
     if nodes != args.nodes {
         println!(
-            "note: --nodes {} clamped to {nodes} (threaded backend: 3 threads/node)",
+            "note: --nodes {} clamped to {nodes} (use --scale for larger clusters)",
             args.nodes
         );
     }
     let scale = clamp_to_fd_limit(scale);
 
-    println!("== bench_deploy — socket runtimes vs sequential simulator ==");
+    println!("== bench_deploy — socket runtime vs sequential simulator ==");
     println!(
         "nodes={nodes} seed={} lambda={} rounds={ROUNDS} tick={tick_ms}ms scale={scale}",
         args.seed, args.lambda
@@ -113,8 +113,7 @@ fn main() {
         sim_report.1.avg_cdf, sim_report.1.max_cdf
     );
 
-    // Backend comparison matrix: same population, same thresholds, real
-    // sockets, both runtimes.
+    // Scenario runs: same population, same thresholds, real sockets.
     let node_config = NodeConfig {
         tick: Duration::from_millis(tick_ms),
         io_timeout: Duration::from_millis((tick_ms / 2).clamp(10, 50)),
@@ -124,51 +123,30 @@ fn main() {
         seed: args.seed,
     };
     node_config.validate().expect("bench node config is valid");
-    let backends: [(&'static str, RuntimeKind); 2] = [
-        ("threaded", RuntimeKind::Threaded),
-        (
-            "reactor",
-            RuntimeKind::Reactor {
-                threads: reactor_threads(),
-            },
-        ),
-    ];
-    type ShimFactory = fn(u64) -> LossShim;
-    let scenarios: [(&'static str, ShimFactory); 2] = [
-        ("clean", |_seed| LossShim::none()),
-        ("loss10", |seed| LossShim::flat(seed, 0.10)),
+    let scenarios = [
+        ("clean", LossShim::none()),
+        ("loss10", LossShim::flat(args.seed, 0.10)),
     ];
     let mut results = Vec::new();
-    for (backend_name, runtime) in backends {
-        for (scenario, make_shim) in scenarios {
-            let outcome = run_deploy(
-                &format!("{backend_name}_{scenario}"),
-                runtime,
-                make_shim(args.seed),
-                nodes,
-                &sim_report.0,
-                &node_config,
-                &args,
-            );
-            println!(
-                "deploy/{backend_name:<8}/{scenario:<7} Err_a={:.3e} Err_m={:.3e} \
-                 peers_without={} exchanges={} throughput={:.0}/s p99={}us clean_shutdown={}",
-                outcome.report.avg_cdf,
-                outcome.report.max_cdf,
-                outcome.report.peers_without_estimate,
-                outcome.exchanges,
-                outcome.throughput_eps,
-                outcome.p99_latency_us,
-                outcome.clean_shutdown,
-            );
-            results.push(ScenarioResult {
-                name: scenario,
-                backend: backend_name,
-                nodes,
-                tick_ms,
-                outcome,
-            });
-        }
+    for (scenario, shim) in scenarios {
+        let outcome = run_deploy(scenario, shim, nodes, &sim_report.0, &node_config, &args);
+        println!(
+            "deploy/{scenario:<7} Err_a={:.3e} Err_m={:.3e} \
+             peers_without={} exchanges={} throughput={:.0}/s p99={}us clean_shutdown={}",
+            outcome.report.avg_cdf,
+            outcome.report.max_cdf,
+            outcome.report.peers_without_estimate,
+            outcome.exchanges,
+            outcome.throughput_eps,
+            outcome.p99_latency_us,
+            outcome.clean_shutdown,
+        );
+        results.push(ScenarioResult {
+            name: scenario,
+            nodes,
+            tick_ms,
+            outcome,
+        });
     }
 
     // Scale sweep: an N-node reactor cluster with the round length
@@ -193,9 +171,6 @@ fn main() {
         );
         let outcome = run_deploy(
             "scale",
-            RuntimeKind::Reactor {
-                threads: reactor_threads(),
-            },
             LossShim::none(),
             scale,
             &scale_sim.0,
@@ -247,16 +222,6 @@ where
         eprintln!("bench_deploy: {e}");
         std::process::exit(2);
     })
-}
-
-/// Reactor threads for this host: one per core, at least two so a stall
-/// in one shard cannot freeze the whole cluster, capped small because
-/// reactor threads are busy-polling loops.
-fn reactor_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .clamp(2, 8)
 }
 
 /// Clamps the scale sweep to the fd budget: every node holds a listener
@@ -314,7 +279,6 @@ struct SimTrace {
 
 fn run_deploy(
     label: &str,
-    runtime: RuntimeKind,
     shim: LossShim,
     nodes: usize,
     trace: &SimTrace,
@@ -335,8 +299,6 @@ fn run_deploy(
         Duration::from_millis((node_config.tick.as_millis() as u64 / 2).max(50));
     let config = ClusterConfig::try_new(node_config.clone())
         .expect("validated above")
-        .with_runtime(runtime)
-        .expect("nonzero reactor threads")
         .with_bootstrap(10, bootstrap_timeout)
         .expect("nonzero bootstrap budget")
         .with_shim(shim);
@@ -535,14 +497,13 @@ fn render_json(
     for (i, r) in results.iter().enumerate() {
         let o = &r.outcome;
         json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"backend\": \"{}\", \"nodes\": {}, \"tick_ms\": {}, \
+            "    {{\"scenario\": \"{}\", \"nodes\": {}, \"tick_ms\": {}, \
              \"err_a\": {:.6e}, \"err_m\": {:.6e}, \"peers_without_estimate\": {}, \
              \"mean_n_hat\": {}, \"exchanges\": {}, \"exchanges_completed\": {}, \
              \"repairs\": {}, \"aborts\": {}, \"shim_drops\": {}, \"malformed_frames\": {}, \
              \"backpressure_drops\": {}, \"throughput_eps\": {:.2}, \"p99_latency_us\": {}, \
              \"duration_s\": {:.3}, \"clean_shutdown\": {}}}{}\n",
             r.name,
-            r.backend,
             r.nodes,
             r.tick_ms,
             o.report.avg_cdf,
@@ -567,7 +528,7 @@ fn render_json(
     json.push_str("  \"scale\": [\n");
     if let Some((scale_nodes, scale_tick, scale_sim, o)) = scale {
         json.push_str(&format!(
-            "    {{\"backend\": \"reactor\", \"nodes\": {scale_nodes}, \"tick_ms\": {scale_tick}, \
+            "    {{\"nodes\": {scale_nodes}, \"tick_ms\": {scale_tick}, \
              \"err_a\": {:.6e}, \"sim_err_a\": {:.6e}, \"peers_without_estimate\": {}, \
              \"mean_n_hat\": {}, \"exchanges_completed\": {}, \"throughput_eps\": {:.2}, \
              \"p99_latency_us\": {}, \"duration_s\": {:.3}, \"clean_shutdown\": {}}}\n",
@@ -586,11 +547,12 @@ fn render_json(
     json
 }
 
-fn find<'a>(results: &'a [ScenarioResult], backend: &str, name: &str) -> &'a ScenarioResult {
-    results
+fn find<'a>(results: &'a [ScenarioResult], name: &str) -> &'a DeployOutcome {
+    &results
         .iter()
-        .find(|r| r.backend == backend && r.name == name)
+        .find(|r| r.name == name)
         .expect("scenario present")
+        .outcome
 }
 
 fn run_checks(sim: &ErrorReport, results: &[ScenarioResult], scale: &ScaleResult) {
@@ -598,7 +560,7 @@ fn run_checks(sim: &ErrorReport, results: &[ScenarioResult], scale: &ScaleResult
 
     for r in results {
         let o = &r.outcome;
-        let who = format!("{}/{}", r.backend, r.name);
+        let who = r.name;
         if !o.clean_shutdown {
             failures.push(format!("{who}: runtime did not shut down cleanly"));
         }
@@ -611,48 +573,36 @@ fn run_checks(sim: &ErrorReport, results: &[ScenarioResult], scale: &ScaleResult
         if o.report.peers_with_estimate == 0 {
             failures.push(format!("{who}: no peer produced an estimate"));
         }
+        if o.report.peers_without_estimate > 0 {
+            failures.push(format!(
+                "{who}: {} peers without an estimate",
+                o.report.peers_without_estimate
+            ));
+        }
         if o.completed == 0 {
             failures.push(format!("{who}: no exchange ever completed"));
         }
     }
 
-    // Convergence on both backends: the clean cluster matches the
-    // simulator within 2x (plus a tiny absolute floor for when the
-    // simulator's error is ~0), and 10% socket loss still converges via
-    // the retransmit path.
-    for backend in ["threaded", "reactor"] {
-        let clean = &find(results, backend, "clean").outcome;
-        let bound = sim.avg_cdf * 2.0 + 1e-3;
-        if clean.report.avg_cdf > bound {
-            failures.push(format!(
-                "{backend}/clean deploy Err_a {:.3e} exceeds 2x simulator {:.3e}",
-                clean.report.avg_cdf, sim.avg_cdf
-            ));
-        }
-        if clean.report.peers_without_estimate > 0 {
-            failures.push(format!(
-                "{backend}/clean deploy left {} peers without an estimate",
-                clean.report.peers_without_estimate
-            ));
-        }
-        let lossy = &find(results, backend, "loss10").outcome;
-        if lossy.shim_drops == 0 {
-            failures.push(format!(
-                "{backend}/loss10 ran but the shim never dropped a frame"
-            ));
-        }
-        if lossy.report.avg_cdf > sim.avg_cdf * 2.0 + 1e-2 {
-            failures.push(format!(
-                "{backend}/loss10 deploy Err_a {:.3e} did not converge (simulator {:.3e})",
-                lossy.report.avg_cdf, sim.avg_cdf
-            ));
-        }
-        if lossy.report.peers_without_estimate > 0 {
-            failures.push(format!(
-                "{backend}/loss10 deploy left {} peers without an estimate",
-                lossy.report.peers_without_estimate
-            ));
-        }
+    // Convergence: the clean cluster matches the simulator within 2x (plus
+    // a tiny absolute floor for when the simulator's error is ~0), and 10%
+    // socket loss still converges via the retransmit path.
+    let clean = find(results, "clean");
+    if clean.report.avg_cdf > sim.avg_cdf * 2.0 + 1e-3 {
+        failures.push(format!(
+            "clean deploy Err_a {:.3e} exceeds 2x simulator {:.3e}",
+            clean.report.avg_cdf, sim.avg_cdf
+        ));
+    }
+    let lossy = find(results, "loss10");
+    if lossy.shim_drops == 0 {
+        failures.push("loss10 ran but the shim never dropped a frame".into());
+    }
+    if lossy.report.avg_cdf > sim.avg_cdf * 2.0 + 1e-2 {
+        failures.push(format!(
+            "loss10 deploy Err_a {:.3e} did not converge (simulator {:.3e})",
+            lossy.report.avg_cdf, sim.avg_cdf
+        ));
     }
 
     // Scale sweep: the big reactor cluster must finish the instance with

@@ -103,10 +103,9 @@ const BYZANTINE_RESULT_FIELDS: &[(&str, FieldType)] = &[
 ];
 
 /// `BENCH_deploy.json` per-result schema (`--bench` mode): one record per
-/// (backend, scenario) cell of the comparison matrix.
+/// scenario (clean, 10 % loss).
 const DEPLOY_RESULT_FIELDS: &[(&str, FieldType)] = &[
     ("scenario", FieldType::Str),
-    ("backend", FieldType::Str),
     ("nodes", FieldType::Uint),
     ("tick_ms", FieldType::Uint),
     ("err_a", FieldType::NumberOrNull),
@@ -163,7 +162,6 @@ const STREAMING_RESULT_FIELDS: &[(&str, FieldType)] = &[
 
 /// `BENCH_deploy.json` scale-sweep record schema.
 const DEPLOY_SCALE_FIELDS: &[(&str, FieldType)] = &[
-    ("backend", FieldType::Str),
     ("nodes", FieldType::Uint),
     ("tick_ms", FieldType::Uint),
     ("err_a", FieldType::NumberOrNull),
@@ -331,8 +329,8 @@ fn validate_bench(path: &Path) -> Result<usize, String> {
         ),
         "deploy_runtime" => (
             DEPLOY_RESULT_FIELDS,
-            "backend",
-            &["threaded", "reactor"],
+            "scenario",
+            &["clean", "loss10"],
             Some(("scale", DEPLOY_SCALE_FIELDS)),
         ),
         "streaming_tracker" => (
@@ -670,9 +668,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn deploy_result_line(backend: &str, scenario: &str) -> String {
+    fn deploy_result_line(scenario: &str) -> String {
         format!(
-            "    {{\"scenario\": \"{scenario}\", \"backend\": \"{backend}\", \"nodes\": 64, \
+            "    {{\"scenario\": \"{scenario}\", \"nodes\": 64, \
              \"tick_ms\": 40, \"err_a\": 7.5e-3, \"err_m\": 6.2e-2, \
              \"peers_without_estimate\": 0, \"mean_n_hat\": null, \"exchanges\": 1764, \
              \"exchanges_completed\": 1700, \"repairs\": 3, \"aborts\": 1, \"shim_drops\": 0, \
@@ -682,7 +680,7 @@ mod tests {
     }
 
     fn deploy_bench_json() -> String {
-        let scale_line = "    {\"backend\": \"reactor\", \"nodes\": 10000, \"tick_ms\": 2000, \
+        let scale_line = "    {\"nodes\": 10000, \"tick_ms\": 2000, \
              \"err_a\": 1.1e-3, \"sim_err_a\": 9.0e-4, \"peers_without_estimate\": 3, \
              \"mean_n_hat\": 9987.2101, \"exchanges_completed\": 280000, \
              \"throughput_eps\": 4385.12, \"p99_latency_us\": 12384, \"duration_s\": 63.9, \
@@ -692,8 +690,8 @@ mod tests {
              {{\"schema_version\": 1, \"experiment\": \"t\", \"config_hash\": 5, \"seed\": 1, \
              \"threads\": 2, \"detected_cores\": 4, \"git_rev\": null}},\n  \"results\": [\n\
              {}\n{}\n  ],\n  \"scale\": [\n{scale_line}\n  ]\n}}\n",
-            deploy_result_line("threaded", "clean"),
-            deploy_result_line("reactor", "clean").trim_end_matches(',')
+            deploy_result_line("clean"),
+            deploy_result_line("loss10").trim_end_matches(',')
         )
     }
 
@@ -713,19 +711,16 @@ mod tests {
         .unwrap();
         assert!(validate_bench(&path).unwrap_err().contains("unknown field"));
 
-        // Dropping the reactor backend's results fails.
-        std::fs::write(
-            &path,
-            deploy_bench_json().replacen(
-                "\"backend\": \"reactor\", \"nodes\": 64",
-                "\"backend\": \"threaded\", \"nodes\": 64",
-                1,
-            ),
-        )
-        .unwrap();
+        // Removing the loss10 row fails.
+        let without_loss10 = deploy_bench_json().replace(
+            &format!(",\n{}", deploy_result_line("loss10").trim_end_matches(',')),
+            "",
+        );
+        assert_ne!(without_loss10, deploy_bench_json());
+        std::fs::write(&path, without_loss10).unwrap();
         assert!(validate_bench(&path)
             .unwrap_err()
-            .contains("no results for backend 'reactor'"));
+            .contains("no results for scenario 'loss10'"));
 
         // A malformed scale record fails with the array named.
         std::fs::write(

@@ -1,10 +1,8 @@
-//! Cross-backend integration tests for the deploy runtimes.
+//! Integration tests for the deploy runtime against the simulator.
 //!
-//! The thread-per-node and reactor backends execute the same protocol
-//! state over the same frame wire format, so a clean run on either must
-//! land on the simulator's answer, a cluster mixing both backends must
-//! interoperate frame-for-frame, and garbage on a reactor socket must be
-//! a counted error — never a hang or a panic.
+//! The reactor executes the simulator's protocol state over real sockets,
+//! so a clean run must land on the simulator's answer, and garbage on a
+//! reactor socket must be a counted error — never a hang or a panic.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -77,15 +75,10 @@ fn simulator_truth() -> (Arc<InstanceMeta>, Vec<AttrValue>, StepCdf, ErrorReport
 
 /// Runs one deploy cluster over the simulator's instance and scores it
 /// through the same evaluation pipeline.
-fn run_backend(
-    runtime: RuntimeKind,
-    meta: &InstanceMeta,
-    values: Vec<AttrValue>,
-    truth: &StepCdf,
-) -> ErrorReport {
+fn run_cluster(meta: &InstanceMeta, values: Vec<AttrValue>, truth: &StepCdf) -> ErrorReport {
     let config = ClusterConfig::try_new(node_config())
         .unwrap()
-        .with_runtime(runtime)
+        .with_runtime(RuntimeKind::Reactor { threads: 2 })
         .unwrap()
         .with_shim(LossShim::none());
     let cluster = Cluster::launch(values, config).expect("cluster launch");
@@ -116,57 +109,19 @@ fn run_backend(
 }
 
 #[test]
-fn backends_agree_with_the_simulator_on_a_clean_run() {
+fn reactor_agrees_with_the_simulator_on_a_clean_run() {
     let (meta, values, truth, sim) = simulator_truth();
+    let reactor = run_cluster(&meta, values, &truth);
 
-    let threaded = run_backend(RuntimeKind::Threaded, &meta, values.clone(), &truth);
-    let reactor = run_backend(RuntimeKind::Reactor { threads: 2 }, &meta, values, &truth);
-
-    assert_eq!(threaded.peers_without_estimate, 0);
     assert_eq!(reactor.peers_without_estimate, 0);
-
-    // Both backends must sit on the simulator's discretisation floor. The
+    // The cluster must sit on the simulator's discretisation floor. The
     // small absolute slack absorbs the handful of exchanges a node can
     // miss to wall-clock scheduling right at the deadline — convergence
     // contracts by ~2x per round, so 40 rounds leave no gossip error.
-    let tol = 1e-3;
     assert!(
-        (threaded.avg_cdf - sim.avg_cdf).abs() <= tol,
-        "threaded Err_a {:.6e} vs simulator {:.6e}",
-        threaded.avg_cdf,
-        sim.avg_cdf
-    );
-    assert!(
-        (reactor.avg_cdf - sim.avg_cdf).abs() <= tol,
+        (reactor.avg_cdf - sim.avg_cdf).abs() <= 1e-3,
         "reactor Err_a {:.6e} vs simulator {:.6e}",
         reactor.avg_cdf,
-        sim.avg_cdf
-    );
-    assert!(
-        (reactor.avg_cdf - threaded.avg_cdf).abs() <= tol,
-        "backends disagree: reactor {:.6e} vs threaded {:.6e}",
-        reactor.avg_cdf,
-        threaded.avg_cdf
-    );
-}
-
-#[test]
-fn mixed_backend_cluster_bootstraps_and_converges() {
-    let (meta, values, truth, sim) = simulator_truth();
-    let report = run_backend(
-        RuntimeKind::Mixed { reactor_threads: 2 },
-        &meta,
-        values,
-        &truth,
-    );
-    assert_eq!(
-        report.peers_without_estimate, 0,
-        "a mixed cluster must deliver the instance to every node"
-    );
-    assert!(
-        (report.avg_cdf - sim.avg_cdf).abs() <= 1e-3,
-        "mixed Err_a {:.6e} vs simulator {:.6e}",
-        report.avg_cdf,
         sim.avg_cdf
     );
 }

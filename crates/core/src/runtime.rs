@@ -53,13 +53,11 @@ pub struct ExchangeOutcome {
 
 /// Initiator-side bookkeeping for one in-flight wire exchange.
 ///
-/// Both deploy backends (thread-per-node and the reactor event loop) drive
-/// the same sequence — snapshot, send, maybe retry, absorb — but from very
-/// different control flow: the threaded sender blocks through its attempts
-/// in a loop, while the reactor interleaves many exchanges and revisits
-/// each one on timer/readiness events. `PendingExchange` owns the pieces
-/// both need between those steps: the request-time baseline (`sent`), the
-/// round the snapshot was taken for, and the bounded attempt budget.
+/// The deploy reactor walks each exchange through snapshot, send, maybe
+/// retry, absorb, interleaving many exchanges and revisiting each one on
+/// timer/readiness events. `PendingExchange` owns the pieces it needs
+/// between those steps: the request-time baseline (`sent`), the round the
+/// snapshot was taken for, and the bounded attempt budget.
 #[derive(Debug, Clone)]
 pub struct PendingExchange {
     /// The request as sent — the baseline [`absorb_exchange_response`]

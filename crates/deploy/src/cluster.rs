@@ -6,10 +6,9 @@
 //! The driver is the deploy-side analogue of the simulator's engine loop,
 //! except the nodes run themselves — the driver only observes (per-tick
 //! stats sampling into `adam2-telemetry`) and speaks the control frames
-//! ([`Frame::StartInstance`], [`Frame::GetEstimate`]). Which runtime
-//! executes the nodes — thread-per-node, the reactor pool, or a mix of
-//! both — is chosen by [`ClusterConfig`]; the driver path is identical
-//! either way because both backends answer the same control frames.
+//! ([`Frame::StartInstance`], [`Frame::GetEstimate`]). The nodes run on a
+//! reactor pool whose thread count [`ClusterConfig`] sets; the driver
+//! reaches them only through their listeners, as any client would.
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
@@ -24,7 +23,7 @@ use adam2_telemetry::{CounterId, GaugeId, HistogramId, RoundSnapshot, RunManifes
 
 use crate::config::{ClusterConfig, DaemonConfig, RuntimeKind};
 use crate::frame::{read_frame, write_frame, EstimateWire, Frame};
-use crate::node::{NodeHandle, NodeShared};
+use crate::node::NodeShared;
 use crate::reactor::ReactorPool;
 use crate::stats::StatsSnapshot;
 
@@ -46,7 +45,7 @@ pub const DAEMON_INSTANCE_BASE: u64 = 1 << 48;
 /// Summary returned by [`Cluster::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterReport {
-    /// Whether every node/reactor thread joined without panicking.
+    /// Whether every reactor and daemon thread joined without panicking.
     pub clean: bool,
     /// Nodes the cluster ran.
     pub nodes: usize,
@@ -54,10 +53,9 @@ pub struct ClusterReport {
 
 /// A running loopback cluster.
 pub struct Cluster {
-    /// Backend-neutral node state, in launch order.
+    /// Node state, in launch order.
     shared: Vec<Arc<NodeShared>>,
-    threaded: Vec<NodeHandle>,
-    reactor: Option<ReactorPool>,
+    reactor: ReactorPool,
     daemon: Option<DaemonDriver>,
     config: ClusterConfig,
 }
@@ -70,7 +68,7 @@ struct DaemonDriver {
 }
 
 impl Cluster {
-    /// Spawns one node per attribute value on the configured runtime and
+    /// Spawns one node per attribute value on the reactor pool and
     /// bootstraps every view: each joiner sends a real `Join` frame to an
     /// introducer's listener and admits the `JoinAck` digest it gets back.
     ///
@@ -80,57 +78,29 @@ impl Cluster {
         assert!(values.len() >= 2, "a cluster needs at least two nodes");
         let epoch = Instant::now();
         let shim = Arc::new(config.shim().clone());
-        let runtime = config.runtime();
         let fade = config
             .daemon()
             .map(|d| FadeConfig::new(d.half_life_rounds, d.max_tracked));
         let mut shared = Vec::with_capacity(values.len());
-        let mut threaded = Vec::new();
-        let mut reactor_nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(values.len());
         for (i, value) in values.into_iter().enumerate() {
             let mut node_config = config.node().clone();
             node_config.seed = node_config.seed.wrapping_add(i as u64);
-            let on_reactor = match runtime {
-                RuntimeKind::Threaded => false,
-                RuntimeKind::Reactor { .. } => true,
-                // Alternate backends node-by-node; the seed (node 0) runs
-                // threaded.
-                RuntimeKind::Mixed { .. } => i % 2 == 1,
-            };
-            if on_reactor {
-                let (node, listener) = NodeShared::create(
-                    value,
-                    config.initial_n_estimate(),
-                    node_config,
-                    Arc::clone(&shim),
-                    epoch,
-                    fade,
-                )?;
-                shared.push(Arc::clone(&node));
-                reactor_nodes.push((node, listener));
-            } else {
-                let handle = NodeHandle::spawn(
-                    value,
-                    config.initial_n_estimate(),
-                    node_config,
-                    Arc::clone(&shim),
-                    epoch,
-                    fade,
-                )?;
-                shared.push(Arc::clone(&handle.shared));
-                threaded.push(handle);
-            }
+            let (node, listener) = NodeShared::create(
+                value,
+                config.initial_n_estimate(),
+                node_config,
+                Arc::clone(&shim),
+                epoch,
+                fade,
+            )?;
+            shared.push(Arc::clone(&node));
+            nodes.push((node, listener));
         }
-        let reactor = match runtime {
-            RuntimeKind::Threaded => None,
-            RuntimeKind::Reactor { threads }
-            | RuntimeKind::Mixed {
-                reactor_threads: threads,
-            } => Some(ReactorPool::launch(reactor_nodes, threads, epoch)),
-        };
+        let RuntimeKind::Reactor { threads } = config.runtime();
+        let reactor = ReactorPool::launch(nodes, threads, epoch);
         let mut cluster = Self {
             shared,
-            threaded,
             reactor,
             daemon: None,
             config,
@@ -291,8 +261,8 @@ impl Cluster {
         out
     }
 
-    /// Stops every backend and joins all threads; the listeners close when
-    /// their owners exit.
+    /// Stops the daemon and the reactor pool and joins all threads; the
+    /// listeners close when their shards exit.
     pub fn shutdown(mut self) -> ClusterReport {
         let nodes = self.shared.len();
         let mut clean = true;
@@ -300,12 +270,7 @@ impl Cluster {
             daemon.stop.store(true, Ordering::Relaxed);
             clean &= daemon.thread.join().is_ok();
         }
-        for node in self.threaded {
-            clean &= node.shutdown();
-        }
-        if let Some(pool) = self.reactor {
-            clean &= pool.shutdown();
-        }
+        clean &= self.reactor.shutdown();
         ClusterReport { clean, nodes }
     }
 }
@@ -548,9 +513,13 @@ mod tests {
         }
     }
 
-    fn assert_converges(config: ClusterConfig) {
+    #[test]
+    fn loopback_cluster_converges_to_an_estimate() {
         let n = 8;
         let values: Vec<AttrValue> = (0..n).map(|i| AttrValue::Single(i as f64)).collect();
+        let config = fast_config()
+            .with_runtime(RuntimeKind::Reactor { threads: 2 })
+            .expect("valid runtime");
         let cluster = Cluster::launch(values, config).expect("launch");
         let mut sampler = ClusterTelemetry::new(n);
 
@@ -594,20 +563,6 @@ mod tests {
         let report = cluster.shutdown();
         assert!(report.clean, "threads must join cleanly");
         assert_eq!(report.nodes, n);
-    }
-
-    #[test]
-    fn loopback_cluster_converges_to_an_estimate() {
-        assert_converges(fast_config());
-    }
-
-    #[test]
-    fn reactor_cluster_converges_to_an_estimate() {
-        assert_converges(
-            fast_config()
-                .with_runtime(RuntimeKind::Reactor { threads: 2 })
-                .expect("valid runtime"),
-        );
     }
 
     #[test]

@@ -6,23 +6,22 @@
 //! running cluster. [`ClusterConfig`] keeps its fields private, so
 //! [`Cluster::launch`](crate::Cluster::launch) can only ever receive a
 //! configuration that passed validation; [`Default`] produces a valid
-//! configuration directly.
+//! configuration directly. Every cluster runs on the reactor, and the
+//! only runtime knob is its thread count ([`RuntimeKind::Reactor`]),
+//! which defaults to one per core, clamped to 2..=8.
 
 use std::time::Duration;
 
 use crate::shim::LossShim;
 
-/// Which runtime executes the cluster's nodes.
+/// How the cluster's nodes are executed.
 ///
-/// Both backends speak the identical frame protocol over the identical
-/// per-node listeners, so the choice is invisible on the wire — benches,
-/// tests, and CI select a backend purely by configuration.
+/// The reactor is the only runtime, so this enum has one variant. It stays
+/// an enum because callers outside the workspace build it by name
+/// (`RuntimeKind::Reactor { threads }`); a plain thread count can replace
+/// it once they no longer do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// Thread-per-node: every node runs its own listener, clock, and
-    /// sender OS threads (three threads per node). Simple and very robust,
-    /// but caps clusters at a few hundred nodes.
-    Threaded,
     /// Shared event loop: `threads` reactor threads multiplex all node
     /// listeners and exchange sockets through nonblocking I/O and a timer
     /// wheel. Scales to four-digit and five-digit node counts on one host.
@@ -31,22 +30,15 @@ pub enum RuntimeKind {
         /// capped at the node count at launch).
         threads: usize,
     },
-    /// Alternate nodes between the two backends (even slots threaded, odd
-    /// slots reactor). Exists to prove frame-protocol compatibility: a
-    /// mixed cluster must bootstrap and converge like a uniform one.
-    Mixed {
-        /// Reactor threads for the reactor half.
-        reactor_threads: usize,
-    },
 }
 
-impl RuntimeKind {
-    fn reactor_threads(&self) -> Option<usize> {
-        match self {
-            RuntimeKind::Threaded => None,
-            RuntimeKind::Reactor { threads } => Some(*threads),
-            RuntimeKind::Mixed { reactor_threads } => Some(*reactor_threads),
-        }
+/// The default runtime: one reactor thread per core, at least two so a
+/// stall in one shard cannot freeze the whole cluster, at most eight
+/// because reactor threads are busy-polling loops.
+fn default_runtime() -> RuntimeKind {
+    let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+    RuntimeKind::Reactor {
+        threads: cores.clamp(2, 8),
     }
 }
 
@@ -71,7 +63,7 @@ pub enum DeployConfigError {
         /// The configured round length.
         tick: Duration,
     },
-    /// Zero reactor threads requested for a reactor (or mixed) runtime.
+    /// Zero reactor threads requested.
     ZeroReactorThreads,
     /// Zero bootstrap join attempts: no node could ever join the cluster.
     ZeroJoinAttempts,
@@ -188,9 +180,9 @@ pub struct NodeConfig {
     pub io_timeout: Duration,
     /// Additional delivery attempts after a failed or dropped exchange.
     pub retries: u32,
-    /// Outbound budget: at most this many exchanges may be queued (threaded
-    /// backend) or in flight (reactor backend) per node; rounds beyond it
-    /// shed their exchange (backpressure).
+    /// Per-node in-flight budget: at most this many exchanges may be in
+    /// flight per node; rounds beyond it shed their exchange
+    /// (backpressure).
     pub queue_capacity: usize,
     /// Maximum peer-view size.
     pub view_size: usize,
@@ -260,7 +252,7 @@ impl Default for ClusterConfig {
             node: NodeConfig::default(),
             shim: LossShim::none(),
             initial_n_estimate: 1.0,
-            runtime: RuntimeKind::Threaded,
+            runtime: default_runtime(),
             join_attempts: 10,
             bootstrap_timeout: Duration::from_millis(50),
             daemon: None,
@@ -270,8 +262,8 @@ impl Default for ClusterConfig {
 
 impl ClusterConfig {
     /// Validates `node` and wraps it with default cluster-level settings
-    /// (threaded runtime, no loss shim, 10 join attempts, 50 ms bootstrap
-    /// timeout).
+    /// (reactor on one thread per core, clamped to 2..=8; no loss shim;
+    /// 10 join attempts; 50 ms bootstrap timeout).
     ///
     /// # Errors
     ///
@@ -284,13 +276,14 @@ impl ClusterConfig {
         })
     }
 
-    /// Selects the runtime backend.
+    /// Sets the reactor thread count.
     ///
     /// # Errors
     ///
-    /// Rejects reactor (or mixed) runtimes with zero threads.
+    /// Rejects zero threads.
     pub fn with_runtime(mut self, runtime: RuntimeKind) -> Result<Self, DeployConfigError> {
-        if runtime.reactor_threads() == Some(0) {
+        let RuntimeKind::Reactor { threads } = runtime;
+        if threads == 0 {
             return Err(DeployConfigError::ZeroReactorThreads);
         }
         self.runtime = runtime;
@@ -371,7 +364,7 @@ impl ClusterConfig {
         self.initial_n_estimate
     }
 
-    /// The selected runtime backend.
+    /// The runtime the cluster launches on.
     pub fn runtime(&self) -> RuntimeKind {
         self.runtime
     }
@@ -402,6 +395,11 @@ mod tests {
     fn default_configs_validate() {
         NodeConfig::default().validate().unwrap();
         ClusterConfig::try_new(NodeConfig::default()).unwrap();
+        let runtime = ClusterConfig::default().runtime();
+        assert!(
+            matches!(runtime, RuntimeKind::Reactor { threads } if (2..=8).contains(&threads)),
+            "default runtime {runtime:?}"
+        );
     }
 
     #[test]
@@ -453,13 +451,6 @@ mod tests {
             config
                 .clone()
                 .with_runtime(RuntimeKind::Reactor { threads: 0 })
-                .unwrap_err(),
-            DeployConfigError::ZeroReactorThreads
-        );
-        assert_eq!(
-            config
-                .clone()
-                .with_runtime(RuntimeKind::Mixed { reactor_threads: 0 })
                 .unwrap_err(),
             DeployConfigError::ZeroReactorThreads
         );

@@ -353,25 +353,17 @@ impl Frame {
 /// violations the caller should count as malformed and answer by dropping
 /// the connection.
 pub fn read_frame(stream: &mut impl Read) -> io::Result<Result<Frame, FrameError>> {
-    read_frame_counted(stream).map(|(_, frame)| frame)
-}
-
-/// Like [`read_frame`], additionally reporting the total bytes consumed
-/// (length prefix included) so callers can meter traffic.
-pub fn read_frame_counted(
-    stream: &mut impl Read,
-) -> io::Result<(usize, Result<Frame, FrameError>)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > MAX_FRAME {
         // Don't try to drain an adversarial length; the caller closes the
         // connection.
-        return Ok((4, Err(FrameError::Oversized(len))));
+        return Ok(Err(FrameError::Oversized(len)));
     }
     let mut body = vec![0u8; len];
     stream.read_exact(&mut body)?;
-    Ok((4 + len, Frame::decode(Bytes::from(body))))
+    Ok(Frame::decode(Bytes::from(body)))
 }
 
 /// Writes one frame (length prefix included). Returns the bytes written.

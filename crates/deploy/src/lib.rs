@@ -12,24 +12,18 @@
 //! a real socket and loss is injected by the [`shim::LossShim`] rather than
 //! by the scheduler.
 //!
-//! Two runtimes execute the nodes, selected by [`RuntimeKind`] on the
-//! validated [`ClusterConfig`] (constructed via [`ClusterConfig::try_new`];
-//! misconfiguration is a [`DeployConfigError`], never a panic):
-//!
-//! - **threaded** — three OS threads per node (listener, gossip clock,
-//!   sender over a bounded outbound queue). Simple, robust, caps out
-//!   around 10² nodes.
-//! - **reactor** — a small pool of event-loop threads multiplexing every
-//!   node's nonblocking sockets, with round ticks and I/O deadlines driven
-//!   by a timer wheel. Scales a single host to 10⁴ nodes.
-//!
-//! Both speak the identical frame protocol, so a mixed-backend cluster
-//! ([`RuntimeKind::Mixed`]) interoperates frame-for-frame.
+//! One runtime executes the nodes: a small pool of event-loop threads (the
+//! *reactor*) multiplexing every node's nonblocking sockets, with round
+//! ticks and I/O deadlines driven by a timer wheel. It scales a single
+//! host to 10⁴ nodes. The validated [`ClusterConfig`] (constructed via
+//! [`ClusterConfig::try_new`]; misconfiguration is a
+//! [`DeployConfigError`], never a panic) sets its thread count through
+//! [`RuntimeKind`] and defaults to one thread per core, clamped to 2..=8.
 //!
 //! Module map:
 //!
-//! - [`config`] — validated cluster/node configuration and runtime
-//!   selection ([`DeployConfigError`], [`RuntimeKind`]).
+//! - [`config`] — validated cluster/node configuration and the reactor
+//!   thread count ([`DeployConfigError`], [`RuntimeKind`]).
 //! - [`frame`] — the u32-length-prefixed frame protocol (requests,
 //!   responses, join/bootstrap, control-plane estimate collection).
 //!   Malformed input is an error value, never a panic.
@@ -37,12 +31,12 @@
 //!   simulator's `FaultScenario` knobs.
 //! - [`stats`] — per-node atomic counters sampled by the cluster driver into
 //!   `adam2-telemetry` snapshots.
-//! - [`node`] — backend-neutral per-node state and protocol entry points,
-//!   plus the thread-per-node backend.
-//! - `reactor` — the event-loop backend (internal; reached through
+//! - [`node`] — per-node protocol state and the entry points the reactor
+//!   drives.
+//! - `reactor` — the event-loop runtime (internal; sized through
 //!   [`RuntimeKind::Reactor`]).
-//! - [`cluster`] — boots an N-node loopback cluster on the configured
-//!   runtime, bootstraps peer views through introducer nodes, injects
+//! - [`cluster`] — boots an N-node loopback cluster on the reactor,
+//!   bootstraps peer views through introducer nodes, injects
 //!   aggregation instances, samples telemetry, collects estimates over
 //!   control sockets, and joins everything on shutdown.
 
@@ -56,9 +50,7 @@ pub mod stats;
 
 pub use cluster::{Cluster, ClusterReport, ClusterTelemetry, DAEMON_INSTANCE_BASE};
 pub use config::{ClusterConfig, DaemonConfig, DeployConfigError, NodeConfig, RuntimeKind};
-pub use frame::{
-    read_frame, read_frame_counted, write_frame, EstimateWire, Frame, FrameError, MAX_FRAME,
-};
+pub use frame::{read_frame, write_frame, EstimateWire, Frame, FrameError, MAX_FRAME};
 pub use node::NodeShared;
 pub use shim::{Direction, LossShim};
 pub use stats::{NodeStats, StatsSnapshot};

@@ -1,8 +1,8 @@
-//! The per-node actor: one `Adam2Node` behind a TCP listener.
+//! The per-node state: one `Adam2Node` behind a TCP listener.
 //!
-//! [`NodeShared`] is the backend-neutral heart of a deployed node: the
-//! protocol state (`Adam2Node`, peer view, seq cache, RNG) behind one
-//! mutex, plus the pure protocol entry points both runtimes drive:
+//! [`NodeShared`] is the heart of a deployed node: the protocol state
+//! (`Adam2Node`, peer view, seq cache, RNG) behind one mutex, plus the
+//! protocol entry points the reactor (`crate::reactor`) drives:
 //!
 //! - `NodeShared::respond_frame` — answer one inbound frame: gossip
 //!   requests go through [`adam2_core::runtime::serve_exchange`], bootstrap
@@ -16,19 +16,14 @@
 //! - `NodeShared::begin_exchange` / `NodeShared::complete_exchange` —
 //!   initiator-side bookkeeping via [`adam2_core::runtime::PendingExchange`].
 //!
-//! The *threaded* backend in this module drives those entry points with
-//! three OS threads per node (listener / clock / sender over a bounded
-//! outbound queue); the *reactor* backend in `crate::reactor` drives the
-//! same entry points from a shared event loop. Nothing here panics on
-//! network input: malformed frames are counted and the connection dropped.
+//! Beyond binding the listener, nothing here touches a socket or spawns a
+//! thread: the reactor moves the bytes and decides when a round starts.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::{Ipv4Addr, SocketAddrV4, TcpListener};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use adam2_core::runtime::PendingExchange;
 use adam2_core::wire::GossipMessage;
@@ -39,30 +34,13 @@ use rand::RngExt as _;
 use rand::SeedableRng;
 
 use crate::config::NodeConfig;
-use crate::frame::{read_frame_counted, write_frame, EstimateWire, Frame, FrameError};
+use crate::frame::{EstimateWire, Frame};
 use crate::shim::{Direction, LossShim};
 use crate::stats::NodeStats;
-
-/// How often blocked loops (accept polling, queue waits) re-check the
-/// shutdown flag.
-const POLL: Duration = Duration::from_millis(1);
 
 /// Entries kept in the per-node response cache before the oldest sequence
 /// numbers are evicted.
 pub(crate) const SEQ_CACHE_CAP: usize = 256;
-
-/// One queued exchange attempt: gossip with a peer for a given round.
-struct ExchangeJob {
-    peer: u16,
-    round: u64,
-}
-
-/// Bounded multi-producer queue with a condvar for the sender thread.
-#[derive(Default)]
-struct OutboundQueue {
-    jobs: Mutex<VecDeque<ExchangeJob>>,
-    ready: Condvar,
-}
 
 struct CacheEntry {
     response: Bytes,
@@ -107,8 +85,8 @@ impl SeqCache {
     }
 }
 
-/// Mutable node state: everything the threads (or reactor shards) contend
-/// on.
+/// Mutable node state: everything the reactor shard and the cluster
+/// driver contend on.
 struct NodeInner {
     node: Adam2Node,
     view: Vec<u16>,
@@ -120,14 +98,11 @@ struct NodeInner {
     tracker: Option<BlendedTracker>,
 }
 
-/// State shared between a node's runtime (threads or reactor shard) and the
-/// cluster driver.
+/// State shared between a node's reactor shard and the cluster driver.
 pub struct NodeShared {
     inner: Mutex<NodeInner>,
-    queue: OutboundQueue,
     /// Lock-free counters sampled by the cluster driver.
     pub stats: NodeStats,
-    shutdown: AtomicBool,
     /// Cluster-wide round-zero instant; all nodes share it so their clocks
     /// agree on round numbers.
     epoch: Instant,
@@ -140,8 +115,7 @@ impl NodeShared {
     /// Binds a nonblocking listener on an ephemeral loopback port and
     /// builds the shared node state around it. The node starts with an
     /// empty view; the cluster bootstraps it through an introducer
-    /// afterwards. Backends take the listener and drive it however they
-    /// like (blocking accept-poll thread, or a reactor sweep).
+    /// afterwards. The listener goes to the reactor shard that sweeps it.
     pub(crate) fn create(
         value: AttrValue,
         initial_n_estimate: f64,
@@ -162,9 +136,7 @@ impl NodeShared {
                 rng: StdRng::seed_from_u64(config.seed ^ u64::from(port)),
                 tracker: fade.map(BlendedTracker::new),
             }),
-            queue: OutboundQueue::default(),
             stats: NodeStats::default(),
-            shutdown: AtomicBool::new(false),
             epoch,
             config,
             shim,
@@ -191,10 +163,6 @@ impl NodeShared {
     /// Current gossip round according to the shared clock.
     pub fn current_round(&self) -> u64 {
         (self.epoch.elapsed().as_nanos() / self.config.tick.as_nanos().max(1)) as u64
-    }
-
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the node's current peer view (for tests and the driver).
@@ -266,7 +234,7 @@ impl NodeShared {
     }
 
     // -----------------------------------------------------------------------
-    // Backend-neutral protocol entry points
+    // Protocol entry points
     // -----------------------------------------------------------------------
 
     /// Answers one inbound frame, returning the encoded reply to write back
@@ -359,7 +327,7 @@ impl NodeShared {
     }
 
     /// Allocates a sequence number and snapshots this round's outbound
-    /// exchange into a [`PendingExchange`] both backends drive attempts
+    /// exchange into a [`PendingExchange`] the reactor drives attempts
     /// from.
     pub(crate) fn begin_exchange(&self, round: u64) -> PendingExchange {
         let mut inner = self.inner.lock().expect("node lock");
@@ -379,255 +347,6 @@ impl NodeShared {
         let mut inner = self.inner.lock().expect("node lock");
         pending.absorb(&mut inner.node, response);
         self.merge_peers(&mut inner, peers);
-    }
-}
-
-/// A node running on the threaded backend: shared state plus the three OS
-/// thread handles. Internal to the crate — runtimes are selected through
-/// [`crate::ClusterConfig`], never by spawning nodes directly.
-pub(crate) struct NodeHandle {
-    /// State shared with the node's threads.
-    pub(crate) shared: Arc<NodeShared>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl NodeHandle {
-    /// Creates the node state and spawns the three threads of the
-    /// thread-per-node backend.
-    pub(crate) fn spawn(
-        value: AttrValue,
-        initial_n_estimate: f64,
-        config: NodeConfig,
-        shim: Arc<LossShim>,
-        epoch: Instant,
-        fade: Option<FadeConfig>,
-    ) -> io::Result<Self> {
-        let (shared, listener) =
-            NodeShared::create(value, initial_n_estimate, config, shim, epoch, fade)?;
-        let threads = vec![
-            spawn_named("listener", {
-                let shared = Arc::clone(&shared);
-                move || listener_loop(&shared, listener)
-            }),
-            spawn_named("clock", {
-                let shared = Arc::clone(&shared);
-                move || clock_loop(&shared)
-            }),
-            spawn_named("sender", {
-                let shared = Arc::clone(&shared);
-                move || sender_loop(&shared)
-            }),
-        ];
-        Ok(Self { shared, threads })
-    }
-
-    /// Signals every thread to stop and joins them. Returns `true` when all
-    /// threads exited cleanly (none panicked).
-    pub(crate) fn shutdown(mut self) -> bool {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.queue.ready.notify_all();
-        let mut clean = true;
-        for handle in self.threads.drain(..) {
-            clean &= handle.join().is_ok();
-        }
-        clean
-    }
-}
-
-fn spawn_named(name: &str, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("adam2-{name}"))
-        .spawn(f)
-        .expect("spawn node thread")
-}
-
-// ---------------------------------------------------------------------------
-// Listener thread
-// ---------------------------------------------------------------------------
-
-fn listener_loop(shared: &NodeShared, listener: TcpListener) {
-    while !shared.is_shutdown() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.stats.record_connection_accepted();
-                handle_connection(shared, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn handle_connection(shared: &NodeShared, mut stream: TcpStream) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_nodelay(true);
-    let frame = match read_frame_counted(&mut stream) {
-        Ok((n, Ok(frame))) => {
-            shared.stats.record_frame_received(n);
-            frame
-        }
-        Ok((_, Err(e))) => {
-            // Protocol violation: count it, drop the connection, move on.
-            // Implausible-value rejections (the Byzantine wire screen) are
-            // counted separately from structurally malformed frames.
-            match e {
-                FrameError::InvalidValues(_) => shared.stats.record_invalid_frame(),
-                _ => shared.stats.record_malformed_frame(),
-            }
-            return;
-        }
-        Err(_) => return, // timeout / reset mid-frame
-    };
-    if let Some(reply) = shared.respond_frame(frame) {
-        use std::io::Write as _;
-        if stream.write_all(reply.as_slice()).is_ok() && stream.flush().is_ok() {
-            shared.stats.record_frame_sent(reply.len());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Clock thread
-// ---------------------------------------------------------------------------
-
-fn clock_loop(shared: &NodeShared) {
-    let mut last_round: Option<u64> = None;
-    while !shared.is_shutdown() {
-        let round = shared.current_round();
-        if last_round != Some(round) {
-            last_round = Some(round);
-            on_round_start(shared, round);
-        }
-        std::thread::sleep(POLL.max(shared.config.tick / 8));
-    }
-}
-
-fn on_round_start(shared: &NodeShared, round: u64) {
-    let Some(peer) = shared.plan_round(round) else {
-        return;
-    };
-    let mut jobs = shared.queue.jobs.lock().expect("queue lock");
-    if jobs.len() >= shared.config.queue_capacity {
-        // Backpressure: the sender can't keep up (slow or dead peers);
-        // shedding this round's exchange is the graceful option.
-        shared.stats.record_backpressure_drop();
-        return;
-    }
-    jobs.push_back(ExchangeJob { peer, round });
-    shared.stats.record_queue_depth(jobs.len());
-    drop(jobs);
-    shared.queue.ready.notify_one();
-}
-
-// ---------------------------------------------------------------------------
-// Sender thread
-// ---------------------------------------------------------------------------
-
-fn sender_loop(shared: &NodeShared) {
-    while !shared.is_shutdown() {
-        let job = {
-            let jobs = shared.queue.jobs.lock().expect("queue lock");
-            let (mut jobs, _) = shared
-                .queue
-                .ready
-                .wait_timeout_while(jobs, shared.config.tick, |q| q.is_empty())
-                .expect("queue lock");
-            jobs.pop_front()
-        };
-        if let Some(job) = job {
-            run_exchange(shared, &job);
-        }
-    }
-}
-
-/// One push–pull exchange against `job.peer`, with shim loss draws and
-/// bounded retries. Request loss is emulated *before* connecting (the frame
-/// never reaches the peer, and the initiator waits out its timeout);
-/// response loss happens responder-side after the merge. Either way the
-/// initiator retries with the same sequence number, so the responder's
-/// cache replays rather than re-merging.
-fn run_exchange(shared: &NodeShared, job: &ExchangeJob) {
-    let mut pending = shared.begin_exchange(job.round);
-    shared.stats.record_exchange_started();
-    shared.stats.enter_flight();
-    let started = Instant::now();
-    let delay_ticks = shared.shim.extra_delay_ticks(job.round);
-    if delay_ticks > 0 {
-        std::thread::sleep(shared.config.tick.min(Duration::from_millis(2)) * delay_ticks as u32);
-    }
-    let mut completed = false;
-    while let Some(attempt) = pending.next_attempt() {
-        if attempt > 0 {
-            shared.stats.record_retransmission();
-        }
-        if shared
-            .shim
-            .should_drop(job.round, pending.seq(), attempt, Direction::Request)
-        {
-            // The request "left" but never arrives: burn the timeout the
-            // initiator would have spent waiting, then retry.
-            shared.stats.record_shim_drop();
-            std::thread::sleep(shared.config.io_timeout);
-            continue;
-        }
-        match attempt_exchange(shared, job.peer, &pending.sent) {
-            Ok(Some((peers, response))) => {
-                shared.complete_exchange(&pending, &peers, &response);
-                completed = true;
-                break;
-            }
-            Ok(None) | Err(_) => continue, // non-response or socket failure
-        }
-    }
-    shared.stats.leave_flight();
-    if completed {
-        shared.stats.record_exchange_completed();
-        shared
-            .stats
-            .record_latency_us(started.elapsed().as_micros() as u64);
-    } else {
-        shared.stats.record_exchange_aborted();
-    }
-}
-
-type PeersAndMessage = (Vec<u16>, GossipMessage);
-
-fn attempt_exchange(
-    shared: &NodeShared,
-    peer: u16,
-    sent: &GossipMessage,
-) -> io::Result<Option<PeersAndMessage>> {
-    let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, peer));
-    let mut stream = TcpStream::connect_timeout(&addr, shared.config.io_timeout)?;
-    let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-    let _ = stream.set_nodelay(true);
-    let n = write_frame(
-        &mut stream,
-        &Frame::Request {
-            sender_port: shared.port,
-            msg: sent.clone(),
-        },
-    )?;
-    shared.stats.record_frame_sent(n);
-    match read_frame_counted(&mut stream)? {
-        (n, Ok(Frame::Response { peers, msg })) => {
-            shared.stats.record_frame_received(n);
-            Ok(Some((peers, msg)))
-        }
-        (_, Ok(_)) => Ok(None),
-        (_, Err(FrameError::InvalidValues(_))) => {
-            shared.stats.record_invalid_frame();
-            Ok(None)
-        }
-        (_, Err(_)) => {
-            shared.stats.record_malformed_frame();
-            Ok(None)
-        }
     }
 }
 

@@ -1,10 +1,10 @@
-//! The reactor backend: a small pool of event-loop threads multiplexing
+//! The deploy runtime: a small pool of event-loop threads multiplexing
 //! every node of a cluster over nonblocking sockets.
 //!
-//! The thread-per-node backend burns three OS threads per node, capping
-//! deployed clusters around 10² nodes. Here the cluster's nodes are
-//! partitioned into contiguous *shards*, one reactor thread per shard, and
-//! each thread owns everything its nodes do with the network:
+//! The cluster's nodes are partitioned into contiguous *shards*, one
+//! reactor thread per shard, and each thread owns everything its nodes do
+//! with the network, so thread count is independent of node count and one
+//! host runs 10⁴ nodes:
 //!
 //! - **accept sweeps** — the per-node listeners stay nonblocking; the
 //!   reactor sweeps them at a rate-limited interval (scaled to the shard's
@@ -18,23 +18,21 @@
 //!   ticks, per-attempt I/O deadlines, and shim-induced retry delays.
 //!   Node ticks are phase-staggered by a hash of the listener port so ten
 //!   thousand nodes don't connect in the same millisecond. Stale timers
-//!   are invalidated by a generation counter on the exchange slab rather
-//!   than cancelled in the wheel.
+//!   are invalidated by a shard-wide generation stamped on each exchange
+//!   rather than cancelled in the wheel; because it is shard-wide, an
+//!   exchange that reuses a freed slab slot never matches its
+//!   predecessor's leftover deadline.
 //! - **per-connection state machines** — inbound connections run
 //!   read-frame → [`NodeShared::respond_frame`] → write-reply → close;
-//!   outbound exchanges run the same attempt loop as the threaded sender
-//!   (shim draws, bounded retries, same-seq retransmission) as an
-//!   incremental connect/write/read machine with wheel deadlines instead
-//!   of blocking socket timeouts.
-//! - **outbound budgets** — the threaded backend's bounded-queue
-//!   backpressure survives as a per-node budget: at most `queue_capacity`
-//!   exchanges may be live per node, and a round whose exchange would
-//!   exceed it is shed and counted, exactly like a full queue.
+//!   outbound exchanges run the attempt loop (shim draws, bounded retries,
+//!   same-seq retransmission) as an incremental connect/write/read machine
+//!   with wheel deadlines instead of blocking socket timeouts.
+//! - **outbound budgets** — at most `queue_capacity` exchanges may be live
+//!   per node; a round whose exchange would exceed it is shed and counted
+//!   as backpressure, so a slow peer cannot stall a node's clock.
 //!
-//! Protocol state stays in the backend-neutral [`NodeShared`], so the
-//! frames on the wire — and the seq-cache/retransmission contract — are
-//! identical to the threaded backend's, which is what makes mixed-backend
-//! clusters work.
+//! Protocol state stays in [`NodeShared`]; this module only decides when
+//! its entry points run and moves their frames over sockets.
 
 use std::io::{self, Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -56,7 +54,7 @@ use crate::shim::Direction;
 const ACCEPTS_PER_SWEEP: usize = 64;
 
 /// A pool of reactor threads running a set of nodes. Internal to the
-/// crate — selected through [`crate::RuntimeKind::Reactor`].
+/// crate — sized through [`crate::RuntimeKind::Reactor`].
 pub(crate) struct ReactorPool {
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -172,8 +170,8 @@ impl FrameReader {
                         if self.header_got == 4 {
                             let len = u32::from_le_bytes(self.header) as usize;
                             if len > MAX_FRAME {
-                                // Same contract as `read_frame_counted`:
-                                // never allocate for an adversarial prefix.
+                                // Same contract as `read_frame`: never
+                                // allocate for an adversarial prefix.
                                 return ReadPoll::Frame(4, Err(FrameError::Oversized(len)));
                             }
                             self.body = vec![0u8; len];
@@ -265,8 +263,8 @@ struct Outbound {
     /// the responder's cache replays rather than re-merging.
     request: Bytes,
     started: Instant,
-    /// Bumped whenever the attempt state changes; timers carrying an older
-    /// generation are stale and ignored.
+    /// Restamped from `ShardRuntime::last_gen` whenever the attempt state
+    /// changes; timers carrying another generation are stale and ignored.
     gen: u64,
     state: OutboundState,
 }
@@ -279,6 +277,10 @@ struct ShardRuntime {
     wheel: TimerWheel<Timer>,
     slab: Vec<Option<Outbound>>,
     free: Vec<usize>,
+    /// The newest exchange generation handed out. Generations are unique
+    /// across the whole shard, not per slot: an exchange that reuses a
+    /// freed slot must not match a timer its predecessor left in the wheel.
+    last_gen: u64,
     inbound: Vec<Inbound>,
     /// Live exchanges per node — the outbound budget.
     active: Vec<u32>,
@@ -317,6 +319,7 @@ impl ShardRuntime {
             wheel: TimerWheel::new(4 * tick_ms, 1),
             slab: Vec::new(),
             free: Vec::new(),
+            last_gen: 0,
             inbound: Vec::new(),
             active,
             last_round,
@@ -400,8 +403,7 @@ impl ShardRuntime {
             if let Some(peer) = shared.plan_round(round) {
                 let capacity = shared.config().queue_capacity as u32;
                 if self.active[node] >= capacity {
-                    // Budget exhausted: same backpressure shedding as the
-                    // threaded backend's full queue.
+                    // Budget exhausted: shed this round's exchange.
                     shared.stats.record_backpressure_drop();
                 } else {
                     self.start_exchange(node, peer, round);
@@ -429,6 +431,8 @@ impl ShardRuntime {
         self.active[node] += 1;
         shared.stats.record_queue_depth(self.active[node] as usize);
         let delay_ticks = shared.shim().extra_delay_ticks(round);
+        self.last_gen += 1;
+        let gen = self.last_gen;
         let outbound = Outbound {
             node,
             peer,
@@ -436,7 +440,7 @@ impl ShardRuntime {
             pending,
             request,
             started: Instant::now(),
-            gen: 0,
+            gen,
             state: OutboundState::Waiting,
         };
         let conn = match self.free.pop() {
@@ -450,14 +454,10 @@ impl ShardRuntime {
             }
         };
         if delay_ticks > 0 {
-            // The shim's extra latency, expressed the same way the
-            // threaded sender sleeps: up to 2 ms per delay tick.
+            // The shim's extra latency: up to 2 ms per delay tick.
             let delay = self.tick_ms.min(2) * delay_ticks;
-            self.wheel.push(
-                self.now_ms() + delay.max(1),
-                0,
-                Timer::Retry { conn, gen: 0 },
-            );
+            self.wheel
+                .push(self.now_ms() + delay.max(1), 0, Timer::Retry { conn, gen });
         } else {
             self.start_attempt(conn);
         }
@@ -484,7 +484,8 @@ impl ShardRuntime {
                 // The request "left" but never arrives: wait out the
                 // timeout the initiator would have spent, then retry.
                 shared.stats.record_shim_drop();
-                ob.gen += 1;
+                self.last_gen += 1;
+                ob.gen = self.last_gen;
                 ob.state = OutboundState::Waiting;
                 let timer = Timer::Retry { conn, gen: ob.gen };
                 self.wheel.push(self.now_ms() + self.io_ms, 0, timer);
@@ -497,7 +498,8 @@ impl ShardRuntime {
                 Ok(stream) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    ob.gen += 1;
+                    self.last_gen += 1;
+                    ob.gen = self.last_gen;
                     let timer = Timer::Deadline { conn, gen: ob.gen };
                     ob.state = OutboundState::Active {
                         stream,
@@ -515,7 +517,8 @@ impl ShardRuntime {
     /// Tears down the current attempt's socket and moves to the next one.
     fn fail_attempt(&mut self, conn: usize) {
         let ob = self.slab[conn].as_mut().expect("live exchange");
-        ob.gen += 1; // invalidate the armed deadline
+        self.last_gen += 1;
+        ob.gen = self.last_gen; // invalidate the armed deadline
         ob.state = OutboundState::Waiting;
         self.start_attempt(conn);
     }
@@ -684,5 +687,60 @@ impl ShardRuntime {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::NodeConfig;
+    use crate::shim::LossShim;
+    use adam2_core::AttrValue;
+
+    /// A shard driven by hand: nothing runs until the test calls it.
+    fn two_node_shard() -> ShardRuntime {
+        let epoch = Instant::now();
+        let shim = Arc::new(LossShim::none());
+        let nodes = (0..2)
+            .map(|i| {
+                NodeShared::create(
+                    AttrValue::Single(f64::from(i)),
+                    1.0,
+                    NodeConfig::default(),
+                    Arc::clone(&shim),
+                    epoch,
+                    None,
+                )
+                .expect("bind loopback listener")
+            })
+            .collect();
+        ShardRuntime::new(nodes, epoch, Arc::new(AtomicBool::new(false)))
+    }
+
+    #[test]
+    fn a_reused_slot_ignores_its_predecessors_deadline() {
+        let mut shard = two_node_shard();
+        let peer = shard.nodes[1].0.port();
+        // The first exchange connects (the peer's backlog accepts) and
+        // arms its deadline, then completes before that deadline fires.
+        shard.start_exchange(0, peer, 0);
+        let first_gen = shard.slab[0].as_ref().expect("live exchange").gen;
+        shard.finish_exchange(0, true);
+        // The next exchange takes the freed slot.
+        shard.start_exchange(0, peer, 1);
+        assert!(shard.slab[0].is_some(), "slot 0 is reused");
+        // The first exchange's deadline fires: it must not cut the second
+        // exchange's attempt short.
+        shard.handle_timer(Timer::Deadline {
+            conn: 0,
+            gen: first_gen,
+        });
+        let stats = shard.nodes[0].0.stats.snapshot();
+        assert_eq!(stats.retransmissions, 0, "stale deadline retried");
+        assert_eq!(stats.exchanges_aborted, 0);
+        assert!(matches!(
+            shard.slab[0].as_ref().expect("live exchange").state,
+            OutboundState::Active { .. }
+        ));
     }
 }

@@ -3,8 +3,8 @@
 //! The simulator expresses faults through `FaultScenario` (burst loss windows,
 //! extra delay, duplication). The deploy runtime cannot intercept the
 //! scheduler — there is none — so loss is injected at the socket edge
-//! instead: before the sender thread opens a connection for a request, and
-//! before the listener writes a response back. Both decisions are pure
+//! instead: before the initiator opens a connection for a request, and
+//! before the responder writes a response back. Both decisions are pure
 //! functions of `(seed, seq, attempt, direction)` so a run is reproducible
 //! regardless of thread interleaving, and so the *retransmission* of a
 //! dropped frame (a new attempt number) rolls fresh dice, exactly like the

@@ -1,9 +1,9 @@
 //! Per-node runtime counters.
 //!
-//! Every node thread (listener, clock, sender) increments lock-free atomics
-//! here; the cluster driver samples them once per tick, diffs against the
-//! previous sample, and feeds the deltas into `adam2-telemetry` round
-//! snapshots. Peaks (in-flight exchanges, outbound queue depth) use
+//! The reactor shard running a node increments lock-free atomics here; the
+//! cluster driver samples them once per tick, diffs against the previous
+//! sample, and feeds the deltas into `adam2-telemetry` round snapshots.
+//! Peaks (in-flight exchanges, live exchanges per node) use
 //! `fetch_max` so the driver reads the high-water mark since its last reset.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,7 +81,8 @@ impl NodeStats {
         self.inflight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Report the outbound queue depth observed after an enqueue.
+    /// Report the node's live-exchange count observed after starting one
+    /// (its use of the `queue_capacity` budget).
     pub fn record_queue_depth(&self, depth: usize) {
         self.queue_depth_peak
             .fetch_max(depth as u64, Ordering::Relaxed);
