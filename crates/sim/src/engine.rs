@@ -16,12 +16,16 @@
 //! That serial order is the round's definition, and with
 //! [`EngineConfig::threads`] ≤ 1 it is executed literally: one loop over
 //! the plan. With more threads the same plan is coloured into
-//! slot-disjoint batches and each batch is applied concurrently. The
-//! greedy colouring gives two exchanges that share a node increasing
-//! batch numbers in slot order, and exchanges that share no node commute
-//! (`apply` takes `&self`, traffic counters are integer sums) — so
+//! slot-disjoint batches, and one set of workers walks the batches in
+//! order, each applying its share of a batch before a barrier releases the
+//! next. The greedy colouring gives two exchanges that share a node
+//! increasing batch numbers in slot order, and exchanges that share no node
+//! commute (`apply` takes `&self`, traffic counters are integer sums) — so
 //! batch-major order is a parallel schedule of slot order, and results are
 //! bit-identical for every thread count.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::Barrier;
 
 use rand::rngs::StdRng;
 use rand::RngExt as _;
@@ -34,7 +38,7 @@ use crate::faults::{
 use crate::node::{NodeId, NodeSlab};
 use crate::overlay::{Overlay, OverlayConfig};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
-use crate::stats::{NetShard, NetStats};
+use crate::stats::NetStats;
 use crate::telemetry::{SimTelemetry, TelemetryHandle};
 
 /// Error returned when a simulator configuration is invalid (see
@@ -67,11 +71,6 @@ const PAR_SEED_STREAM: u64 = 0x7061_7261; // "para"
 /// RNG phase counters for [`par_stream_rng`]: local work vs. planning.
 const PAR_PHASE_LOCAL: u64 = 0;
 const PAR_PHASE_PLAN: u64 = 1;
-
-/// Batches smaller than this are applied inline on the driving thread: the
-/// contended tail of the batch schedule is typically a handful of pairs,
-/// where spawn overhead would dwarf the work.
-const PAR_APPLY_MIN_BATCH: usize = 64;
 
 /// A gossip protocol driven by the [`Engine`].
 ///
@@ -354,8 +353,9 @@ impl<N> Ctx<'_, N> {
 }
 
 /// Charges the traffic of one applied exchange through `charge(from, to,
-/// bytes)` — [`NetStats::charge_message`] on the driving thread, a
-/// [`NetShard`]'s on a worker — once per transmission recorded in the plan.
+/// bytes)` — [`NetStats::charge_message`] on the driving thread, the
+/// per-slot table's raw handle on a worker — once per transmission
+/// recorded in the plan.
 fn charge_traffic(
     plan: &PlannedExchange,
     traffic: ExchangeTraffic,
@@ -644,7 +644,10 @@ impl RoundBuffers {
 
     /// Counting sort of the coloured plan indices into `order`; stable, so
     /// a batch keeps slot order. Batch `b` is then
-    /// `order[batches[b - 1]..batches[b]]`.
+    /// `order[batches[b - 1]..batches[b]]`. Debug builds first re-check,
+    /// stamping `next_batch`, that each slot's exchanges take strictly
+    /// increasing batches in slot order: batches are then slot-disjoint, as
+    /// the threaded apply's unsafe writes need, and keep the serial order.
     fn sort_by_batch(&mut self) {
         let mut total = 0;
         for width in &mut self.batches {
@@ -652,8 +655,17 @@ impl RoundBuffers {
         }
         self.order.clear();
         self.order.resize(total as usize, 0);
+        #[cfg(debug_assertions)]
+        self.next_batch.fill(0);
         for (i, &b) in self.batch_of.iter().enumerate() {
             if b != NO_BATCH {
+                if cfg!(debug_assertions) {
+                    let p = self.plans[i].as_ref().expect("coloured");
+                    for slot in [p.initiator.slot(), p.partner.slot()] {
+                        assert!(self.next_batch[slot] <= b, "slot {slot} out of batch order");
+                        self.next_batch[slot] = b + 1;
+                    }
+                }
                 let at = &mut self.batches[b as usize];
                 self.order[*at as usize] = i as u32;
                 *at += 1;
@@ -805,10 +817,9 @@ impl<P: Protocol> Engine<P> {
     ///
     /// With one thread every phase runs inline and apply is a loop over
     /// the plan. With more, local and plan run slot-chunked across threads
-    /// and apply runs the plan's colouring batch by batch: wide batches
-    /// conflict-free across threads with traffic accumulated in per-thread
-    /// [`NetShard`]s, narrow contended ones inline. The outcome is the
-    /// serial one, bit for bit, at every thread count.
+    /// and apply walks the plan's colouring batch by batch in one fork–join
+    /// (see `apply_coloured`). The outcome is the serial one, bit for bit,
+    /// at every thread count.
     pub fn run_round(&mut self) {
         let threads = self.resolved_threads();
         self.net.begin_round();
@@ -904,18 +915,7 @@ impl<P: Protocol> Engine<P> {
             }
         } else {
             buf.sort_by_batch();
-            let mut start = 0;
-            for &end in &buf.batches {
-                let batch = &buf.order[start as usize..end as usize];
-                start = end;
-                if batch.len() < PAR_APPLY_MIN_BATCH {
-                    for &i in batch {
-                        self.apply_one(buf.plans[i as usize].as_ref().expect("coloured"));
-                    }
-                } else {
-                    self.apply_batch(&buf.plans, batch, threads);
-                }
-            }
+            self.apply_coloured(&buf, threads.min(widest as usize).max(1));
         }
         self.buffers = buf;
 
@@ -944,43 +944,83 @@ impl<P: Protocol> Engine<P> {
         }
     }
 
-    /// Applies one slot-disjoint batch (indices into `plans`) across
-    /// `threads` threads, accumulating traffic and telemetry in per-chunk
-    /// shards merged in chunk order.
-    fn apply_batch(&mut self, plans: &[Option<PlannedExchange>], batch: &[u32], threads: usize) {
+    /// Applies the sorted, coloured plan on `workers` threads in one
+    /// fork–join, the caller's thread being the last worker.
+    ///
+    /// Every worker walks the batches in order, applies its contiguous share
+    /// of each, then waits at a barrier: the next batch may touch slots this
+    /// one wrote. Slots within a batch are distinct, so node states and
+    /// per-slot traffic are written in place without locks; each worker sums
+    /// its own traffic totals and records into its own telemetry shard,
+    /// folded in worker order after the join. A worker whose `apply` panics
+    /// applies nothing more but keeps meeting the barrier, so the others
+    /// cannot hang; the panic is raised again once all have joined.
+    fn apply_coloured(&mut self, buf: &RoundBuffers, workers: usize) {
         let round = self.round;
-        let slot_count = self.nodes.slot_count();
         let protocol = &self.protocol;
-        let raw = self.nodes.raw_slots();
-        let tshard_seed = self.telemetry.as_deref().map(|t| t.shard());
-        let histograms = self.telemetry.as_deref().map(|t| t.traffic_histograms());
-        let shards = executor::par_chunks_map(batch, threads, |chunk| {
-            let mut shard = NetShard::with_slots(slot_count);
-            let mut tshard = tshard_seed.clone();
-            for &i in chunk {
-                let p = plans[i as usize].as_ref().expect("coloured");
-                // SAFETY: slots within one batch are pairwise distinct by
-                // construction, and batches are applied one at a time, so
-                // these two borrows are the only live references to their
-                // slots.
-                let (Some(a), Some(b)) = (unsafe { raw.get_mut(p.initiator) }, unsafe {
-                    raw.get_mut(p.partner)
-                }) else {
-                    continue;
-                };
-                let traffic = protocol.apply(p, round, a, b);
-                if let (Some(ts), Some((hreq, hresp))) = (tshard.as_mut(), histograms) {
-                    ts.record_traffic(&traffic, hreq, hresp);
+        let nodes = self.nodes.raw_slots();
+        let per_slot = self.net.raw_per_slot();
+        let telemetry = (self.telemetry.as_deref()).map(|t| (t.shard(), t.traffic_histograms()));
+        let barrier = Barrier::new(workers);
+        let work = |w: usize| {
+            let (mut bytes, mut msgs) = (0u64, 0u64);
+            let mut tshard = telemetry.clone();
+            let mut failure = None;
+            let mut start = 0;
+            for &end in &buf.batches {
+                let batch = &buf.order[start as usize..end as usize];
+                start = end;
+                let chunk = executor::chunk_len(batch.len(), workers);
+                let mine = &batch[(w * chunk).min(batch.len())..((w + 1) * chunk).min(batch.len())];
+                if failure.is_none() {
+                    let applied = panic::catch_unwind(AssertUnwindSafe(|| {
+                        for &i in mine {
+                            let p = buf.plans[i as usize].as_ref().expect("coloured");
+                            // SAFETY: slots within one batch are pairwise
+                            // distinct by construction, and the barrier
+                            // keeps batches apart, so these two borrows and
+                            // the traffic charges below are the only live
+                            // accesses to their slots.
+                            let pair =
+                                unsafe { (nodes.get_mut(p.initiator), nodes.get_mut(p.partner)) };
+                            let (Some(a), Some(b)) = pair else { continue };
+                            let traffic = protocol.apply(p, round, a, b);
+                            if let Some((ts, (hreq, hresp))) = &mut tshard {
+                                ts.record_traffic(&traffic, *hreq, *hresp);
+                            }
+                            charge_traffic(p, traffic, |from, to, sent| {
+                                // SAFETY: as above; `from` and `to` are this
+                                // exchange's two slots.
+                                unsafe { per_slot.charge_message(from, to, sent as u64) };
+                                bytes += sent as u64;
+                                msgs += 1;
+                            });
+                        }
+                    }));
+                    failure = applied.err();
                 }
-                charge_traffic(p, traffic, |from, to, bytes| {
-                    shard.charge_message(from, to, bytes)
-                });
+                barrier.wait();
             }
-            (shard, tshard)
+            (bytes, msgs, tshard, failure)
+        };
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let work = &work;
+            let spawned: Vec<_> = (0..workers - 1)
+                .map(|w| scope.spawn(move || work(w)))
+                .collect();
+            let last = work(workers - 1);
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("apply worker panicked"))
+                .chain(std::iter::once(last))
+                .collect()
         });
-        for (shard, tshard) in &shards {
-            self.net.merge_shard(shard);
-            if let (Some(t), Some(ts)) = (self.telemetry.as_deref_mut(), tshard.as_ref()) {
+        for (bytes, msgs, tshard, failure) in outcomes {
+            if let Some(payload) = failure {
+                panic::resume_unwind(payload);
+            }
+            self.net.add_totals(bytes, msgs);
+            if let (Some(t), Some((ts, _))) = (self.telemetry.as_deref_mut(), &tshard) {
                 t.merge_shard(ts);
             }
         }
@@ -1556,12 +1596,50 @@ mod tests {
         assert_eq!(counts[1], counts[0]);
     }
 
+    /// Panics when applying the exchange that `slot` initiates.
+    struct PanicsAt {
+        slot: usize,
+    }
+
+    impl Protocol for PanicsAt {
+        type Node = u64;
+
+        fn make_node(&mut self, _rng: &mut StdRng) -> u64 {
+            0
+        }
+
+        fn apply(&self, p: &PlannedExchange, _: u64, a: &mut u64, _: &mut u64) -> ExchangeTraffic {
+            assert_ne!(p.initiator.slot(), self.slot, "apply failed");
+            *a += 1;
+            ExchangeTraffic::default()
+        }
+    }
+
+    #[test]
+    fn a_panicking_apply_surfaces_instead_of_hanging_the_workers() {
+        for threads in [2, 3] {
+            for slot in [0, 77, 199] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let config = EngineConfig::new(200, 6).with_threads(threads);
+                    let mut engine = Engine::new(config, PanicsAt { slot });
+                    let outcome = panic::catch_unwind(AssertUnwindSafe(|| engine.run_round()));
+                    let _ = tx.send(outcome.is_err());
+                });
+                let failed = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .expect("round hung after a worker panicked");
+                assert!(failed, "threads={threads} slot={slot}: panic swallowed");
+            }
+        }
+    }
+
     #[test]
     fn serial_order_equals_coloured_schedule_under_maximal_conflict() {
         // 30 % of the nodes are attackers and every one of them targets
         // slot 0, so their exchanges chain through one node: one batch per
-        // attacker, narrow ones applied inline between the wide honest
-        // batches that go to the workers.
+        // attacker, the workers meeting at a barrier after every one of
+        // these one-pair batches as after the wide honest ones.
         let model = AdversaryModel::TargetedPartner { magnitude: 5.0 };
         let scenario = FaultScenario::new(77).with_adversary(2, 12, 0.3, model);
         let config = EngineConfig::new(300, 19).with_loss_rate(0.05);

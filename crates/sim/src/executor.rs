@@ -4,11 +4,14 @@
 //! plain `std::thread::scope` fan-out over contiguous chunks. Work
 //! items are pre-partitioned (no work stealing): every phase of a round
 //! splits its input into at most `threads` chunks, processes the last one
-//! on the calling thread and the others on scoped threads (a fork–join
-//! costs one spawn per *extra* thread — 95 µs for two spawns measured on a
-//! 2-core VM, which is why the event engine batches ticks into windows),
-//! and joins before the next phase. For `threads <= 1` all helpers degrade
-//! to inline calls with zero spawn overhead, so the engines run on any
+//! on the calling thread and the others on scoped threads, and joins
+//! before the next phase. A fork–join costs one spawn per *extra* thread —
+//! 95 µs for two spawns measured on a 2-core VM — which is why the event
+//! engine batches ticks into windows and a threaded cycle round forks
+//! exactly three times: once each for local and plan, and once for all of
+//! apply's batches, its workers meeting at a barrier between batches
+//! (`Engine::apply_coloured`). For `threads <= 1` all helpers degrade to
+//! inline calls with zero spawn overhead, so the engines run on any
 //! machine.
 //!
 //! Determinism note: chunk boundaries depend on the thread count, but every
@@ -62,43 +65,6 @@ where
     });
 }
 
-/// Maps `f` over contiguous chunks of `items` on up to `threads` threads
-/// including the caller's, returning one result per chunk in chunk order.
-///
-/// # Panics
-///
-/// Panics if a worker panics.
-pub(crate) fn par_chunks_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads <= 1 || items.len() < 2 {
-        return vec![f(items)];
-    }
-    let chunk = chunk_len(items.len(), threads);
-    let (spawned, last) = items.split_at((items.len() - 1) / chunk * chunk);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spawned
-            .chunks(chunk)
-            .map(|chunk| {
-                let f = &f;
-                scope.spawn(move || f(chunk))
-            })
-            .collect();
-        let last = f(last);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .chain(std::iter::once(last))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,19 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_map_covers_all_items_in_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for threads in [1, 2, 5] {
-            let sums = par_chunks_map(&items, threads, |chunk| chunk.iter().sum::<u64>());
-            assert!(sums.len() <= threads.max(1));
-            assert_eq!(sums.iter().sum::<u64>(), 1000 * 999 / 2);
-        }
-    }
-
-    #[test]
     fn empty_and_tiny_inputs_are_safe() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_chunks_map(&empty, 4, |c| c.len()).is_empty());
+        let mut empty: [u32; 0] = [];
+        let mut empty_out: [u32; 0] = [];
+        par_zip(&mut empty, &mut empty_out, 4, |_, a, _| {
+            assert!(a.is_empty())
+        });
         let mut one = [7u32];
         let mut out = [0u32];
         par_zip(&mut one, &mut out, 4, |_, a, b| b[0] = a[0] + 1);

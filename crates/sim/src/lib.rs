@@ -85,7 +85,7 @@ pub use node::{NodeId, NodeSlab};
 pub use overlay::{Overlay, OverlayConfig, OverlayKind};
 pub use peersampling::{PeerSamplingPolicy, PeerSelection, PsView, ViewEntry};
 pub use rng::{derive_seed, par_stream_rng, seeded_rng};
-pub use stats::{Accumulator, MassAuditor, MassViolation, NetShard, NetStats, NodeTraffic};
+pub use stats::{Accumulator, MassAuditor, MassViolation, NetStats, NodeTraffic};
 pub use telemetry::{SimTelemetry, TelemetryHandle, TelemetryShard};
 
 /// The strict JSON document model [`FaultScenario::to_json_value`] and

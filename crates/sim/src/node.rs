@@ -480,9 +480,10 @@ pub(crate) struct RawSlots<'a, N> {
     _marker: std::marker::PhantomData<&'a mut N>,
 }
 
-// One RawSlots is shared across the scoped worker threads of a single apply
-// batch; the engine guarantees the payload slots they dereference are
-// disjoint. The metadata side is a plain shared slice.
+// One RawSlots is shared across the scoped workers of a threaded apply
+// phase, which meet at a barrier between batches; the engine guarantees
+// the payload slots they dereference within one batch are disjoint. The
+// metadata side is a plain shared slice.
 unsafe impl<N: Send> Sync for RawSlots<'_, N> {}
 unsafe impl<N: Send> Send for RawSlots<'_, N> {}
 

@@ -152,72 +152,61 @@ impl NetStats {
         self.round_msgs = 0;
     }
 
-    /// Folds a per-thread [`NetShard`] into these statistics, crediting its
-    /// traffic to the current round.
-    pub fn merge_shard(&mut self, shard: &NetShard) {
-        self.ensure_slots(shard.per_slot.len());
-        for (mine, theirs) in self.per_slot.iter_mut().zip(&shard.per_slot) {
-            mine.sent_bytes += theirs.sent_bytes;
-            mine.recv_bytes += theirs.recv_bytes;
-            mine.sent_msgs += theirs.sent_msgs;
-            mine.recv_msgs += theirs.recv_msgs;
-        }
-        self.total_bytes += shard.total_bytes;
-        self.total_msgs += shard.total_msgs;
-        self.round_bytes += shard.total_bytes;
-        self.round_msgs += shard.total_msgs;
-    }
-}
-
-/// A thread-local slice of [`NetStats`], accumulated during a threaded
-/// apply phase and folded back with [`NetStats::merge_shard`] at round end.
-///
-/// Every field is a plain sum, so shards merge commutatively: the totals
-/// are identical no matter how the work was distributed over threads — the
-/// property the engines' thread-count invariance rests on.
-#[derive(Debug, Clone, Default)]
-pub struct NetShard {
-    per_slot: Vec<NodeTraffic>,
-    total_bytes: u64,
-    total_msgs: u64,
-}
-
-impl NetShard {
-    /// Creates a shard covering `slots` node slots.
-    pub fn with_slots(slots: usize) -> Self {
-        Self {
-            per_slot: vec![NodeTraffic::default(); slots],
-            total_bytes: 0,
-            total_msgs: 0,
+    /// A shared handle over the per-slot table only (see [`RawTraffic`]);
+    /// its users credit the totals with [`add_totals`](NetStats::add_totals).
+    pub(crate) fn raw_per_slot(&mut self) -> RawTraffic<'_> {
+        RawTraffic {
+            ptr: self.per_slot.as_mut_ptr(),
+            len: self.per_slot.len(),
+            _marker: std::marker::PhantomData,
         }
     }
 
-    /// Records a single one-way message of `bytes` from `from` to `to`.
+    /// Credits `bytes` and `msgs` already charged per slot through a
+    /// [`RawTraffic`] to the global and current-round totals.
+    pub(crate) fn add_totals(&mut self, bytes: u64, msgs: u64) {
+        self.total_bytes += bytes;
+        self.total_msgs += msgs;
+        self.round_bytes += bytes;
+        self.round_msgs += msgs;
+    }
+}
+
+/// Shared handle that charges [`NetStats`]'s per-slot counters by raw
+/// pointer, for the threaded apply phase (the traffic twin of the node
+/// slab's raw payload handle). It never grows the table.
+pub(crate) struct RawTraffic<'a> {
+    ptr: *mut NodeTraffic,
+    len: usize,
+    _marker: std::marker::PhantomData<&'a mut NodeTraffic>,
+}
+
+// One RawTraffic is shared across the scoped workers of a threaded apply
+// phase; the engine guarantees that the slots they charge concurrently are
+// disjoint.
+unsafe impl Sync for RawTraffic<'_> {}
+unsafe impl Send for RawTraffic<'_> {}
+
+impl RawTraffic<'_> {
+    /// Charges one message of `bytes` from `from` to `to` to their per-slot
+    /// counters only.
+    ///
+    /// # Safety
+    ///
+    /// The caller must guarantee that no other thread charges either slot
+    /// for the duration of the call.
     ///
     /// # Panics
     ///
-    /// Panics if either slot is outside the range this shard was sized for.
-    pub fn charge_message(&mut self, from: NodeId, to: NodeId, bytes: usize) {
-        let bytes = bytes as u64;
-        self.per_slot[from.slot()].sent_bytes += bytes;
-        self.per_slot[from.slot()].sent_msgs += 1;
-        self.per_slot[to.slot()].recv_bytes += bytes;
-        self.per_slot[to.slot()].recv_msgs += 1;
-        self.total_bytes += bytes;
-        self.total_msgs += 1;
-    }
-
-    /// Records one symmetric push–pull exchange (two messages), mirroring
-    /// [`NetStats::charge_exchange`].
-    pub fn charge_exchange(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        request_bytes: usize,
-        response_bytes: usize,
-    ) {
-        self.charge_message(from, to, request_bytes);
-        self.charge_message(to, from, response_bytes);
+    /// Panics if either slot lies beyond the table.
+    pub(crate) unsafe fn charge_message(&self, from: NodeId, to: NodeId, bytes: u64) {
+        assert!(from.slot().max(to.slot()) < self.len, "slot out of range");
+        let sender = &mut *self.ptr.add(from.slot());
+        sender.sent_bytes += bytes;
+        sender.sent_msgs += 1;
+        let receiver = &mut *self.ptr.add(to.slot());
+        receiver.recv_bytes += bytes;
+        receiver.recv_msgs += 1;
     }
 }
 
@@ -550,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_matches_direct_charging() {
+    fn raw_charging_plus_totals_matches_direct_charging() {
         let mut slab = NodeSlab::new();
         let a = slab.insert(());
         let b = slab.insert(());
@@ -562,23 +551,26 @@ mod tests {
         direct.charge_exchange(a, b, 100, 50);
         direct.charge_message(c, a, 30);
 
-        // Same traffic split across two shards, merged in either order.
-        let mut sharded = NetStats::new();
-        sharded.ensure_slots(slab.slot_count());
-        sharded.begin_round();
-        let mut s1 = NetShard::with_slots(slab.slot_count());
-        let mut s2 = NetShard::with_slots(slab.slot_count());
-        s1.charge_exchange(a, b, 100, 50);
-        s2.charge_message(c, a, 30);
-        sharded.merge_shard(&s2);
-        sharded.merge_shard(&s1);
+        let mut raw = NetStats::new();
+        raw.ensure_slots(slab.slot_count());
+        raw.begin_round();
+        {
+            let handle = raw.raw_per_slot();
+            // SAFETY: one thread, no other borrow of the table.
+            unsafe {
+                handle.charge_message(c, a, 30);
+                handle.charge_message(a, b, 100);
+                handle.charge_message(b, a, 50);
+            }
+        }
+        raw.add_totals(180, 3);
 
-        assert_eq!(sharded.total_bytes(), direct.total_bytes());
-        assert_eq!(sharded.total_msgs(), direct.total_msgs());
-        assert_eq!(sharded.round_bytes(), direct.round_bytes());
-        assert_eq!(sharded.round_msgs(), direct.round_msgs());
+        assert_eq!(raw.total_bytes(), direct.total_bytes());
+        assert_eq!(raw.total_msgs(), direct.total_msgs());
+        assert_eq!(raw.round_bytes(), direct.round_bytes());
+        assert_eq!(raw.round_msgs(), direct.round_msgs());
         for id in [a, b, c] {
-            assert_eq!(sharded.node(id), direct.node(id));
+            assert_eq!(raw.node(id), direct.node(id));
         }
     }
 

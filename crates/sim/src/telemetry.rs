@@ -12,9 +12,9 @@
 //! **Determinism rule:** nothing in this module touches any engine RNG or
 //! simulation state; recording is purely observational, so runs with and
 //! without telemetry attached are bit-identical. On the threaded apply
-//! path workers record into [`TelemetryShard`]s merged in chunk order,
-//! mirroring the `NetShard` pattern; because counter and histogram merges
-//! are commutative sums, merged totals are thread-count invariant.
+//! path each worker records into one [`TelemetryShard`] per round, merged
+//! in worker order; because counter and histogram merges are commutative
+//! sums, merged totals are thread-count invariant.
 
 use adam2_telemetry::{
     CounterId, Event, EventKind, GaugeId, HistogramId, MetricShard, RoundSnapshot, RunManifest,

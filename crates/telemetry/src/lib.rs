@@ -10,9 +10,8 @@
 //!    is bit-identical to one without.
 //! 2. **Shard, then merge in deterministic order.** Parallel workers write
 //!    into [`MetricShard`]s (plain memory, no locks); the driver merges
-//!    them in chunk order at round end, mirroring the simulator's
-//!    `NetShard` pattern. Counter and histogram merges are commutative
-//!    sums, so totals are independent of the thread count.
+//!    them in worker order at round end. Counter and histogram merges are
+//!    commutative sums, so totals are independent of the thread count.
 //! 3. **Fixed export schema.** [`RoundSnapshot`] is a closed struct, not a
 //!    bag of labels; the JSONL/CSV column set is documented in DESIGN.md
 //!    and validated by CI.

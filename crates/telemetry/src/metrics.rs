@@ -3,8 +3,8 @@
 //! Metrics are registered once by name and then addressed by typed index
 //! handles ([`CounterId`], [`GaugeId`], [`HistogramId`]), so the hot path
 //! never hashes strings. The parallel engine records into per-worker
-//! [`MetricShard`]s and merges them in deterministic (chunk) order at round
-//! end — the same pattern `NetShard` uses for traffic accounting. Counter
+//! [`MetricShard`]s and merges them in deterministic (worker) order at
+//! round end. Counter
 //! and histogram merges are commutative sums, so the merged totals are
 //! identical for any shard partitioning; gauges are last-write-wins and are
 //! therefore only settable on the single-threaded driver, never in shards.
