@@ -173,6 +173,22 @@ impl Args {
         }
     }
 
+    /// `--threads T` as the count a run uses: `T`, or every available core
+    /// when `T` is 0 or absent.
+    ///
+    /// # Panics
+    ///
+    /// If `T` is not a number.
+    pub fn threads(&self) -> usize {
+        match self
+            .extra_parsed("threads")
+            .unwrap_or_else(|e| panic!("{e}"))
+        {
+            Some(t) if t > 0 => t,
+            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
     /// Prints the standard experiment header.
     pub fn print_header(&self, experiment: &str, figure: &str) {
         println!("== {experiment} — reproduces {figure} ==");
@@ -191,6 +207,14 @@ impl Args {
         );
         println!();
     }
+}
+
+/// Removes every occurrence of the valueless flag `name` from `raw`,
+/// reporting whether it was present.
+pub fn take_flag(raw: &mut Vec<String>, name: &str) -> bool {
+    let before = raw.len();
+    raw.retain(|a| a != name);
+    raw.len() != before
 }
 
 #[cfg(test)]

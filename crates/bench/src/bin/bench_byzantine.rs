@@ -20,7 +20,8 @@
 use std::sync::Arc;
 
 use adam2_bench::{
-    adam2_engine_with, evaluate_peer_estimates, setup, Args, ExperimentSetup, PeerEstimate,
+    adam2_engine_with, assert_thread_invariant, evaluate_peer_estimates, fnv_mix, setup, take_flag,
+    Args, BenchReport, ExperimentSetup, PeerEstimate,
 };
 use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy};
 use adam2_sim::{
@@ -86,15 +87,6 @@ struct ByzResult {
     fingerprint: u64,
 }
 
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn model_name(model: AdversaryModel) -> &'static str {
     match model {
         AdversaryModel::ValuePoisoning { .. } => "value_poisoning",
@@ -149,17 +141,17 @@ fn score_honest(
 
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (slot, est) in peers {
-        h = mix(h, *slot as u64);
+        h = fnv_mix(h, *slot as u64);
         let Some(est) = est else { continue };
         for f in &est.fractions {
-            h = mix(h, f.to_bits());
+            h = fnv_mix(h, f.to_bits());
         }
-        h = mix(h, est.min.to_bits());
-        h = mix(h, est.max.to_bits());
+        h = fnv_mix(h, est.min.to_bits());
+        h = fnv_mix(h, est.max.to_bits());
     }
     for (_, n_hat) in n_hats {
         if let Some(n) = n_hat {
-            h = mix(h, n.to_bits());
+            h = fnv_mix(h, n.to_bits());
         }
     }
     (report, n_hat_rel_err, h)
@@ -336,12 +328,6 @@ fn run_event(
     }
 }
 
-fn take_flag(raw: &mut Vec<String>, name: &str) -> bool {
-    let before = raw.len();
-    raw.retain(|a| a != name);
-    raw.len() != before
-}
-
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     let check = take_flag(&mut raw, "--check");
@@ -356,21 +342,14 @@ fn main() {
             std::process::exit(if msg == "help requested" { 0 } else { 2 });
         }
     };
-    let threads: usize = args
-        .extra_parsed("threads")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0);
+    let threads = args.threads();
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_byzantine.json");
     let out = args.extra("out").unwrap_or(default_out).to_string();
-    let detected = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let effective_threads = if threads == 0 { detected } else { threads };
     let nodes = args.nodes;
 
     println!("== bench_byzantine — honest-peer Err_a vs Byzantine fraction ==");
     println!(
-        "nodes={nodes} seed={} lambda={} threads={effective_threads}",
+        "nodes={nodes} seed={} lambda={} threads={threads}",
         args.seed, args.lambda
     );
     println!();
@@ -421,29 +400,17 @@ fn main() {
         );
     }
 
-    let json = render_json(&args, nodes, effective_threads, detected, &results);
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("bench_byzantine: cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    render(&args, nodes, threads, &results).write(&out, "bench_byzantine");
+    println!("\nwrote {out}");
 
     if check {
         run_checks(&results);
-        run_determinism_checks(&s, &args, poisoning, effective_threads, &results);
+        run_determinism_checks(&s, &args, poisoning, threads, &results);
         println!("all byzantine-resilience checks passed");
     }
 }
 
-fn render_json(
-    args: &Args,
-    nodes: usize,
-    threads: usize,
-    detected: usize,
-    results: &[ByzResult],
-) -> String {
+fn render(args: &Args, nodes: usize, threads: usize, results: &[ByzResult]) -> BenchReport {
     let manifest = RunManifest::new(
         "bench_byzantine",
         &format!(
@@ -453,49 +420,39 @@ fn render_json(
         args.seed,
         threads,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"byzantine_resilience\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    json.push_str(&format!("  \"magnitude\": {MAGNITUDE},\n"));
-    json.push_str(&format!("  \"inflation\": {INFLATION},\n"));
-    json.push_str(&format!("  \"detected_cores\": {detected},\n"));
-    // `{:.6e}` would print NaN/inf verbatim, which is not JSON.
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.6e}")
-        } else {
-            "null".to_string()
-        }
-    };
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"model\": \"{}\", \"fraction\": {}, \"robust\": {}, \
-             \"err_a\": {}, \"err_m\": {}, \"n_hat_rel_err\": {}, \
-             \"honest_without_estimate\": {}, \"byzantine\": {}, \"robust_rejects\": {}, \
-             \"robust_trims\": {}, \"fingerprint\": {}}}{}\n",
-            r.engine,
-            r.model,
-            r.fraction,
-            r.robust,
-            num(r.err_a),
-            num(r.err_m),
-            num(r.n_hat_rel_err),
-            r.honest_without_estimate,
-            r.byzantine,
-            r.robust_rejects,
-            r.robust_trims,
-            r.fingerprint,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let mut report = BenchReport::new(
+        "byzantine_resilience",
+        &manifest,
+        vec![
+            ("nodes", nodes.into()),
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("rounds", ROUNDS.into()),
+            ("magnitude", MAGNITUDE.into()),
+            ("inflation", INFLATION.into()),
+            ("detected_cores", manifest.detected_cores.into()),
+        ],
+    );
+    for r in results {
+        report.row(
+            "results",
+            vec![
+                ("engine", r.engine.into()),
+                ("model", r.model.into()),
+                ("fraction", r.fraction.into()),
+                ("robust", r.robust.into()),
+                ("err_a", r.err_a.into()),
+                ("err_m", r.err_m.into()),
+                ("n_hat_rel_err", r.n_hat_rel_err.into()),
+                ("honest_without_estimate", r.honest_without_estimate.into()),
+                ("byzantine", u64::from(r.byzantine).into()),
+                ("robust_rejects", r.robust_rejects.into()),
+                ("robust_trims", r.robust_trims.into()),
+                ("fingerprint", r.fingerprint.into()),
+            ],
+        );
     }
-    json.push_str("  ]\n}\n");
-    json
+    report
 }
 
 fn find<'a>(
@@ -608,30 +565,31 @@ fn run_checks(results: &[ByzResult]) {
     }
 }
 
-/// Re-runs the f = 10 % robust point on both engines at a different
-/// worker count and requires the exact same estimate fingerprint.
+/// Re-runs the f = 10 % robust point on both engines at another worker
+/// count and requires the exact same estimate fingerprint.
 fn run_determinism_checks(
     s: &ExperimentSetup,
     args: &Args,
     poisoning: AdversaryModel,
-    effective_threads: usize,
+    threads: usize,
     results: &[ByzResult],
 ) {
-    let other = if effective_threads == 2 { 1 } else { 2 };
     let cycle = find(results, "cycle", "value_poisoning", 0.10, true);
-    let cycle_rerun = run_cycle(s, args, poisoning, 0.10, true, other);
-    assert_eq!(
-        cycle.fingerprint, cycle_rerun.fingerprint,
-        "cycle engine not bit-identical under adversary (threads {effective_threads} vs {other})"
+    let other = assert_thread_invariant(
+        "cycle engine under adversary",
+        threads,
+        cycle.fingerprint,
+        |other| run_cycle(s, args, poisoning, 0.10, true, other).fingerprint,
     );
     let event = find(results, "event", "value_poisoning", 0.10, true);
-    let event_rerun = run_event(s, args, poisoning, 0.10, true, other);
-    assert_eq!(
-        event.fingerprint, event_rerun.fingerprint,
-        "event engine not bit-identical under adversary (threads {effective_threads} vs {other})"
+    assert_thread_invariant(
+        "event engine under adversary",
+        threads,
+        event.fingerprint,
+        |other| run_event(s, args, poisoning, 0.10, true, other).fingerprint,
     );
     println!(
-        "determinism OK: threads {effective_threads} == threads {other} on both engines \
+        "determinism OK: threads {threads} == threads {other} on both engines \
          (cycle {:016x}, event {:016x})",
         cycle.fingerprint, event.fingerprint
     );

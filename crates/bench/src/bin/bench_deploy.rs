@@ -35,10 +35,13 @@ use std::time::{Duration, Instant};
 
 use adam2_bench::{
     adam2_engine, complete_instance, evaluate_estimates, evaluate_peer_estimates, setup,
-    start_instance, Args, ErrorReport, PeerEstimate,
+    start_instance, Args, BenchReport, ErrorReport, PeerEstimate,
 };
 use adam2_core::{Adam2Config, AttrValue, InstanceMeta};
-use adam2_deploy::{Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig};
+use adam2_deploy::{
+    Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig, RuntimeKind,
+};
+use adam2_sim::json::Value;
 use adam2_sim::{ChurnModel, RunManifest};
 use adam2_traces::Attribute;
 
@@ -59,12 +62,8 @@ const MAX_DEPLOY_NODES: usize = 256;
 /// in-flight exchange sockets, inbound connections, driver workers.
 const FD_SLACK: usize = 2048;
 
-struct ScenarioResult {
-    name: &'static str,
-    nodes: usize,
-    tick_ms: u64,
-    outcome: DeployOutcome,
-}
+/// A scenario's name and outcome.
+type ScenarioResult = (&'static str, DeployOutcome);
 
 struct DeployOutcome {
     report: ErrorReport,
@@ -141,12 +140,7 @@ fn main() {
             outcome.p99_latency_us,
             outcome.clean_shutdown,
         );
-        results.push(ScenarioResult {
-            name: scenario,
-            nodes,
-            tick_ms,
-            outcome,
-        });
+        results.push((scenario, outcome));
     }
 
     // Scale sweep: an N-node reactor cluster with the round length
@@ -192,21 +186,18 @@ fn main() {
         None
     };
 
-    let json = render_json(
+    let RuntimeKind::Reactor { threads } = ClusterConfig::default().runtime();
+    render(
         &args,
         nodes,
+        threads.min(nodes),
         tick_ms,
         &sim_report.1,
         &results,
         &scale_result,
-    );
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("bench_deploy: cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    )
+    .write(&out, "bench_deploy");
+    println!("\nwrote {out}");
 
     if check {
         run_checks(&sim_report.1, &results, &scale_result);
@@ -302,6 +293,7 @@ fn run_deploy(
         .with_bootstrap(10, bootstrap_timeout)
         .expect("nonzero bootstrap budget")
         .with_shim(shim);
+    let RuntimeKind::Reactor { threads } = config.runtime();
     let cluster = Cluster::launch(values, config).expect("cluster launch");
     let mut sampler = ClusterTelemetry::new(n);
 
@@ -400,7 +392,7 @@ fn run_deploy(
                 node_config.tick.as_millis()
             ),
             args.seed,
-            1,
+            threads.min(n),
         );
         let path = std::path::Path::new(dir).join(format!("deploy_{label}"));
         if let Err(e) = sampler.export(&path, &manifest) {
@@ -451,26 +443,17 @@ fn peer_estimate(e: &EstimateWire) -> PeerEstimate {
     }
 }
 
-/// `{:.4}` of a NaN would emit bare `NaN` — not valid JSON — so an empty
-/// n-hat series renders as `null`.
-fn json_mean(mean: f64) -> String {
-    if mean.is_finite() {
-        format!("{mean:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
 type ScaleResult = Option<(usize, u64, ErrorReport, DeployOutcome)>;
 
-fn render_json(
+fn render(
     args: &Args,
     nodes: usize,
+    threads: usize,
     tick_ms: u64,
     sim: &ErrorReport,
     results: &[ScenarioResult],
     scale: &ScaleResult,
-) -> String {
+) -> BenchReport {
     let manifest = RunManifest::new(
         "bench_deploy",
         &format!(
@@ -478,89 +461,88 @@ fn render_json(
             args.lambda
         ),
         args.seed,
-        1,
+        threads,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"deploy_runtime\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    json.push_str(&format!("  \"tick_ms\": {tick_ms},\n"));
-    json.push_str(&format!(
-        "  \"simulator\": {{\"err_a\": {:.6e}, \"err_m\": {:.6e}}},\n",
-        sim.avg_cdf, sim.max_cdf
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let o = &r.outcome;
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"nodes\": {}, \"tick_ms\": {}, \
-             \"err_a\": {:.6e}, \"err_m\": {:.6e}, \"peers_without_estimate\": {}, \
-             \"mean_n_hat\": {}, \"exchanges\": {}, \"exchanges_completed\": {}, \
-             \"repairs\": {}, \"aborts\": {}, \"shim_drops\": {}, \"malformed_frames\": {}, \
-             \"backpressure_drops\": {}, \"throughput_eps\": {:.2}, \"p99_latency_us\": {}, \
-             \"duration_s\": {:.3}, \"clean_shutdown\": {}}}{}\n",
-            r.name,
-            r.nodes,
-            r.tick_ms,
-            o.report.avg_cdf,
-            o.report.max_cdf,
-            o.report.peers_without_estimate,
-            json_mean(o.mean_n_hat),
-            o.exchanges,
-            o.completed,
-            o.repairs,
-            o.aborts,
-            o.shim_drops,
-            o.malformed,
-            o.backpressure_drops,
-            o.throughput_eps,
-            o.p99_latency_us,
-            o.duration_s,
-            o.clean_shutdown,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let simulator = vec![
+        ("err_a".to_string(), sim.avg_cdf.into()),
+        ("err_m".to_string(), sim.max_cdf.into()),
+    ];
+    let mut report = BenchReport::new(
+        "deploy_runtime",
+        &manifest,
+        vec![
+            ("nodes", nodes.into()),
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("rounds", ROUNDS.into()),
+            ("tick_ms", tick_ms.into()),
+            ("simulator", Value::Object(simulator)),
+        ],
+    );
+    for (scenario, o) in results {
+        report.row(
+            "results",
+            vec![
+                ("scenario", (*scenario).into()),
+                ("nodes", nodes.into()),
+                ("tick_ms", tick_ms.into()),
+                ("err_a", o.report.avg_cdf.into()),
+                ("err_m", o.report.max_cdf.into()),
+                (
+                    "peers_without_estimate",
+                    o.report.peers_without_estimate.into(),
+                ),
+                ("mean_n_hat", o.mean_n_hat.into()),
+                ("exchanges", o.exchanges.into()),
+                ("exchanges_completed", o.completed.into()),
+                ("repairs", o.repairs.into()),
+                ("aborts", o.aborts.into()),
+                ("shim_drops", o.shim_drops.into()),
+                ("malformed_frames", o.malformed.into()),
+                ("backpressure_drops", o.backpressure_drops.into()),
+                ("throughput_eps", o.throughput_eps.into()),
+                ("p99_latency_us", o.p99_latency_us.into()),
+                ("duration_s", o.duration_s.into()),
+                ("clean_shutdown", o.clean_shutdown.into()),
+            ],
+        );
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"scale\": [\n");
     if let Some((scale_nodes, scale_tick, scale_sim, o)) = scale {
-        json.push_str(&format!(
-            "    {{\"nodes\": {scale_nodes}, \"tick_ms\": {scale_tick}, \
-             \"err_a\": {:.6e}, \"sim_err_a\": {:.6e}, \"peers_without_estimate\": {}, \
-             \"mean_n_hat\": {}, \"exchanges_completed\": {}, \"throughput_eps\": {:.2}, \
-             \"p99_latency_us\": {}, \"duration_s\": {:.3}, \"clean_shutdown\": {}}}\n",
-            o.report.avg_cdf,
-            scale_sim.avg_cdf,
-            o.report.peers_without_estimate,
-            json_mean(o.mean_n_hat),
-            o.completed,
-            o.throughput_eps,
-            o.p99_latency_us,
-            o.duration_s,
-            o.clean_shutdown,
-        ));
+        report.row(
+            "scale",
+            vec![
+                ("nodes", (*scale_nodes).into()),
+                ("tick_ms", (*scale_tick).into()),
+                ("err_a", o.report.avg_cdf.into()),
+                ("sim_err_a", scale_sim.avg_cdf.into()),
+                (
+                    "peers_without_estimate",
+                    o.report.peers_without_estimate.into(),
+                ),
+                ("mean_n_hat", o.mean_n_hat.into()),
+                ("exchanges_completed", o.completed.into()),
+                ("throughput_eps", o.throughput_eps.into()),
+                ("p99_latency_us", o.p99_latency_us.into()),
+                ("duration_s", o.duration_s.into()),
+                ("clean_shutdown", o.clean_shutdown.into()),
+            ],
+        );
     }
-    json.push_str("  ]\n}\n");
-    json
+    report
 }
 
 fn find<'a>(results: &'a [ScenarioResult], name: &str) -> &'a DeployOutcome {
     &results
         .iter()
-        .find(|r| r.name == name)
+        .find(|(scenario, _)| *scenario == name)
         .expect("scenario present")
-        .outcome
+        .1
 }
 
 fn run_checks(sim: &ErrorReport, results: &[ScenarioResult], scale: &ScaleResult) {
     let mut failures = Vec::new();
 
-    for r in results {
-        let o = &r.outcome;
-        let who = r.name;
+    for (who, o) in results {
         if !o.clean_shutdown {
             failures.push(format!("{who}: runtime did not shut down cleanly"));
         }

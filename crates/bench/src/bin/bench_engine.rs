@@ -25,36 +25,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use adam2_bench::{
-    adam2_engine_with, export_telemetry, maybe_attach_telemetry, setup, start_instance, Args,
-    ExperimentSetup,
+    adam2_engine_with, assert_thread_invariant, export_telemetry, fnv_mix, maybe_attach_telemetry,
+    setup, start_instance, take_flag, Args, BenchReport, ExperimentSetup,
 };
 use adam2_core::{
     uniform_points, Adam2Config, Adam2Protocol, AsyncAdam2, InstanceId, InstanceMeta,
 };
 use adam2_sim::{Engine, EventConfig, EventEngine, LatencyModel, RunManifest};
 use adam2_traces::Attribute;
-
-struct SizeResult {
-    nodes: usize,
-    rounds: u64,
-    t1_rounds_per_sec: f64,
-    tn_rounds_per_sec: f64,
-    speedup: f64,
-    fingerprint: u64,
-}
-
-struct EventResult {
-    nodes: usize,
-    rounds: u64,
-    ticks: u64,
-    secs: f64,
-    ticks_per_sec: f64,
-    msgs_per_sec: f64,
-    coverage: f64,
-    completed: u64,
-    peak_rss_bytes: u64,
-    peak_rss_bytes_per_node: f64,
-}
 
 /// One event-engine run reduced to the numbers the bench reports plus a
 /// bit-exact fingerprint over every estimate and counter.
@@ -69,15 +47,6 @@ struct EventRun {
 fn measured_rounds(nodes: usize) -> u64 {
     // Keep each measurement in the seconds range across three decades.
     ((2_000_000 / nodes) as u64).clamp(5, 50)
-}
-
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Peak resident set size of this process (VmHWM), in bytes.
@@ -101,13 +70,13 @@ fn cycle_fingerprint(engine: &Engine<Adam2Protocol>) -> u64 {
     for (_, node) in engine.nodes().iter() {
         for inst in node.active_instances() {
             for f in &inst.fractions {
-                h = mix(h, f.to_bits());
+                h = fnv_mix(h, f.to_bits());
             }
-            h = mix(h, inst.weight.to_bits());
+            h = fnv_mix(h, inst.weight.to_bits());
         }
     }
-    h = mix(h, engine.net().total_bytes());
-    mix(h, engine.net().total_msgs())
+    h = fnv_mix(h, engine.net().total_bytes());
+    fnv_mix(h, engine.net().total_msgs())
 }
 
 /// Runs one full Adam2 instance on the event engine and reduces it to
@@ -115,8 +84,7 @@ fn cycle_fingerprint(engine: &Engine<Adam2Protocol>) -> u64 {
 fn run_event(
     s: &ExperimentSetup,
     nodes: usize,
-    seed: u64,
-    lambda: usize,
+    args: &Args,
     period: u64,
     rounds: u64,
     threads: usize,
@@ -125,12 +93,12 @@ fn run_event(
         let pop = s.population.clone();
         move |rng| pop.draw_fresh(rng)
     });
-    let config = EventConfig::new(nodes, seed)
+    let config = EventConfig::new(nodes, args.seed)
         .with_gossip_period(period)
         .with_latency(LatencyModel::Uniform { min: 10, max: 60 })
         .with_threads(threads);
     let mut engine = EventEngine::new(config, proto);
-    let thresholds = uniform_points(s.truth.min(), s.truth.max(), lambda);
+    let thresholds = uniform_points(s.truth.min(), s.truth.max(), args.lambda);
     let meta = Arc::new(InstanceMeta {
         id: InstanceId::derive(0, 0, 1),
         thresholds: thresholds.into(),
@@ -155,17 +123,17 @@ fn run_event(
         let Some(est) = node.estimate() else { continue };
         with += 1;
         for f in est.fractions.iter() {
-            h = mix(h, f.to_bits());
+            h = fnv_mix(h, f.to_bits());
         }
         if let Some(n) = est.n_hat {
-            h = mix(h, n.to_bits());
+            h = fnv_mix(h, n.to_bits());
         }
     }
-    h = mix(h, engine.delivered_count());
-    h = mix(h, engine.lost_count());
-    h = mix(h, engine.net().total_bytes());
-    h = mix(h, engine.net().total_msgs());
-    h = mix(h, engine.protocol().completed_count());
+    h = fnv_mix(h, engine.delivered_count());
+    h = fnv_mix(h, engine.lost_count());
+    h = fnv_mix(h, engine.net().total_bytes());
+    h = fnv_mix(h, engine.net().total_msgs());
+    h = fnv_mix(h, engine.protocol().completed_count());
     EventRun {
         secs,
         delivered: engine.delivered_count(),
@@ -173,14 +141,6 @@ fn run_event(
         completed: engine.protocol().completed_count(),
         fingerprint: h,
     }
-}
-
-/// Removes every occurrence of the valueless flag `name`, reporting
-/// whether it was present.
-fn take_flag(raw: &mut Vec<String>, name: &str) -> bool {
-    let before = raw.len();
-    raw.retain(|a| a != name);
-    raw.len() != before
 }
 
 fn main() {
@@ -198,25 +158,25 @@ fn main() {
             std::process::exit(if msg == "help requested" { 0 } else { 2 });
         }
     };
-    let threads: usize = args
-        .extra_parsed("threads")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0);
+    let threads = args.threads();
     let event_max: usize = args
         .extra_parsed("event-max")
         .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or(1_000_000);
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     let out = args.extra("out").unwrap_or(default_out).to_string();
-    let detected = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let effective_threads = if threads == 0 { detected } else { threads };
+    let manifest = RunManifest::new(
+        "bench_engine",
+        &format!("lambda={} threads={threads}", args.lambda),
+        args.seed,
+        threads,
+    );
+    let detected = manifest.detected_cores;
 
     println!("== bench_engine — engine throughput (cycle + event drivers) ==");
     println!(
-        "seed={} lambda={} threads={} (detected cores: {})",
-        args.seed, args.lambda, effective_threads, detected
+        "seed={} lambda={} threads={threads} (detected cores: {detected})",
+        args.seed, args.lambda
     );
     println!();
 
@@ -224,7 +184,16 @@ fn main() {
         .with_lambda(args.lambda)
         .with_rounds_per_instance(1_000_000);
 
-    let mut results = Vec::new();
+    let mut report = BenchReport::new(
+        "engine_rounds_per_sec",
+        &manifest,
+        vec![
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("threads", threads.into()),
+            ("detected_cores", detected.into()),
+        ],
+    );
     if !event_only {
         for nodes in [1_000usize, 10_000, 100_000] {
             let rounds = measured_rounds(nodes);
@@ -252,10 +221,7 @@ fn main() {
                     dir,
                     &format!("n{nodes}"),
                     "bench_engine",
-                    &format!(
-                        "nodes={nodes} lambda={} threads={effective_threads}",
-                        args.lambda
-                    ),
+                    &format!("nodes={nodes} lambda={} threads={threads}", args.lambda),
                     args.seed,
                 );
             }
@@ -265,29 +231,27 @@ fn main() {
             assert_eq!(
                 fingerprint,
                 cycle_fingerprint(&tn),
-                "1 thread and {effective_threads} threads diverged at n={nodes}"
+                "1 thread and {threads} threads diverged at n={nodes}"
             );
 
-            let r = SizeResult {
-                nodes,
-                rounds,
-                t1_rounds_per_sec: rounds as f64 / t1_secs,
-                tn_rounds_per_sec: rounds as f64 / tn_secs,
-                speedup: t1_secs / tn_secs,
-                fingerprint,
-            };
+            let (t1_rate, tn_rate) = (rounds as f64 / t1_secs, rounds as f64 / tn_secs);
             println!(
-                "n={:>7}  rounds={:>3}  1 thread {:>9.2} r/s  {} threads {:>9.2} r/s  \
-                 speedup {:.2}x  fingerprint {:016x}",
-                r.nodes,
-                r.rounds,
-                r.t1_rounds_per_sec,
-                effective_threads,
-                r.tn_rounds_per_sec,
-                r.speedup,
-                r.fingerprint
+                "n={nodes:>7}  rounds={rounds:>3}  1 thread {t1_rate:>9.2} r/s  \
+                 {threads} threads {tn_rate:>9.2} r/s  speedup {:.2}x  \
+                 fingerprint {fingerprint:016x}",
+                t1_secs / tn_secs,
             );
-            results.push(r);
+            report.row(
+                "results",
+                vec![
+                    ("nodes", nodes.into()),
+                    ("rounds", rounds.into()),
+                    ("t1_rounds_per_sec", t1_rate.into()),
+                    ("tn_rounds_per_sec", tn_rate.into()),
+                    ("speedup", (t1_secs / tn_secs).into()),
+                    ("fingerprint", format!("{fingerprint:016x}").into()),
+                ],
+            );
         }
         println!();
     }
@@ -295,21 +259,13 @@ fn main() {
     // Part 2: the event-driven engine, one full Adam2 instance per size.
     let period = 1_000u64;
     let event_rounds = args.rounds.max(20);
-    let mut event_results: Vec<EventResult> = Vec::new();
     for nodes in [10_000usize, 100_000, 1_000_000] {
         if nodes > event_max {
             continue;
         }
         let s = setup(Attribute::Ram, nodes, args.seed);
-        let run = run_event(
-            &s,
-            nodes,
-            args.seed,
-            args.lambda,
-            period,
-            event_rounds,
-            effective_threads,
-        );
+        let event = |threads| run_event(&s, nodes, &args, period, event_rounds, threads);
+        let run = event(threads);
         assert!(
             run.coverage >= 0.99,
             "event instance incomplete at n={nodes}: coverage {:.4}",
@@ -323,107 +279,44 @@ fn main() {
         if check {
             // Bit-identity across thread counts: re-run with a different
             // worker count and require the exact same fingerprint.
-            let other = if effective_threads == 2 { 1 } else { 2 };
-            let rerun = run_event(
-                &s,
-                nodes,
-                args.seed,
-                args.lambda,
-                period,
-                event_rounds,
-                other,
-            );
-            assert_eq!(
-                run.fingerprint, rerun.fingerprint,
-                "event engine not bit-identical at n={nodes} (threads {effective_threads} vs {other})"
+            let other = assert_thread_invariant(
+                &format!("event engine at n={nodes}"),
+                threads,
+                run.fingerprint,
+                |other| event(other).fingerprint,
             );
             println!(
-                "n={nodes:>8}  check OK: threads {effective_threads} == threads {other} \
+                "n={nodes:>8}  check OK: threads {threads} == threads {other} \
                  (fingerprint {:016x})",
                 run.fingerprint
             );
         }
         let ticks = period * (event_rounds + 2);
-        let r = EventResult {
-            nodes,
-            rounds: event_rounds,
-            ticks,
-            secs: run.secs,
-            ticks_per_sec: ticks as f64 / run.secs,
-            msgs_per_sec: run.delivered as f64 / run.secs,
-            coverage: run.coverage,
-            completed: run.completed,
-            peak_rss_bytes: peak,
-            peak_rss_bytes_per_node: peak as f64 / nodes as f64,
-        };
+        let (ticks_per_sec, msgs_per_sec) =
+            (ticks as f64 / run.secs, run.delivered as f64 / run.secs);
+        let rss_per_node = peak as f64 / nodes as f64;
         println!(
-            "n={:>8}  ticks={:>6}  {:>10.0} ticks/s  {:>10.0} msg/s  coverage {:.3}  \
-             rss/node {:.0} B",
-            r.nodes,
-            r.ticks,
-            r.ticks_per_sec,
-            r.msgs_per_sec,
-            r.coverage,
-            r.peak_rss_bytes_per_node
+            "n={nodes:>8}  ticks={ticks:>6}  {ticks_per_sec:>10.0} ticks/s  {msgs_per_sec:>10.0} \
+             msg/s  coverage {:.3}  rss/node {rss_per_node:.0} B",
+            run.coverage,
         );
-        event_results.push(r);
+        report.row(
+            "event_results",
+            vec![
+                ("nodes", nodes.into()),
+                ("rounds", event_rounds.into()),
+                ("ticks", ticks.into()),
+                ("secs", run.secs.into()),
+                ("ticks_per_sec", ticks_per_sec.into()),
+                ("msgs_per_sec", msgs_per_sec.into()),
+                ("coverage", run.coverage.into()),
+                ("completed", run.completed.into()),
+                ("peak_rss_bytes", peak.into()),
+                ("peak_rss_bytes_per_node", rss_per_node.into()),
+            ],
+        );
     }
 
-    let manifest = RunManifest::new(
-        "bench_engine",
-        &format!("lambda={} threads={effective_threads}", args.lambda),
-        args.seed,
-        effective_threads,
-    );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"engine_rounds_per_sec\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"threads\": {effective_threads},\n"));
-    json.push_str(&format!("  \"detected_cores\": {detected},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"nodes\": {}, \"rounds\": {}, \"t1_rounds_per_sec\": {:.4}, \
-             \"tn_rounds_per_sec\": {:.4}, \"speedup\": {:.4}, \
-             \"fingerprint\": \"{:016x}\"}}{}\n",
-            r.nodes,
-            r.rounds,
-            r.t1_rounds_per_sec,
-            r.tn_rounds_per_sec,
-            r.speedup,
-            r.fingerprint,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"event_results\": [\n");
-    for (i, r) in event_results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"nodes\": {}, \"rounds\": {}, \"ticks\": {}, \"secs\": {:.4}, \
-             \"ticks_per_sec\": {:.2}, \"msgs_per_sec\": {:.2}, \"coverage\": {:.4}, \
-             \"completed\": {}, \"peak_rss_bytes\": {}, \"peak_rss_bytes_per_node\": {:.1}}}{}\n",
-            r.nodes,
-            r.rounds,
-            r.ticks,
-            r.secs,
-            r.ticks_per_sec,
-            r.msgs_per_sec,
-            r.coverage,
-            r.completed,
-            r.peak_rss_bytes,
-            r.peak_rss_bytes_per_node,
-            if i + 1 < event_results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("bench_engine: cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    report.write(&out, "bench_engine");
+    println!("\nwrote {out}");
 }

@@ -13,7 +13,7 @@
 
 use adam2_bench::{
     adam2_engine_with, evaluate_estimates, export_telemetry, run_instance_audited, setup,
-    start_instance, Args, AUDIT_FRACTION, AUDIT_WEIGHT,
+    start_instance, Args, BenchReport, AUDIT_FRACTION, AUDIT_WEIGHT,
 };
 use adam2_core::Adam2Config;
 use adam2_sim::{Engine, ExchangeRepair, FaultScenario, PartitionKind, RunManifest, SimTelemetry};
@@ -124,14 +124,8 @@ fn main() {
         );
     }
 
-    let json = render_json(&args, nodes, &results);
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("bench_faults: cannot write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    render(&args, nodes, &results).write(&out, "bench_faults");
+    println!("\nwrote {out}");
 
     if check {
         run_checks(&results, nodes);
@@ -213,43 +207,42 @@ fn run_one(
     }
 }
 
-fn render_json(args: &Args, nodes: usize, results: &[ScenarioResult]) -> String {
+fn render(args: &Args, nodes: usize, results: &[ScenarioResult]) -> BenchReport {
+    // The matrix runs on the engine's default single thread.
     let manifest = RunManifest::new(
         "bench_faults",
         &format!("nodes={nodes} lambda={} rounds={ROUNDS}", args.lambda),
         args.seed,
         1,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"fault_matrix\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"repair\": {}, \"self_heal\": {}, \
-             \"err_a\": {:.6e}, \"err_m\": {:.6e}, \"weight_drift\": {:.6e}, \
-             \"fraction_drift\": {:.6e}, \"peers_without_estimate\": {}, \"healed\": {}, \
-             \"bootstraps\": {}}}{}\n",
-            r.name,
-            r.repair,
-            r.self_heal,
-            r.avg_cdf,
-            r.max_cdf,
-            r.weight_drift,
-            r.fraction_drift,
-            r.peers_without_estimate,
-            r.healed,
-            r.bootstraps,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let mut report = BenchReport::new(
+        "fault_matrix",
+        &manifest,
+        vec![
+            ("nodes", nodes.into()),
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("rounds", ROUNDS.into()),
+        ],
+    );
+    for r in results {
+        report.row(
+            "results",
+            vec![
+                ("scenario", r.name.into()),
+                ("repair", r.repair.into()),
+                ("self_heal", r.self_heal.into()),
+                ("err_a", r.avg_cdf.into()),
+                ("err_m", r.max_cdf.into()),
+                ("weight_drift", r.weight_drift.into()),
+                ("fraction_drift", r.fraction_drift.into()),
+                ("peers_without_estimate", r.peers_without_estimate.into()),
+                ("healed", r.healed.into()),
+                ("bootstraps", r.bootstraps.into()),
+            ],
+        );
     }
-    json.push_str("  ]\n}\n");
-    json
+    report
 }
 
 fn find<'a>(

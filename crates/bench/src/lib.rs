@@ -21,17 +21,25 @@
 //! All binaries accept `--nodes N --seed S --full --csv PATH` (see
 //! [`Args`]); defaults are sized to finish in seconds, `--full` runs the
 //! paper's 100 000-node scale.
+//!
+//! The `bench_*` binaries write their `BENCH_*.json` result files through
+//! [`BenchReport`], laid out by [`BENCH_LAYOUTS`].
 
 pub mod args;
+pub mod bench_report;
 pub mod report;
 pub mod runner;
 
-pub use args::Args;
+pub use args::{take_flag, Args};
+pub use bench_report::{
+    check_fields, check_manifest, BenchLayout, BenchReport, Field, Rule, TableLayout, Ty,
+    BENCH_LAYOUTS, MANIFEST_FIELDS,
+};
 pub use report::{fmt_err, AsciiChart, Table};
 pub use runner::{
-    adam2_engine, adam2_engine_with, complete_instance, current_truth, equidepth_engine,
-    equidepth_truth, evaluate_equidepth_estimates, evaluate_estimates, evaluate_peer_estimates,
-    export_telemetry, mass_defect, maybe_attach_telemetry, run_instance_audited,
-    run_instance_tracked, setup, start_instance, start_phase, ErrorReport, ExperimentSetup,
-    MassDefect, PeerEstimate, RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
+    adam2_engine, adam2_engine_with, assert_thread_invariant, complete_instance, current_truth,
+    equidepth_engine, equidepth_truth, evaluate_equidepth_estimates, evaluate_estimates,
+    evaluate_peer_estimates, export_telemetry, fnv_mix, mass_defect, maybe_attach_telemetry,
+    run_instance_audited, run_instance_tracked, setup, start_instance, start_phase, ErrorReport,
+    ExperimentSetup, MassDefect, PeerEstimate, RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
 };

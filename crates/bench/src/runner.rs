@@ -612,6 +612,35 @@ pub fn export_telemetry<P: adam2_sim::Protocol>(
     Some(manifest)
 }
 
+/// FNV-1a over the little-endian bytes of `v`, folded into `h`: the step
+/// the benches' bit-exact fingerprints are built from.
+pub fn fnv_mix(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Re-runs a measured run at another thread count and panics unless it
+/// ends in the same `fingerprint`; returns that other count. It is 1 when
+/// the run used more than one thread, else 3: an odd count, so the
+/// coloured schedule splits its batches unevenly.
+pub fn assert_thread_invariant(
+    what: &str,
+    threads: usize,
+    fingerprint: u64,
+    rerun: impl FnOnce(usize) -> u64,
+) -> usize {
+    let other = if threads > 1 { 1 } else { 3 };
+    let again = rerun(other);
+    assert_eq!(
+        fingerprint, again,
+        "{what} not bit-identical (threads {threads} vs {other})"
+    );
+    other
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,7 +31,7 @@
 use std::path::Path;
 use std::process::exit;
 
-use adam2_bench::Args;
+use adam2_bench::{take_flag, Args, BenchReport};
 use adam2_explore::campaign::{run_campaign, CampaignConfig, CampaignReport};
 use adam2_explore::corpus::{load_dir, replay, CorpusEntry};
 use adam2_explore::oracle::{ConfigKind, Oracle, OracleConfig, Verdict, ROUNDS};
@@ -62,8 +62,7 @@ struct ConfigResult {
     shrink_runs: usize,
 }
 
-/// Quote-free scenario description (`telemetry_check`'s flat-object
-/// parser rejects escape sequences, so keep it plain).
+/// One-line scenario description for the `minimal_desc` column.
 fn describe(scenario: &FaultScenario) -> String {
     if scenario.events.is_empty() {
         return format!("seed {} no faults", scenario.seed);
@@ -179,7 +178,7 @@ fn summarise(kind: ConfigKind, report: &CampaignReport) -> ConfigResult {
     }
 }
 
-fn render_json(args: &Args, iters: usize, results: &[ConfigResult]) -> String {
+fn render(args: &Args, iters: usize, workers: usize, results: &[ConfigResult]) -> BenchReport {
     let manifest = RunManifest::new(
         "bench_explore",
         &format!(
@@ -187,40 +186,38 @@ fn render_json(args: &Args, iters: usize, results: &[ConfigResult]) -> String {
             args.nodes, args.lambda
         ),
         args.seed,
-        1,
+        workers,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"scenario_explorer\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"nodes\": {},\n", args.nodes));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"config\": \"{}\", \"iterations\": {}, \"oracle_runs\": {}, \
-             \"features\": {}, \"violations\": {}, \"verdict\": \"{}\", \
-             \"first_hit_axes\": {}, \"minimal_axes\": {}, \"minimal_desc\": \"{}\", \
-             \"detail\": {:.6e}, \"fingerprint\": {}, \"shrink_runs\": {}}}{}\n",
-            r.config,
-            r.iterations,
-            r.oracle_runs,
-            r.features,
-            r.violations,
-            r.verdict,
-            r.first_hit_axes,
-            r.minimal_axes,
-            r.minimal_desc,
-            r.detail,
-            r.fingerprint,
-            r.shrink_runs,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    let mut report = BenchReport::new(
+        "scenario_explorer",
+        &manifest,
+        vec![
+            ("nodes", args.nodes.into()),
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("iters", iters.into()),
+        ],
+    );
+    for r in results {
+        report.row(
+            "results",
+            vec![
+                ("config", r.config.into()),
+                ("iterations", r.iterations.into()),
+                ("oracle_runs", r.oracle_runs.into()),
+                ("features", r.features.into()),
+                ("violations", r.violations.into()),
+                ("verdict", r.verdict.as_str().into()),
+                ("first_hit_axes", r.first_hit_axes.into()),
+                ("minimal_axes", r.minimal_axes.into()),
+                ("minimal_desc", r.minimal_desc.as_str().into()),
+                ("detail", r.detail.into()),
+                ("fingerprint", r.fingerprint.into()),
+                ("shrink_runs", r.shrink_runs.into()),
+            ],
+        );
     }
-    json.push_str("  ]\n}\n");
-    json
+    report
 }
 
 /// The canned seed scenarios: `bench_faults`' matrix judged vanilla (the
@@ -577,11 +574,7 @@ fn main() {
         }
     }
 
-    let json = render_json(&args, iters, &results);
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("bench_explore: writing {out}: {e}");
-        exit(1);
-    }
+    render(&args, iters, workers, &results).write(&out, "bench_explore");
     println!("wrote {out}");
 
     if check {
@@ -617,10 +610,4 @@ fn default_workers() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
-}
-
-fn take_flag(raw: &mut Vec<String>, name: &str) -> bool {
-    let before = raw.len();
-    raw.retain(|a| a != name);
-    raw.len() != before
 }

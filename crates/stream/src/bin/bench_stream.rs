@@ -22,7 +22,10 @@
 
 use std::time::Duration;
 
-use adam2_bench::{adam2_engine_with, maybe_attach_telemetry, setup, Args, ExperimentSetup};
+use adam2_bench::{
+    adam2_engine_with, assert_thread_invariant, maybe_attach_telemetry, setup, take_flag, Args,
+    BenchReport, ExperimentSetup,
+};
 use adam2_core::{Adam2Config, AttrValue, BootstrapKind};
 use adam2_deploy::{Cluster, ClusterConfig, DaemonConfig, NodeConfig, DAEMON_INSTANCE_BASE};
 use adam2_sim::{DriftModel, FaultScenario, RunManifest};
@@ -118,12 +121,6 @@ fn run_one(
     }
 }
 
-fn take_flag(raw: &mut Vec<String>, name: &str) -> bool {
-    let before = raw.len();
-    raw.retain(|a| a != name);
-    raw.len() != before
-}
-
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     let check = take_flag(&mut raw, "--check");
@@ -146,21 +143,14 @@ fn main() {
             std::process::exit(if msg == "help requested" { 0 } else { 2 });
         }
     };
-    let threads: usize = args
-        .extra_parsed("threads")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0);
+    let threads = args.threads();
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
     let out = args.extra("out").unwrap_or(default_out).to_string();
-    let detected = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let effective_threads = if threads == 0 { detected } else { threads };
     let nodes = args.nodes;
 
     println!("== bench_stream — tracking error under drift, all tracker modes ==");
     println!(
-        "nodes={nodes} seed={} lambda={} threads={effective_threads} rounds={STREAM_ROUNDS} \
+        "nodes={nodes} seed={} lambda={} threads={threads} rounds={STREAM_ROUNDS} \
          period={LAUNCH_PERIOD} instance_rounds={INSTANCE_ROUNDS}",
         args.seed, args.lambda
     );
@@ -193,30 +183,40 @@ fn main() {
         );
     }
 
-    let json = render_json(&args, nodes, effective_threads, detected, &results);
-    match std::fs::write(&out, &json) {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => {
-            eprintln!("bench_stream: cannot write {out}: {e}");
-            std::process::exit(1);
-        }
+    // Every mode spends the baseline's messages; overlap is paid in bytes.
+    println!();
+    for r in results.iter().filter(|r| r.mode != "restart_naive") {
+        let (rep, naive) = (&r.report, find(&results, r.scenario, "restart_naive"));
+        let verb = if rep.time_avg_err < naive.time_avg_err {
+            "wins"
+        } else {
+            "loses"
+        };
+        println!(
+            "{:<9} {:<26} {verb} at equal messages: err {:.4} vs {:.4}, {:.1} MB vs {:.1} MB \
+             ({:.2}x bytes)",
+            r.scenario,
+            r.mode,
+            rep.time_avg_err,
+            naive.time_avg_err,
+            rep.bytes as f64 / 1e6,
+            naive.bytes as f64 / 1e6,
+            rep.bytes as f64 / naive.bytes as f64
+        );
     }
+
+    render(&args, nodes, threads, &results).write(&out, "bench_stream");
+    println!("\nwrote {out}");
 
     if check {
         run_checks(&results);
-        run_determinism_check(&s, &args, effective_threads);
+        run_determinism_check(&s, &args, threads, &results);
         run_daemon_check();
         println!("all streaming-tracker checks passed");
     }
 }
 
-fn render_json(
-    args: &Args,
-    nodes: usize,
-    threads: usize,
-    detected: usize,
-    results: &[StreamResult],
-) -> String {
+fn render(args: &Args, nodes: usize, threads: usize, results: &[StreamResult]) -> BenchReport {
     let manifest = RunManifest::new(
         "bench_stream",
         &format!(
@@ -227,51 +227,41 @@ fn render_json(
         args.seed,
         threads,
     );
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"streaming_tracker\",\n");
-    json.push_str(&format!("  \"manifest\": {},\n", manifest.to_inline_json()));
-    json.push_str(&format!("  \"nodes\": {nodes},\n"));
-    json.push_str(&format!("  \"seed\": {},\n", args.seed));
-    json.push_str(&format!("  \"lambda\": {},\n", args.lambda));
-    json.push_str(&format!("  \"rounds\": {STREAM_ROUNDS},\n"));
-    json.push_str(&format!("  \"launch_period\": {LAUNCH_PERIOD},\n"));
-    json.push_str(&format!("  \"instance_rounds\": {INSTANCE_ROUNDS},\n"));
-    json.push_str(&format!("  \"detected_cores\": {detected},\n"));
-    // `{:.6e}` would print NaN/inf verbatim, which is not JSON.
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.6e}")
-        } else {
-            "null".to_string()
-        }
-    };
-    json.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
+    let mut report = BenchReport::new(
+        "streaming_tracker",
+        &manifest,
+        vec![
+            ("nodes", nodes.into()),
+            ("seed", args.seed.into()),
+            ("lambda", args.lambda.into()),
+            ("rounds", STREAM_ROUNDS.into()),
+            ("launch_period", LAUNCH_PERIOD.into()),
+            ("instance_rounds", INSTANCE_ROUNDS.into()),
+            ("detected_cores", manifest.detected_cores.into()),
+        ],
+    );
+    for r in results {
         let rep = &r.report;
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"time_avg_err\": {}, \
-             \"time_avg_err_max\": {}, \"final_err\": {}, \"launched\": {}, \"completed\": {}, \
-             \"restarts\": {}, \"mean_divergence\": {}, \"final_period\": {}, \"messages\": {}, \
-             \"bytes\": {}, \"fingerprint\": {}}}{}\n",
-            r.scenario,
-            r.mode,
-            num(rep.time_avg_err),
-            num(rep.time_avg_err_max),
-            num(rep.final_err),
-            rep.launched,
-            rep.completed,
-            rep.restarts,
-            num(rep.mean_divergence),
-            rep.final_period,
-            rep.messages,
-            rep.bytes,
-            rep.fingerprint,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+        report.row(
+            "results",
+            vec![
+                ("scenario", r.scenario.into()),
+                ("mode", r.mode.into()),
+                ("time_avg_err", rep.time_avg_err.into()),
+                ("time_avg_err_max", rep.time_avg_err_max.into()),
+                ("final_err", rep.final_err.into()),
+                ("launched", rep.launched.into()),
+                ("completed", rep.completed.into()),
+                ("restarts", rep.restarts.into()),
+                ("mean_divergence", rep.mean_divergence.into()),
+                ("final_period", rep.final_period.into()),
+                ("messages", rep.messages.into()),
+                ("bytes", rep.bytes.into()),
+                ("fingerprint", rep.fingerprint.into()),
+            ],
+        );
     }
-    json.push_str("  ]\n}\n");
-    json
+    report
 }
 
 fn find<'a>(results: &'a [StreamResult], scenario: &str, mode: &str) -> &'a StreamReport {
@@ -352,19 +342,21 @@ fn run_checks(results: &[StreamResult]) {
     }
 }
 
-/// Re-runs one adaptive matrix point at a different worker count and
+/// Re-runs one adaptive matrix point at another worker count and
 /// requires the exact same per-round fingerprint.
-fn run_determinism_check(s: &ExperimentSetup, args: &Args, effective_threads: usize) {
-    let other = if effective_threads == 2 { 1 } else { 2 };
-    let a = run_one(s, args, "ramp30", TrackerMode::PipelinedAdaptiveFade, 1);
-    let b = run_one(s, args, "ramp30", TrackerMode::PipelinedAdaptiveFade, other);
-    assert_eq!(
-        a.report.fingerprint, b.report.fingerprint,
-        "streaming pipeline not bit-identical (threads 1 vs {other})"
-    );
+fn run_determinism_check(
+    s: &ExperimentSetup,
+    args: &Args,
+    threads: usize,
+    results: &[StreamResult],
+) {
+    let fingerprint = find(results, "ramp30", "pipelined_adaptive_fade").fingerprint;
+    let other = assert_thread_invariant("streaming pipeline", threads, fingerprint, |other| {
+        let mode = TrackerMode::PipelinedAdaptiveFade;
+        run_one(s, args, "ramp30", mode, other).report.fingerprint
+    });
     println!(
-        "determinism OK: threads 1 == threads {other} (fingerprint {:016x})",
-        a.report.fingerprint
+        "determinism OK: threads {threads} == threads {other} (fingerprint {fingerprint:016x})"
     );
 }
 

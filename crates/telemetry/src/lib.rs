@@ -25,7 +25,7 @@ mod metrics;
 mod snapshot;
 
 pub use events::{Event, EventKind, EventTrace};
-pub use manifest::{fnv1a, git_revision, RunManifest, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{fnv1a, git_dirty, git_revision, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricRegistry, MetricShard, HISTOGRAM_BUCKETS,
 };
@@ -143,6 +143,7 @@ mod tests {
             threads: 1,
             detected_cores: 1,
             git_rev: "none".to_string(),
+            dirty: true,
         };
         t.export(&dir, &manifest).expect("export succeeds");
 

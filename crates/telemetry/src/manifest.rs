@@ -1,6 +1,6 @@
 //! Run manifests: enough provenance to compare bench exports across
 //! machines and re-runs (config hash, seed, thread count, host core count,
-//! git revision).
+//! git revision and whether the tree had uncommitted changes).
 
 use std::path::Path;
 
@@ -20,18 +20,21 @@ pub struct RunManifest {
     pub config_hash: u64,
     /// Base seed the run derived all streams from.
     pub seed: u64,
-    /// Worker threads the run was configured with (0 = auto).
+    /// Worker threads the run used.
     pub threads: usize,
     /// Cores `std::thread::available_parallelism` detected on the host.
     pub detected_cores: usize,
     /// Git revision of the working tree, or `"unknown"`.
     pub git_rev: String,
+    /// Whether the tracked files differed from `git_rev` (see
+    /// [`git_dirty`]).
+    pub dirty: bool,
 }
 
 impl RunManifest {
     /// Builds a manifest for `experiment`, hashing `config` canonically and
-    /// detecting host cores and the git revision of the current directory
-    /// tree.
+    /// detecting host cores and the git revision and state of the current
+    /// directory tree.
     pub fn new(experiment: &str, config: &str, seed: u64, threads: usize) -> Self {
         Self {
             schema_version: MANIFEST_SCHEMA_VERSION,
@@ -43,6 +46,7 @@ impl RunManifest {
                 .map(|n| n.get())
                 .unwrap_or(1),
             git_rev: git_revision(Path::new(".")).unwrap_or_else(|| "unknown".to_string()),
+            dirty: git_dirty(Path::new(".")),
         }
     }
 
@@ -51,7 +55,7 @@ impl RunManifest {
         format!(
             "{{\n  \"schema_version\": {},\n  \"experiment\": \"{}\",\n  \
              \"config_hash\": {},\n  \"seed\": {},\n  \"threads\": {},\n  \
-             \"detected_cores\": {},\n  \"git_rev\": \"{}\"\n}}\n",
+             \"detected_cores\": {},\n  \"git_rev\": \"{}\",\n  \"dirty\": {}\n}}\n",
             self.schema_version,
             json_escape(&self.experiment),
             self.config_hash,
@@ -59,23 +63,7 @@ impl RunManifest {
             self.threads,
             self.detected_cores,
             json_escape(&self.git_rev),
-        )
-    }
-
-    /// Renders the manifest as an inline JSON object suitable for embedding
-    /// as a `"manifest"` field inside a larger document.
-    pub fn to_inline_json(&self) -> String {
-        format!(
-            "{{\"schema_version\": {}, \"experiment\": \"{}\", \
-             \"config_hash\": {}, \"seed\": {}, \"threads\": {}, \
-             \"detected_cores\": {}, \"git_rev\": \"{}\"}}",
-            self.schema_version,
-            json_escape(&self.experiment),
-            self.config_hash,
-            self.seed,
-            self.threads,
-            self.detected_cores,
-            json_escape(&self.git_rev),
+            self.dirty,
         )
     }
 }
@@ -106,6 +94,18 @@ pub fn git_revision(dir: &Path) -> Option<String> {
             return None;
         }
     }
+}
+
+/// Whether the working tree at `dir` has uncommitted changes to tracked
+/// files. `false` only when `git status --porcelain --untracked-files=no`
+/// runs and prints nothing, so a tree whose state cannot be checked (no
+/// `git` binary, no checkout) counts as dirty.
+pub fn git_dirty(dir: &Path) -> bool {
+    !std::process::Command::new("git")
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .current_dir(dir)
+        .output()
+        .is_ok_and(|out| out.status.success() && out.stdout.is_empty())
 }
 
 fn read_head(git_dir: &Path) -> Option<String> {
@@ -168,6 +168,7 @@ mod tests {
             threads: 4,
             detected_cores: 8,
             git_rev: "deadbeef".to_string(),
+            dirty: true,
         };
         let json = m.to_json();
         for needle in [
@@ -178,11 +179,10 @@ mod tests {
             "\"threads\": 4",
             "\"detected_cores\": 8",
             "\"git_rev\": \"deadbeef\"",
+            "\"dirty\": true",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert!(m.to_inline_json().starts_with('{'));
-        assert!(!m.to_inline_json().contains('\n'));
     }
 
     #[test]
@@ -192,6 +192,11 @@ mod tests {
         let rev = rev.expect("workspace is a git repo");
         assert!(rev.len() >= 7, "unexpectedly short rev {rev}");
         assert!(rev.chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    #[test]
+    fn a_tree_that_cannot_be_checked_is_dirty() {
+        assert!(git_dirty(Path::new("/nonexistent/adam2-manifest-test")));
     }
 
     #[test]
