@@ -377,9 +377,10 @@ fn conform(fields: &[Field], cells: Vec<(&str, Value)>, what: &str) -> Vec<(Stri
 /// row of the wrong shape panics where it is added.
 #[derive(Debug)]
 pub struct BenchReport {
-    layout: &'static BenchLayout,
-    /// The file's top-level fields in order; each table is an array.
-    fields: Vec<(String, Value)>,
+    /// `benchmark`, `manifest` and the params, in file order.
+    head: Vec<(String, Value)>,
+    /// Each table's layout and rows, in file order.
+    tables: Vec<(&'static TableLayout, Vec<Value>)>,
 }
 
 impl BenchReport {
@@ -393,18 +394,13 @@ impl BenchReport {
         let layout = layout_of(benchmark)
             .unwrap_or_else(|| panic!("no layout for benchmark \"{benchmark}\""));
         let manifest = json::parse(&manifest.to_json()).expect("a manifest is valid JSON");
-        let mut fields = vec![
+        let mut head = vec![
             ("benchmark".to_string(), Value::from(benchmark)),
             ("manifest".to_string(), manifest),
         ];
-        fields.extend(conform(layout.params, params, benchmark));
-        fields.extend(
-            layout
-                .tables
-                .iter()
-                .map(|t| (t.name.to_string(), Value::Array(Vec::new()))),
-        );
-        Self { layout, fields }
+        head.extend(conform(layout.params, params, benchmark));
+        let tables = layout.tables.iter().map(|t| (t, Vec::new())).collect();
+        Self { head, tables }
     }
 
     /// Appends a row to `table`, its cells named in column order.
@@ -413,29 +409,29 @@ impl BenchReport {
     ///
     /// If the layout has no such table or the row does not match it.
     pub fn row(&mut self, table: &str, cells: Vec<(&str, Value)>) {
-        let layout = (self.layout.tables.iter().find(|t| t.name == table))
-            .unwrap_or_else(|| panic!("{}: no table \"{table}\"", self.layout.benchmark));
-        let row = Value::Object(conform(layout.columns, cells, table));
-        if let Some((_, Value::Array(rows))) = self.fields.iter_mut().find(|(k, _)| k == table) {
-            rows.push(row);
-        }
+        let (layout, rows) = self
+            .tables
+            .iter_mut()
+            .find(|(t, _)| t.name == table)
+            .unwrap_or_else(|| panic!("no table \"{table}\" in this layout"));
+        rows.push(Value::Object(conform(layout.columns, cells, table)));
     }
 
     /// The file's text: one top-level field per line and one table row per
     /// line, each written by [`Value::to_json`].
     pub fn to_json(&self) -> String {
-        let fields: Vec<String> = (self.fields.iter())
-            .map(|(key, value)| match value {
-                Value::Array(rows) => {
-                    let rows: Vec<String> = rows
-                        .iter()
-                        .map(|r| format!("\n    {}", r.to_json()))
-                        .collect();
-                    format!("  \"{key}\": [{}\n  ]", rows.join(","))
-                }
-                _ => format!("  \"{key}\": {}", value.to_json()),
-            })
+        let mut fields: Vec<String> = self
+            .head
+            .iter()
+            .map(|(key, value)| format!("  \"{key}\": {}", value.to_json()))
             .collect();
+        for (table, rows) in &self.tables {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|row| format!("\n    {}", row.to_json()))
+                .collect();
+            fields.push(format!("  \"{}\": [{}\n  ]", table.name, rows.join(",")));
+        }
         format!("{{\n{}\n}}\n", fields.join(",\n"))
     }
 
@@ -533,7 +529,9 @@ mod tests {
                 _ => ("", &["x"][..]),
             };
             for value in values {
-                let cells = (table.columns.iter())
+                let cells = table
+                    .columns
+                    .iter()
                     .map(|(n, t)| {
                         (
                             *n,
@@ -689,7 +687,9 @@ mod tests {
         let layout = &BENCH_LAYOUTS[0];
         let params = layout.params.iter().map(|(n, t)| (*n, cell(*t))).collect();
         let mut report = BenchReport::new(layout.benchmark, &manifest(), params);
-        let mut cells: Vec<(&str, Value)> = (layout.tables[0].columns.iter())
+        let mut cells: Vec<(&str, Value)> = layout.tables[0]
+            .columns
+            .iter()
             .map(|(n, t)| (*n, cell(*t)))
             .collect();
         cells.swap(0, 1);
