@@ -143,7 +143,7 @@ fn validate_export(dir: &Path) -> Result<String, String> {
 }
 
 /// Validates one benchmark result file (`--bench` mode); returns its row
-/// count.
+/// count as a summary.
 fn validate_bench(path: &Path) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     BenchReport::validate(&parse(&text)?).map(|rows| format!("{rows} results"))
