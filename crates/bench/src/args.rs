@@ -173,6 +173,21 @@ impl Args {
         }
     }
 
+    /// An experiment-specific extra parsed to a type, or `default` when it
+    /// is absent.
+    ///
+    /// # Panics
+    ///
+    /// If the flag is present but unparsable.
+    pub fn extra_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.extra_parsed(key)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(default)
+    }
+
     /// `--threads T` as the count a run uses: `T`, or every available core
     /// when `T` is 0 or absent.
     ///
@@ -180,12 +195,9 @@ impl Args {
     ///
     /// If `T` is not a number.
     pub fn threads(&self) -> usize {
-        match self
-            .extra_parsed("threads")
-            .unwrap_or_else(|e| panic!("{e}"))
-        {
-            Some(t) if t > 0 => t,
-            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        match self.extra_or("threads", 0) {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            t => t,
         }
     }
 
@@ -277,6 +289,8 @@ mod tests {
         assert_eq!(a.extra("churn"), Some("0.01"));
         assert_eq!(a.extra_parsed::<f64>("churn").unwrap(), Some(0.01));
         assert_eq!(a.extra_parsed::<f64>("missing").unwrap(), None);
+        assert_eq!(a.extra_or("churn", 0.5), 0.01);
+        assert_eq!(a.extra_or("missing", 0.5), 0.5);
     }
 
     #[test]

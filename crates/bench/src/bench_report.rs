@@ -8,7 +8,7 @@
 //! committed file, so a verdict does not depend on the checkout a binary
 //! was built in.
 
-use adam2_sim::json::{self, Value};
+use adam2_sim::json::Value;
 use adam2_sim::{RunManifest, MANIFEST_SCHEMA_VERSION};
 
 /// The type of one field.
@@ -354,6 +354,23 @@ pub fn check_manifest(manifest: &Value) -> Result<(), String> {
     }
 }
 
+/// `manifest` as an object whose fields are named by [`MANIFEST_FIELDS`];
+/// its values are listed here in that order.
+fn manifest_value(manifest: &RunManifest) -> Value {
+    let values: [Value; 8] = [
+        u64::from(manifest.schema_version).into(),
+        manifest.experiment.as_str().into(),
+        manifest.config_hash.into(),
+        manifest.seed.into(),
+        manifest.threads.into(),
+        manifest.detected_cores.into(),
+        manifest.git_rev.as_str().into(),
+        manifest.dirty.into(),
+    ];
+    let cells = MANIFEST_FIELDS.iter().map(|(name, _)| *name).zip(values);
+    Value::Object(conform(MANIFEST_FIELDS, cells.collect(), "manifest"))
+}
+
 fn layout_of(benchmark: &str) -> Option<&'static BenchLayout> {
     BENCH_LAYOUTS.iter().find(|l| l.benchmark == benchmark)
 }
@@ -393,10 +410,9 @@ impl BenchReport {
     pub fn new(benchmark: &str, manifest: &RunManifest, params: Vec<(&str, Value)>) -> Self {
         let layout = layout_of(benchmark)
             .unwrap_or_else(|| panic!("no layout for benchmark \"{benchmark}\""));
-        let manifest = json::parse(&manifest.to_json()).expect("a manifest is valid JSON");
         let mut head = vec![
             ("benchmark".to_string(), Value::from(benchmark)),
-            ("manifest".to_string(), manifest),
+            ("manifest".to_string(), manifest_value(manifest)),
         ];
         head.extend(conform(layout.params, params, benchmark));
         let tables = layout.tables.iter().map(|t| (t, Vec::new())).collect();
@@ -489,6 +505,7 @@ impl BenchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adam2_sim::json;
 
     fn manifest() -> RunManifest {
         RunManifest {
@@ -556,8 +573,8 @@ mod tests {
         &mut pairs.iter_mut().find(|(k, _)| k == key).expect("key").1
     }
 
-    fn rows<'a>(doc: &'a mut Value, layout: &BenchLayout) -> &'a mut Vec<Value> {
-        let Value::Array(rows) = field(doc, layout.tables[0].name) else {
+    fn rows<'a>(doc: &'a mut Value, table: &str) -> &'a mut Vec<Value> {
+        let Value::Array(rows) = field(doc, table) else {
             panic!("not a table")
         };
         rows
@@ -570,49 +587,37 @@ mod tests {
         pairs
     }
 
+    /// Asserts that `validate` rejects `doc`, which holds `what`, with an
+    /// error holding every one of `needles`.
+    fn rejects(doc: &Value, what: &str, needles: &[&str]) {
+        let err = BenchReport::validate(doc).expect_err(what);
+        for needle in needles {
+            assert!(err.contains(needle), "{what}: {err}");
+        }
+    }
+
     #[test]
     fn validate_accepts_what_the_writer_emits_and_nothing_else() {
-        type Mutation = fn(&mut Value, &BenchLayout);
-        let cases: [(&str, Mutation, &str); 6] = [
+        // Mutations of one row, applied to the first row of every table at
+        // every column `i`; `{column}` in the message stands for column i.
+        type RowMutation = fn(&mut Vec<(String, Value)>, usize);
+        let row_cases: [(&str, RowMutation, &str); 3] = [
             (
                 "an extra column",
-                |doc, l| {
-                    pairs(&mut rows(doc, l)[0]).push(("bogus".into(), Value::Uint(1)));
-                },
+                |row, _| row.push(("bogus".into(), Value::Uint(1))),
                 "unknown field 'bogus'",
             ),
             (
                 "a missing column",
-                |doc, l| {
-                    pairs(&mut rows(doc, l)[0]).pop();
+                |row, i| {
+                    row.remove(i);
                 },
-                "missing field",
+                "missing field '{column}'",
             ),
             (
                 "a mistyped cell",
-                |doc, l| {
-                    pairs(&mut rows(doc, l)[0])[0].1 = Value::Array(Vec::new());
-                },
-                "expected",
-            ),
-            (
-                "an empty required table",
-                |doc, l| rows(doc, l).clear(),
-                "no ",
-            ),
-            (
-                "a manifest without dirty",
-                |doc, _| {
-                    pairs(field(doc, "manifest")).retain(|(k, _)| k != "dirty");
-                },
-                "missing field 'dirty'",
-            ),
-            (
-                "an unknown benchmark",
-                |doc, _| {
-                    *field(doc, "benchmark") = Value::from("nope");
-                },
-                "unknown benchmark",
+                |row, i| row[i].1 = Value::Array(Vec::new()),
+                "field '{column}': expected",
             ),
         ];
         for layout in BENCH_LAYOUTS {
@@ -631,39 +636,63 @@ mod tests {
                 "{}",
                 layout.benchmark
             );
-            for (what, mutate, expected) in &cases {
-                if *what == "an empty required table"
-                    && matches!(layout.tables[0].rule, Rule::Optional)
-                {
-                    continue;
-                }
-                let mut doc = good.clone();
-                mutate(&mut doc, layout);
-                let err = BenchReport::validate(&doc).expect_err(what);
-                assert!(
-                    err.contains(expected),
-                    "{}, {what}: {err}",
-                    layout.benchmark
-                );
-            }
             for table in layout.tables {
-                let Rule::Covers(column, values) = table.rule else {
-                    continue;
-                };
-                let mut doc = good.clone();
-                let Value::Array(rows) = field(&mut doc, table.name) else {
-                    panic!()
-                };
-                for row in rows {
-                    *field(row, column) = Value::from(values[0]);
+                let name = table.name;
+                let in_table = format!("field '{name}'");
+                for (what, mutate, expected) in &row_cases {
+                    for (i, (column, _)) in table.columns.iter().enumerate() {
+                        let mut doc = good.clone();
+                        mutate(pairs(&mut rows(&mut doc, name)[0]), i);
+                        let expected = expected.replace("{column}", column);
+                        rejects(&doc, what, &[&in_table, &expected]);
+                    }
                 }
-                let err = BenchReport::validate(&doc).expect_err("coverage");
-                assert!(
-                    err.contains(&format!("for {column} '{}'", values[1])),
-                    "{err}"
-                );
+                let mut doc = good.clone();
+                rows(&mut doc, name).clear();
+                match table.rule {
+                    Rule::Optional => assert!(
+                        BenchReport::validate(&doc).is_ok(),
+                        "{}: an empty optional {name}",
+                        layout.benchmark
+                    ),
+                    _ => rejects(
+                        &doc,
+                        "an empty required table",
+                        &[&format!("no {name} rows")],
+                    ),
+                }
+                if let Rule::Covers(column, values) = table.rule {
+                    let mut doc = good.clone();
+                    for row in rows(&mut doc, name) {
+                        *field(row, column) = Value::from(values[0]);
+                    }
+                    let expected = format!("no {name} rows for {column} '{}'", values[1]);
+                    rejects(&doc, "a missing coverage value", &[&expected]);
+                }
             }
+            for (key, _) in MANIFEST_FIELDS {
+                let mut doc = good.clone();
+                pairs(field(&mut doc, "manifest")).retain(|(k, _)| k != key);
+                let expected = format!("missing field '{key}'");
+                rejects(&doc, "a manifest without a field", &["manifest", &expected]);
+            }
+            let mut doc = good.clone();
+            *field(&mut doc, "benchmark") = Value::from("nope");
+            rejects(
+                &doc,
+                "an unknown benchmark",
+                &["unknown benchmark \"nope\""],
+            );
         }
+    }
+
+    #[test]
+    fn the_manifest_object_matches_the_telemetry_export() {
+        let manifest = manifest();
+        assert_eq!(
+            json::parse(&manifest.to_json()),
+            Ok(manifest_value(&manifest))
+        );
     }
 
     #[test]

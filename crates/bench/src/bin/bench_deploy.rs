@@ -38,9 +38,7 @@ use adam2_bench::{
     start_instance, Args, BenchReport, ErrorReport, PeerEstimate,
 };
 use adam2_core::{Adam2Config, AttrValue, InstanceMeta};
-use adam2_deploy::{
-    Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig, RuntimeKind,
-};
+use adam2_deploy::{Cluster, ClusterConfig, ClusterTelemetry, EstimateWire, LossShim, NodeConfig};
 use adam2_sim::json::Value;
 use adam2_sim::{ChurnModel, RunManifest};
 use adam2_traces::Attribute;
@@ -79,6 +77,8 @@ struct DeployOutcome {
     p99_latency_us: u64,
     duration_s: f64,
     clean_shutdown: bool,
+    /// Reactor threads the cluster ran on.
+    threads: usize,
 }
 
 fn main() {
@@ -186,11 +186,9 @@ fn main() {
         None
     };
 
-    let RuntimeKind::Reactor { threads } = ClusterConfig::default().runtime();
     render(
         &args,
         nodes,
-        threads.min(nodes),
         tick_ms,
         &sim_report.1,
         &results,
@@ -293,8 +291,8 @@ fn run_deploy(
         .with_bootstrap(10, bootstrap_timeout)
         .expect("nonzero bootstrap budget")
         .with_shim(shim);
-    let RuntimeKind::Reactor { threads } = config.runtime();
     let cluster = Cluster::launch(values, config).expect("cluster launch");
+    let threads = cluster.reactor_threads();
     let mut sampler = ClusterTelemetry::new(n);
 
     // Same instance, rebased onto the deploy clock: identical thresholds
@@ -392,7 +390,7 @@ fn run_deploy(
                 node_config.tick.as_millis()
             ),
             args.seed,
-            threads.min(n),
+            threads,
         );
         let path = std::path::Path::new(dir).join(format!("deploy_{label}"));
         if let Err(e) = sampler.export(&path, &manifest) {
@@ -418,6 +416,7 @@ fn run_deploy(
         p99_latency_us,
         duration_s,
         clean_shutdown: shutdown.clean,
+        threads,
     }
 }
 
@@ -448,7 +447,6 @@ type ScaleResult = Option<(usize, u64, ErrorReport, DeployOutcome)>;
 fn render(
     args: &Args,
     nodes: usize,
-    threads: usize,
     tick_ms: u64,
     sim: &ErrorReport,
     results: &[ScenarioResult],
@@ -461,7 +459,7 @@ fn render(
             args.lambda
         ),
         args.seed,
-        threads,
+        find(results, "clean").threads,
     );
     let simulator = vec![
         ("err_a".to_string(), sim.avg_cdf.into()),

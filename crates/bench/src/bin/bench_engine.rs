@@ -159,10 +159,7 @@ fn main() {
         }
     };
     let threads = args.threads();
-    let event_max: usize = args
-        .extra_parsed("event-max")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(1_000_000);
+    let event_max: usize = args.extra_or("event-max", 1_000_000);
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     let out = args.extra("out").unwrap_or(default_out).to_string();
     let manifest = RunManifest::new(

@@ -21,10 +21,7 @@ fn main() {
         args.rounds = args.extra_parsed("rounds").unwrap_or(None).unwrap_or(25);
     }
     args.print_header("cost_table", "Section VII-I (communication cost)");
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(3);
+    let instances: usize = args.extra_or("instances", 3);
 
     let attr = args.attrs[0];
     let setup = adam2_bench::setup(attr, args.nodes, args.seed);

@@ -23,10 +23,7 @@ fn main() {
     args.print_header("exp_loss", "extension (message loss; not a paper figure)");
     let attr = args.attrs[0];
     let setup = adam2_bench::setup(attr, args.nodes, args.seed);
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(4);
+    let instances: usize = args.extra_or("instances", 4);
     let loss_rates = [0.0, 0.01, 0.05, 0.10, 0.20, 0.40];
 
     let mut table = Table::new(vec![

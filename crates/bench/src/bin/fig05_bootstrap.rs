@@ -14,10 +14,7 @@ fn main() {
         "fig05_bootstrap",
         "Fig. 5 (bootstrap comparison, Err_m, MinMax)",
     );
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(10);
+    let instances: usize = args.extra_or("instances", 10);
 
     let bootstraps = [
         (BootstrapKind::Uniform, "uniform"),

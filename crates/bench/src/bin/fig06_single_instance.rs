@@ -19,10 +19,7 @@ fn main() {
     if args.attrs.len() > 1 {
         args.attrs = vec![Attribute::Ram];
     }
-    let rounds: u64 = args
-        .extra_parsed("track-rounds")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(80);
+    let rounds: u64 = args.extra_or("track-rounds", 80);
     args.print_header(
         "fig06_single_instance",
         "Fig. 6 (single-instance error per round, RAM)",

@@ -11,10 +11,7 @@ use adam2_sim::ChurnModel;
 fn main() {
     let args = Args::parse("fig07_heuristics");
     args.print_header("fig07_heuristics", "Fig. 7 (HCut vs MinMax vs LCut)");
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(5);
+    let instances: usize = args.extra_or("instances", 5);
 
     let heuristics = [
         (RefineKind::HCut, "hcut"),

@@ -12,10 +12,7 @@ use adam2_sim::ChurnModel;
 fn main() {
     let args = Args::parse("fig08_equidepth");
     args.print_header("fig08_equidepth", "Fig. 8 (EquiDepth over multiple phases)");
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(5);
+    let instances: usize = args.extra_or("instances", 5);
 
     for (metric_name, pick_max, adam2_refine) in [
         (

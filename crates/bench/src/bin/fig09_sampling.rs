@@ -12,10 +12,7 @@ fn main() {
         "fig09_sampling",
         "Fig. 9 (random sampling error vs sample count)",
     );
-    let trials: usize = args
-        .extra_parsed("trials")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(5);
+    let trials: usize = args.extra_or("trials", 5);
 
     let sample_counts: Vec<usize> = [
         1usize, 3, 10, 30, 100, 300, 1_000, 3_000, 10_000, 30_000, 100_000,

@@ -16,10 +16,7 @@ fn main() {
         "fig10_points",
         "Fig. 10 (accuracy vs number of interpolation points)",
     );
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(4);
+    let instances: usize = args.extra_or("instances", 4);
     let point_counts: Vec<usize> = vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
     for (metric_name, pick_max, refine) in [

@@ -14,14 +14,8 @@ use adam2_core::{Adam2Config, RefineKind};
 fn main() {
     let args = Args::parse("fig11_scalability");
     args.print_header("fig11_scalability", "Fig. 11 (accuracy vs system size)");
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(4);
-    let threads: usize = args
-        .extra_parsed("threads")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(1);
+    let instances: usize = args.extra_or("instances", 4);
+    let threads: usize = args.extra_or("threads", 1);
     println!("engine: threads={threads} (0 = auto)");
     println!();
     let mut sizes: Vec<usize> = vec![100, 316, 1_000, 3_162, 10_000];

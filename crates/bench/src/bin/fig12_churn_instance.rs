@@ -17,14 +17,8 @@ fn main() {
     if args.attrs.len() > 1 {
         args.attrs = vec![Attribute::Ram];
     }
-    let rounds: u64 = args
-        .extra_parsed("track-rounds")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(80);
-    let churn_rate: f64 = args
-        .extra_parsed("churn")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(0.001);
+    let rounds: u64 = args.extra_or("track-rounds", 80);
+    let churn_rate: f64 = args.extra_or("churn", 0.001);
     args.print_header(
         "fig12_churn_instance",
         "Fig. 12 (single-instance accuracy under churn, RAM)",

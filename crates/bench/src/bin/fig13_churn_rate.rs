@@ -15,10 +15,7 @@ use adam2_sim::ChurnModel;
 fn main() {
     let args = Args::parse("fig13_churn_rate");
     args.print_header("fig13_churn_rate", "Fig. 13 (accuracy vs churn rate)");
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(8);
+    let instances: usize = args.extra_or("instances", 8);
     let rates: Vec<f64> = vec![0.0, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3];
 
     for (metric_name, pick_max, refine) in [

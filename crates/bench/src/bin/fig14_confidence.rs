@@ -14,10 +14,7 @@ fn main() {
         "fig14_confidence",
         "Fig. 14 (confidence-estimation error, MinMax)",
     );
-    let instances: usize = args
-        .extra_parsed("instances")
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or(4);
+    let instances: usize = args.extra_or("instances", 4);
     let verify_counts: Vec<usize> = vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
 
     for (metric_name, metric) in [

@@ -1,5 +1,6 @@
 //! Every committed `BENCH_*.json` at the repository root matches its
-//! layout in `adam2_bench::BENCH_LAYOUTS`, one file per layout.
+//! layout in `adam2_bench::BENCH_LAYOUTS`, one file per layout. Shape, not
+//! freshness: the manifest's `git_rev` and `dirty` say which build wrote it.
 
 use adam2_bench::{BenchReport, BENCH_LAYOUTS};
 use adam2_sim::json;

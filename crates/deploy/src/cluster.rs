@@ -187,6 +187,12 @@ impl Cluster {
         self.shared.is_empty()
     }
 
+    /// Reactor threads the cluster runs on: the configured count, fewer
+    /// when the nodes fill fewer shards.
+    pub fn reactor_threads(&self) -> usize {
+        self.reactor.threads()
+    }
+
     /// The cluster's current gossip round (all nodes share the clock).
     pub fn current_round(&self) -> u64 {
         self.shared[0].current_round()
@@ -563,6 +569,18 @@ mod tests {
         let report = cluster.shutdown();
         assert!(report.clean, "threads must join cleanly");
         assert_eq!(report.nodes, n);
+    }
+
+    #[test]
+    fn reactor_threads_counts_the_shards_launched() {
+        // 12 nodes over 8 threads: shards of ⌈12/8⌉ = 2 nodes, so 6 threads.
+        let values: Vec<AttrValue> = (0..12).map(|i| AttrValue::Single(i as f64)).collect();
+        let config = fast_config()
+            .with_runtime(RuntimeKind::Reactor { threads: 8 })
+            .expect("valid runtime");
+        let cluster = Cluster::launch(values, config).expect("launch");
+        assert_eq!(cluster.reactor_threads(), 6);
+        assert!(cluster.shutdown().clean);
     }
 
     #[test]

@@ -91,6 +91,11 @@ impl ReactorPool {
         }
     }
 
+    /// Reactor threads the pool launched: one per non-empty shard.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads.len()
+    }
+
     /// Signals every reactor thread to stop and joins them. Returns `true`
     /// when all threads exited cleanly (none panicked).
     pub(crate) fn shutdown(mut self) -> bool {
