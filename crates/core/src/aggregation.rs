@@ -253,6 +253,10 @@ pub fn median_of_means(values: &[f64], groups: usize) -> f64 {
 /// rounding in every case). With `trim_fraction = 0` and an infinite cap
 /// the result is bit-identical to the vanilla merge.
 ///
+/// Nothing is allocated: the trim set is found in one pass over the pair
+/// per 16 trimmed components, and every component computes both its capped
+/// and its mean value and selects one without branching on the data.
+///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
@@ -263,43 +267,63 @@ pub fn robust_pair_merge(
     influence_cap: f64,
 ) -> RobustMergeStats {
     assert_eq!(a.len(), b.len(), "robust merge needs equal-length vectors");
-    let n = a.len();
-    let t = (trim_fraction.clamp(0.0, 0.5) * n as f64).floor() as usize;
-    let mut stats = RobustMergeStats::default();
-    // Rank components by |disagreement| (ties broken by index so both
-    // sides of an exchange compute the same trim set).
-    let mut trimmed = vec![false; n];
-    if t > 0 {
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| {
-            (b[j] - a[j])
-                .abs()
-                .total_cmp(&(b[i] - a[i]).abs())
-                .then(i.cmp(&j))
-        });
-        for &i in order.iter().take(t) {
-            trimmed[i] = true;
-        }
-        stats.trimmed = t as u32;
-    }
-    for i in 0..n {
-        if trimmed[i] {
-            continue;
-        }
-        let delta = (b[i] - a[i]) / 2.0;
-        if delta.abs() > influence_cap {
-            let step = influence_cap.copysign(delta);
-            a[i] += step;
-            b[i] -= step;
-            stats.capped += 1;
+    let t = (trim_fraction.clamp(0.0, 0.5) * a.len() as f64).floor() as usize;
+    let cut = trim_cut(a, b, t);
+    let mut capped = 0u32;
+    for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
+        let (x0, y0) = (*x, *y);
+        // `t > 0` first, so an untrimmed merge never computes a rank.
+        let trimmed = t > 0 && trim_rank(x0, y0, i) >= cut;
+        let delta = (y0 - x0) / 2.0;
+        let bites = delta.abs() > influence_cap;
+        let step = influence_cap.copysign(delta);
+        // Vanilla formula so trim=0 + no cap degrades bit-identically.
+        let mean = (x0 + y0) / 2.0;
+        let (moved_x, moved_y) = if bites {
+            (x0 + step, y0 - step)
         } else {
-            // Vanilla formula so trim=0 + no cap degrades bit-identically.
-            let mean = (a[i] + b[i]) / 2.0;
-            a[i] = mean;
-            b[i] = mean;
-        }
+            (mean, mean)
+        };
+        *x = if trimmed { x0 } else { moved_x };
+        *y = if trimmed { y0 } else { moved_y };
+        capped += u32::from(bites & !trimmed);
     }
-    stats
+    RobustMergeStats {
+        trimmed: t as u32,
+        capped,
+    }
+}
+
+/// Component `i`'s place in trim order as one integer, larger first: its
+/// disagreement `|y−x|`, then its index, lower first (so both sides of an
+/// exchange trim the same set). Non-negative floats, NaN included, order
+/// by bit pattern as [`f64::total_cmp`] orders them.
+fn trim_rank(x: f64, y: f64, i: usize) -> u128 {
+    (u128::from((y - x).abs().to_bits()) << 64) | u128::from(!(i as u64))
+}
+
+/// The rank of the `t`-th component in trim order: the trimmed components
+/// are exactly those ranked at or above it. Each pass keeps, on the stack,
+/// the next (up to) 16 ranks below the previous pass's last one.
+fn trim_cut(a: &[f64], b: &[f64], t: usize) -> u128 {
+    const BATCH: usize = 16;
+    let (mut cut, mut left) = (u128::MAX, t);
+    while left > 0 {
+        let want = left.min(BATCH);
+        // Descending; every rank is above 0, so a 0 is a free place.
+        let mut top = [0u128; BATCH];
+        for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
+            let rank = trim_rank(x, y, i);
+            if rank < cut && rank > top[want - 1] {
+                let at = top[..want].partition_point(|&r| r > rank);
+                top.copy_within(at..want - 1, at + 1);
+                top[at] = rank;
+            }
+        }
+        cut = top[want - 1];
+        left -= want;
+    }
+    cut
 }
 
 #[cfg(test)]
@@ -414,6 +438,83 @@ mod tests {
         let v = [1.0, 2.0, 3.0];
         assert_eq!(median_of_means(&v, 1), 2.0);
         assert_eq!(median_of_means(&[], 4), 0.0);
+    }
+
+    /// The sort-based trim the in-place version replaced: rank every
+    /// component by `|b−a|` descending, ties by index, and mask the first
+    /// `⌊trim_fraction·n⌋`.
+    fn robust_pair_merge_reference(
+        a: &mut [f64],
+        b: &mut [f64],
+        trim_fraction: f64,
+        influence_cap: f64,
+    ) -> RobustMergeStats {
+        assert_eq!(a.len(), b.len(), "robust merge needs equal-length vectors");
+        let n = a.len();
+        let t = (trim_fraction.clamp(0.0, 0.5) * n as f64).floor() as usize;
+        let mut stats = RobustMergeStats::default();
+        let mut trimmed = vec![false; n];
+        if t > 0 {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&i, &j| {
+                (b[j] - a[j])
+                    .abs()
+                    .total_cmp(&(b[i] - a[i]).abs())
+                    .then(i.cmp(&j))
+            });
+            for &i in order.iter().take(t) {
+                trimmed[i] = true;
+            }
+            stats.trimmed = t as u32;
+        }
+        for i in 0..n {
+            if trimmed[i] {
+                continue;
+            }
+            let delta = (b[i] - a[i]) / 2.0;
+            if delta.abs() > influence_cap {
+                let step = influence_cap.copysign(delta);
+                a[i] += step;
+                b[i] -= step;
+                stats.capped += 1;
+            } else {
+                let mean = (a[i] + b[i]) / 2.0;
+                a[i] = mean;
+                b[i] = mean;
+            }
+        }
+        stats
+    }
+
+    #[test]
+    fn robust_pair_merge_matches_the_sort_based_reference() {
+        let mut rng = adam2_sim::seeded_rng(0x7217);
+        for n in [1, 2, 20, 50, 200] {
+            for trim in [0.0, 0.1, 0.25, 0.49] {
+                for cap in [0.25, f64::INFINITY] {
+                    for _ in 0..50 {
+                        let mut a: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+                        let mut b: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
+                        // Force ties in |b−a|: most components take
+                        // eighths, whose gaps are exact and repeat with
+                        // either sign, zero included.
+                        for i in 0..n {
+                            if rng.random_range(0..4) > 0 {
+                                a[i] = f64::from(rng.random_range(0..8u8)) / 8.0;
+                                b[i] = f64::from(rng.random_range(0..8u8)) / 8.0;
+                            }
+                        }
+                        let (mut ra, mut rb) = (a.clone(), b.clone());
+                        let stats = robust_pair_merge(&mut a, &mut b, trim, cap);
+                        let expected = robust_pair_merge_reference(&mut ra, &mut rb, trim, cap);
+                        assert_eq!(stats, expected, "n={n} trim={trim} cap={cap}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&a), bits(&ra), "a: n={n} trim={trim} cap={cap}");
+                        assert_eq!(bits(&b), bits(&rb), "b: n={n} trim={trim} cap={cap}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -367,7 +367,9 @@ impl InstanceLocal {
     /// (`±inf` is the legitimate empty multi-value pattern).
     ///
     /// Honest states always pass; the bounds only exclude values that no
-    /// sequence of joins and symmetric merges can reach.
+    /// sequence of joins and symmetric merges can reach. Every component
+    /// is screened, without an early exit: honest states, the common case,
+    /// are read in full anyway, and the loops stay branch-free.
     pub fn contribution_plausible(&self, weight_cap: f64) -> bool {
         let multi = self.meta.multi;
         let component_bound = if multi {
@@ -375,15 +377,16 @@ impl InstanceLocal {
         } else {
             1.0 + PLAUSIBLE_EPS
         };
-        let in_bounds = |v: f64| v.is_finite() && v >= -PLAUSIBLE_EPS && v <= component_bound;
-        self.fractions.iter().all(|&f| in_bounds(f))
-            && self.verify_fractions.iter().all(|&f| in_bounds(f))
-            && in_bounds(self.count)
-            && self.weight.is_finite()
-            && self.weight >= -PLAUSIBLE_EPS
-            && self.weight <= weight_cap + PLAUSIBLE_EPS
-            && !self.min.is_nan()
-            && !self.max.is_nan()
+        let in_bounds = |v: f64| v.is_finite() & (v >= -PLAUSIBLE_EPS) & (v <= component_bound);
+        let all_in_bounds = |vs: &[f64]| vs.iter().fold(true, |ok, &v| ok & in_bounds(v));
+        all_in_bounds(&self.fractions)
+            & all_in_bounds(&self.verify_fractions)
+            & in_bounds(self.count)
+            & self.weight.is_finite()
+            & (self.weight >= -PLAUSIBLE_EPS)
+            & (self.weight <= weight_cap + PLAUSIBLE_EPS)
+            & !self.min.is_nan()
+            & !self.max.is_nan()
     }
 
     /// Robust variant of [`merge_symmetric`](InstanceLocal::merge_symmetric):

@@ -374,64 +374,43 @@ pub fn gossip_exchange_with(
     // The receiver joins every instance it can: it learned the thresholds
     // from the request and enters with its indicator values and weight 0.
     // Robust mode refuses to even join an instance whose announced state
-    // is implausible — a poisoned announcement buys no enrolment.
-    let a_metas: Vec<Arc<InstanceMeta>> = a
-        .instances
-        .iter()
-        .filter(|i| !i.is_due(round))
-        .map(|i| i.meta.clone())
-        .collect();
-    for meta in &a_metas {
-        if let (Some(policy), Some(ia)) = (robust, a.find_index(meta.id)) {
-            if !a.instances[ia].contribution_plausible(policy.weight_cap) {
-                continue;
-            }
-        }
-        if b.joined_round <= meta.start_round && b.find_index(meta.id).is_none() {
-            b.instances
-                .push(InstanceLocal::join(meta.clone(), &b.value, false));
-        }
-    }
-
+    // is implausible — a poisoned announcement buys no enrolment. The
+    // screen's counts are the responder's; this report counts merges.
+    let mut joins = ExchangeOutcome::default();
+    b.join_announced(&a.instances, round, robust, &mut joins);
     // The response carries b's (possibly freshly initialised) state.
     report.response_bytes = wire::message_len(b.instances.iter().filter(|i| !i.is_due(round)));
-    let b_metas: Vec<Arc<InstanceMeta>> = b
-        .instances
-        .iter()
-        .filter(|i| !i.is_due(round))
-        .map(|i| i.meta.clone())
-        .collect();
-    for meta in &b_metas {
-        if let (Some(policy), Some(ib)) = (robust, b.find_index(meta.id)) {
-            if !b.instances[ib].contribution_plausible(policy.weight_cap) {
-                continue;
-            }
-        }
-        if a.joined_round <= meta.start_round && a.find_index(meta.id).is_none() {
-            a.instances
-                .push(InstanceLocal::join(meta.clone(), &a.value, false));
-        }
-    }
+    a.join_announced(&b.instances, round, robust, &mut joins);
 
-    // Symmetric averaging of every instance both sides now share.
-    for meta in &b_metas {
-        let (Some(ia), Some(ib)) = (a.find_index(meta.id), b.find_index(meta.id)) else {
+    // Symmetric averaging of every instance both sides now share: first
+    // those b announced, then those only a announced (b refused to join
+    // the a-only ones it lacks, which stay untouched). Which instances a
+    // side announced is read as the loops reach them, with no list kept:
+    // ids are unique per node, a merge touches only its own pair, and
+    // reconciling epochs only ever raises one, so an instance that was
+    // running when announced still runs and one that was due and has not
+    // been merged is still due.
+    for ib in 0..b.instances.len() {
+        if b.instances[ib].is_due(round) {
+            continue;
+        }
+        let Some(ia) = a.find_index(b.instances[ib].meta.id) else {
             continue;
         };
         let (rejects, trims) = reconcile_and_merge(a, ia, b, ib, robust);
         report.robust_rejects += rejects;
         report.robust_trims += trims;
     }
-    // Instances only a announced (b could not join them): already merged
-    // above if shared; a-only ones stay untouched, which is correct — b
-    // refused to participate.
-    for meta in &a_metas {
-        if b_metas.iter().any(|m| m.id == meta.id) {
+    for ia in 0..a.instances.len() {
+        if a.instances[ia].is_due(round) {
             continue;
         }
-        let (Some(ia), Some(ib)) = (a.find_index(meta.id), b.find_index(meta.id)) else {
+        let Some(ib) = b.find_index(a.instances[ia].meta.id) else {
             continue;
         };
+        if !b.instances[ib].is_due(round) {
+            continue; // b announced it too: merged above.
+        }
         let (rejects, trims) = reconcile_and_merge(a, ia, b, ib, robust);
         report.robust_rejects += rejects;
         report.robust_trims += trims;
@@ -1353,6 +1332,109 @@ mod tests {
         assert_eq!(predicted, actual);
         // And the prediction left both nodes untouched.
         assert!(b.active_instance(meta.id).is_none());
+    }
+
+    /// The exchange as it was before it stopped collecting the announced
+    /// metas: each side's running instances captured as a list of `Arc`s
+    /// at the moment it announces them.
+    fn gossip_exchange_reference(
+        a: &mut Adam2Node,
+        b: &mut Adam2Node,
+        round: u64,
+        robust: Option<&RobustPolicy>,
+    ) -> ExchangeReport {
+        let mut report = ExchangeReport {
+            request_bytes: wire::message_len(a.instances.iter().filter(|i| !i.is_due(round))),
+            ..ExchangeReport::default()
+        };
+        let running = |node: &Adam2Node| -> Vec<Arc<InstanceMeta>> {
+            let running = node.instances.iter().filter(|i| !i.is_due(round));
+            running.map(|i| i.meta.clone()).collect()
+        };
+        let join = |from: &Adam2Node, to: &mut Adam2Node, metas: &[Arc<InstanceMeta>]| {
+            for meta in metas {
+                let i = from.find_index(meta.id).expect("announced");
+                if robust.is_some_and(|p| !from.instances[i].contribution_plausible(p.weight_cap)) {
+                    continue;
+                }
+                if to.joined_round <= meta.start_round && to.find_index(meta.id).is_none() {
+                    to.instances
+                        .push(InstanceLocal::join(meta.clone(), &to.value, false));
+                }
+            }
+        };
+        let a_metas = running(a);
+        join(a, b, &a_metas);
+        report.response_bytes = wire::message_len(b.instances.iter().filter(|i| !i.is_due(round)));
+        let b_metas = running(b);
+        join(b, a, &b_metas);
+        let only_a = a_metas
+            .iter()
+            .filter(|m| b_metas.iter().all(|n| n.id != m.id));
+        for meta in b_metas.iter().chain(only_a) {
+            let (Some(ia), Some(ib)) = (a.find_index(meta.id), b.find_index(meta.id)) else {
+                continue;
+            };
+            let (rejects, trims) = reconcile_and_merge(a, ia, b, ib, robust);
+            report.robust_rejects += rejects;
+            report.robust_trims += trims;
+        }
+        report
+    }
+
+    #[test]
+    fn exchange_matches_the_captured_announcement_reference() {
+        let metas: Vec<Arc<InstanceMeta>> = (0..5u64)
+            .map(|k| {
+                Arc::new(InstanceMeta {
+                    id: InstanceId::derive(k, k, 3),
+                    thresholds: vec![3.0, 5.0, 7.0].into(),
+                    verify_thresholds: vec![4.0].into(),
+                    start_round: k,
+                    end_round: 6 + 2 * k,
+                    multi: false,
+                })
+            })
+            .collect();
+        let mut rng = adam2_sim::seeded_rng(0xe4c4);
+        let node = |rng: &mut StdRng| {
+            let mut node = Adam2Node::new(AttrValue::Single(rng.random_range(0.0..10.0)), 10.0);
+            node.joined_round = rng.random_range(0..3);
+            for meta in &metas {
+                if rng.random::<bool>() {
+                    continue;
+                }
+                let mut inst = InstanceLocal::join(meta.clone(), &node.value, rng.random());
+                inst.epoch = rng.random_range(0..3);
+                for f in inst.fractions.iter_mut().chain(&mut inst.verify_fractions) {
+                    *f = rng.random::<f64>() * 1.2;
+                }
+                inst.weight = rng.random::<f64>() * 1.2;
+                node.instances.push(inst);
+            }
+            node
+        };
+        let policies = [
+            None,
+            Some(
+                RobustPolicy::new()
+                    .with_trim_fraction(0.0)
+                    .with_influence_cap(0.25),
+            ),
+            Some(RobustPolicy::new()),
+        ];
+        for _ in 0..2000 {
+            let (a, b) = (node(&mut rng), node(&mut rng));
+            let round = rng.random_range(0..20);
+            for robust in &policies {
+                let (mut a1, mut b1, mut a2, mut b2) = (a.clone(), b.clone(), a.clone(), b.clone());
+                let report = gossip_exchange_with(&mut a1, &mut b1, round, robust.as_ref());
+                let expected = gossip_exchange_reference(&mut a2, &mut b2, round, robust.as_ref());
+                assert_eq!(report, expected, "round {round}, {robust:?}");
+                assert_eq!(a1.instances, a2.instances, "round {round}, {robust:?}");
+                assert_eq!(b1.instances, b2.instances, "round {round}, {robust:?}");
+            }
+        }
     }
 
     #[test]
