@@ -267,7 +267,9 @@ pub fn robust_pair_merge(
     influence_cap: f64,
 ) -> RobustMergeStats {
     assert_eq!(a.len(), b.len(), "robust merge needs equal-length vectors");
-    let t = (trim_fraction.clamp(0.0, 0.5) * a.len() as f64).floor() as usize;
+    // `as` truncates, which is the floor of a non-negative product (and
+    // maps NaN to 0) without a libm call.
+    let t = (trim_fraction.clamp(0.0, 0.5) * a.len() as f64) as usize;
     let cut = trim_cut(a, b, t);
     let mut capped = 0u32;
     for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {

@@ -371,13 +371,14 @@ impl InstanceLocal {
     /// is screened, without an early exit: honest states, the common case,
     /// are read in full anyway, and the loops stay branch-free.
     pub fn contribution_plausible(&self, weight_cap: f64) -> bool {
-        let multi = self.meta.multi;
-        let component_bound = if multi {
-            f64::INFINITY
+        // Two comparisons also reject NaN and ±inf: the upper bound is
+        // finite in both modes.
+        let component_bound = if self.meta.multi {
+            f64::MAX
         } else {
             1.0 + PLAUSIBLE_EPS
         };
-        let in_bounds = |v: f64| v.is_finite() & (v >= -PLAUSIBLE_EPS) & (v <= component_bound);
+        let in_bounds = |v: f64| (v >= -PLAUSIBLE_EPS) & (v <= component_bound);
         let all_in_bounds = |vs: &[f64]| vs.iter().fold(true, |ok, &v| ok & in_bounds(v));
         all_in_bounds(&self.fractions)
             & all_in_bounds(&self.verify_fractions)
@@ -733,6 +734,13 @@ mod tests {
         let mut bad_min = honest.clone();
         bad_min.min = f64::NAN;
         assert!(!bad_min.contribution_plausible(1.0));
+        // Multi-value components are unbounded above, but finite.
+        let values = AttrValue::Multi(vec![1.0, 3.0]);
+        let mut multi = InstanceLocal::join(meta(&[2.0], true), &values, false);
+        multi.fractions[0] = 1e300;
+        assert!(multi.contribution_plausible(1.0));
+        multi.count = f64::INFINITY;
+        assert!(!multi.contribution_plausible(1.0));
     }
 
     #[test]
