@@ -17,54 +17,23 @@
 //! across thread counts; CI's byzantine-smoke job runs this). The
 //! standard `--nodes` / `--seed` / `--lambda` flags also apply.
 
-use std::sync::Arc;
-
+use adam2_bench::scenario::{
+    adversary_name, adversary_scenario, robust_policy, run_cycle_scenario, run_event_scenario,
+    ADVERSARIES, INFLATION, MAGNITUDE, ROUNDS,
+};
 use adam2_bench::{
-    adam2_engine_with, assert_thread_invariant, evaluate_peer_estimates, fnv_mix, setup, take_flag,
-    Args, BenchReport, ExperimentSetup, PeerEstimate,
+    adam2_engine_with, assert_thread_invariant, setup, take_flag, Args, BenchReport,
+    ExperimentSetup,
 };
-use adam2_core::{uniform_points, Adam2Config, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy};
-use adam2_sim::{
-    ActiveAdversary, AdversaryModel, EventConfig, EventEngine, FaultScenario, LatencyModel, NodeId,
-    RunManifest, SimTelemetry,
-};
+use adam2_core::Adam2Config;
+use adam2_sim::{AdversaryModel, RunManifest};
 use adam2_traces::Attribute;
 
-/// Gossip rounds per instance. Long enough that fault-free Err_a reaches
-/// its interpolation floor, so adversarial damage is cleanly visible.
-const ROUNDS: u64 = 35;
-
-/// Extra rounds after finalisation (mirrors `bench_faults`).
+/// Extra rounds after finalisation (as in `bench_faults`).
 const SETTLE_ROUNDS: u64 = 2;
-
-/// Poisoned components are drawn from `[0, MAGNITUDE)`; honest fractions
-/// live in `[0, 1]`, so the lies sit far outside the plausible band.
-const MAGNITUDE: f64 = 5.0;
-
-/// Weight claimed by inflating nodes (honest claims are ≤ 1).
-const INFLATION: f64 = 8.0;
 
 /// The swept Byzantine fractions.
 const FRACTIONS: &[f64] = &[0.0, 0.01, 0.05, 0.10, 0.20];
-
-/// Per-component influence cap of the benchmarked robust policy. The
-/// heavy lifting against out-of-range poison is the plausibility screen
-/// (reject any contribution no honest node could produce); the cap bounds
-/// what an in-range lie can move per exchange. Trimming is off in the
-/// headline sweep — with a trim every merge skips its most-divergent
-/// component, which freezes the slowest-converging component of
-/// late-joining peers (property tests cover the trimmed merge instead).
-const INFLUENCE_CAP: f64 = 0.25;
-
-/// The robust policy every robust-mode run uses.
-fn bench_policy() -> RobustPolicy {
-    RobustPolicy::new()
-        .with_trim_fraction(0.0)
-        .with_influence_cap(INFLUENCE_CAP)
-}
-
-/// Event-engine gossip period in ticks.
-const PERIOD: u64 = 200;
 
 /// One matrix point reduced to the reported numbers.
 struct ByzResult {
@@ -87,244 +56,48 @@ struct ByzResult {
     fingerprint: u64,
 }
 
-fn model_name(model: AdversaryModel) -> &'static str {
-    match model {
-        AdversaryModel::ValuePoisoning { .. } => "value_poisoning",
-        AdversaryModel::WeightInflation { .. } => "weight_inflation",
-        AdversaryModel::TargetedPartner { .. } => "targeted_partner",
-        AdversaryModel::Equivocation { .. } => "equivocation",
-    }
-}
-
-/// The scenario for one matrix point: the adversary window covers the
-/// whole instance including the settle rounds. `None` at f = 0.
-fn scenario_for(seed: u64, fraction: f64, model: AdversaryModel) -> Option<FaultScenario> {
-    (fraction > 0.0)
-        .then(|| FaultScenario::new(seed).with_adversary(0, ROUNDS + 3, fraction, model))
-}
-
-/// Scores the honest peers' estimates against `truth`, returning the
-/// error report, the honest `n_hat` mean relative error, and a bit-exact
-/// fingerprint over *all* peers (determinism must cover Byzantine state
-/// too). `peers` is `(slot, estimate)` in deterministic slot order.
-fn score_honest(
-    peers: &[(usize, Option<PeerEstimate>)],
-    n_hats: &[(usize, Option<f64>)],
-    adversary: Option<&ActiveAdversary>,
+/// One matrix point on `engine` ("cycle" or "event"). The adversary
+/// window covers the whole instance including the settle rounds; there
+/// is none at f = 0.
+fn run(
     s: &ExperimentSetup,
     args: &Args,
-) -> (adam2_bench::ErrorReport, f64, u64) {
-    let is_honest = |slot: usize| adversary.is_none_or(|adv| !adv.is_byzantine(slot));
-    let honest: Vec<Option<PeerEstimate>> = peers
-        .iter()
-        .filter(|(slot, _)| is_honest(*slot))
-        .map(|(_, est)| est.clone())
-        .collect();
-    let report = evaluate_peer_estimates(&honest, &s.truth, args.sample_peers, args.seed);
-
-    let truth_n = s.population.len() as f64;
-    let (mut sum, mut count) = (0.0f64, 0usize);
-    for (slot, n_hat) in n_hats {
-        if !is_honest(*slot) {
-            continue;
+    engine: &'static str,
+    model: AdversaryModel,
+    fraction: f64,
+    robust: bool,
+    threads: usize,
+) -> ByzResult {
+    let scenario = (fraction > 0.0).then(|| adversary_scenario(args.seed, fraction, model));
+    let rounds = ROUNDS + 1 + SETTLE_ROUNDS;
+    let policy = robust.then(robust_policy);
+    let run = if engine == "cycle" {
+        let mut config = Adam2Config::new()
+            .with_lambda(args.lambda)
+            .with_rounds_per_instance(ROUNDS);
+        if let Some(policy) = policy {
+            config = config.with_robust(policy);
         }
-        if let Some(n) = n_hat {
-            sum += (n - truth_n).abs() / truth_n;
-            count += 1;
-        }
-    }
-    let n_hat_rel_err = if count > 0 {
-        sum / count as f64
+        let mut e = adam2_engine_with(s, config, args.seed, |c| c.with_threads(threads));
+        run_cycle_scenario(&mut e, scenario.as_ref(), rounds)
     } else {
-        f64::NAN
+        let (lambda, seed) = (args.lambda, args.seed);
+        run_event_scenario(s, lambda, seed, policy, scenario.as_ref(), threads, rounds)
     };
-
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (slot, est) in peers {
-        h = fnv_mix(h, *slot as u64);
-        let Some(est) = est else { continue };
-        for f in &est.fractions {
-            h = fnv_mix(h, f.to_bits());
-        }
-        h = fnv_mix(h, est.min.to_bits());
-        h = fnv_mix(h, est.max.to_bits());
-    }
-    for (_, n_hat) in n_hats {
-        if let Some(n) = n_hat {
-            h = fnv_mix(h, n.to_bits());
-        }
-    }
-    (report, n_hat_rel_err, h)
-}
-
-/// Lowest honest slot: the instance initiator is assumed honest (a
-/// Byzantine initiator is the degenerate everything-is-poison case), and
-/// picking the lowest slot doubles as the worst case for the
-/// targeted-partner model, whose victim is exactly the lowest live slot.
-fn honest_initiator(ids: &[NodeId], adversary: Option<&ActiveAdversary>) -> NodeId {
-    *ids.iter()
-        .filter(|id| adversary.is_none_or(|adv| !adv.is_byzantine(id.slot())))
-        .min_by_key(|id| id.slot())
-        .expect("at least one honest node")
-}
-
-/// One cycle-engine run.
-fn run_cycle(
-    s: &ExperimentSetup,
-    args: &Args,
-    model: AdversaryModel,
-    fraction: f64,
-    robust: bool,
-    threads: usize,
-) -> ByzResult {
-    let mut config = Adam2Config::new()
-        .with_lambda(args.lambda)
-        .with_rounds_per_instance(ROUNDS);
-    if robust {
-        config = config.with_robust(bench_policy());
-    }
-    let mut engine = adam2_engine_with(s, config, args.seed, |c| c.with_threads(threads));
-    engine.attach_telemetry(SimTelemetry::new());
-    let scenario = scenario_for(args.seed, fraction, model);
-    let adversary = scenario.as_ref().and_then(|sc| sc.adversary_at(0));
-    if let Some(sc) = scenario {
-        engine.set_fault_scenario(sc).expect("valid scenario");
-    }
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
-    engine
-        .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
-        .expect("instance start");
-    engine.run_rounds(ROUNDS + 1 + SETTLE_ROUNDS);
-
-    let peers: Vec<(usize, Option<PeerEstimate>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<(usize, Option<f64>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| (id.slot(), node.estimate().and_then(|est| est.n_hat)))
-        .collect();
-    let (report, n_hat_rel_err, fingerprint) =
-        score_honest(&peers, &n_hats, adversary.as_ref(), s, args);
-    let mut counter = |name: &str| {
-        engine
-            .telemetry_mut()
-            .expect("telemetry attached above")
-            .telemetry()
-            .metrics
-            .counters()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| v)
-    };
-    let (rejects, trims) = (counter("robust_rejects"), counter("robust_trims"));
-    let byzantine = adversary
-        .as_ref()
-        .map_or(0, |adv| adv.count_byzantine(ids.iter().map(|id| id.slot())));
+    let report = run.peers.score(&s.truth, args.sample_peers, args.seed);
     ByzResult {
-        engine: "cycle",
-        model: model_name(model),
+        engine,
+        model: adversary_name(model),
         fraction,
         robust,
         err_a: report.avg_cdf,
         err_m: report.max_cdf,
-        n_hat_rel_err,
+        n_hat_rel_err: run.peers.n_hat_rel_err(s.population.len()),
         honest_without_estimate: report.peers_without_estimate,
-        byzantine,
-        robust_rejects: rejects,
-        robust_trims: trims,
-        fingerprint,
-    }
-}
-
-/// One event-engine run on the batch-parallel driver.
-fn run_event(
-    s: &ExperimentSetup,
-    args: &Args,
-    model: AdversaryModel,
-    fraction: f64,
-    robust: bool,
-    threads: usize,
-) -> ByzResult {
-    let mut proto = AsyncAdam2::with_population(PERIOD, s.population.values().to_vec(), {
-        let pop = s.population.clone();
-        move |rng| pop.draw_fresh(rng)
-    });
-    if robust {
-        proto = proto.with_robust(bench_policy());
-    }
-    let config = EventConfig::new(s.population.len(), args.seed)
-        .with_gossip_period(PERIOD)
-        .with_latency(LatencyModel::Uniform { min: 5, max: 40 })
-        .with_threads(threads);
-    let mut engine = EventEngine::new(config, proto);
-    let scenario = scenario_for(args.seed, fraction, model);
-    let adversary = scenario.as_ref().and_then(|sc| sc.adversary_at(0));
-    if let Some(sc) = scenario {
-        engine.set_fault_scenario(sc).expect("valid scenario");
-    }
-    let thresholds = uniform_points(s.truth.min(), s.truth.max(), args.lambda);
-    let meta = Arc::new(InstanceMeta {
-        id: InstanceId::derive(0, 0, 1),
-        thresholds: thresholds.into(),
-        verify_thresholds: Vec::new().into(),
-        start_round: 0,
-        end_round: ROUNDS,
-        multi: false,
-    });
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
-    engine.with_ctx(|proto, ctx| proto.start_instance(initiator, meta.clone(), ctx));
-    engine.run_until_parallel(PERIOD * (ROUNDS + 1 + SETTLE_ROUNDS));
-
-    let peers: Vec<(usize, Option<PeerEstimate>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<(usize, Option<f64>)> = engine
-        .nodes()
-        .iter()
-        .map(|(id, node)| (id.slot(), node.estimate().and_then(|est| est.n_hat)))
-        .collect();
-    let (report, n_hat_rel_err, fingerprint) =
-        score_honest(&peers, &n_hats, adversary.as_ref(), s, args);
-    let byzantine = adversary
-        .as_ref()
-        .map_or(0, |adv| adv.count_byzantine(ids.iter().map(|id| id.slot())));
-    ByzResult {
-        engine: "event",
-        model: model_name(model),
-        fraction,
-        robust,
-        err_a: report.avg_cdf,
-        err_m: report.max_cdf,
-        n_hat_rel_err,
-        honest_without_estimate: report.peers_without_estimate,
-        byzantine,
-        robust_rejects: engine.protocol().robust_rejects(),
-        robust_trims: engine.protocol().robust_trims(),
-        fingerprint,
+        byzantine: run.peers.byzantine(),
+        robust_rejects: run.robust_rejects,
+        robust_trims: run.robust_trims,
+        fingerprint: run.peers.fingerprint(),
     }
 }
 
@@ -355,30 +128,20 @@ fn main() {
     println!();
 
     let s = setup(Attribute::Ram, nodes, args.seed);
-    let poisoning = AdversaryModel::ValuePoisoning {
-        magnitude: MAGNITUDE,
-    };
+    let poisoning = ADVERSARIES[0];
 
     let mut results: Vec<ByzResult> = Vec::new();
     for &fraction in FRACTIONS {
         for robust in [false, true] {
-            results.push(run_cycle(&s, &args, poisoning, fraction, robust, threads));
-            results.push(run_event(&s, &args, poisoning, fraction, robust, threads));
+            for engine in ["cycle", "event"] {
+                results.push(run(&s, &args, engine, poisoning, fraction, robust, threads));
+            }
         }
     }
-    // All four adversary models pinned at f = 10 % on the cycle engine.
-    let models = [
-        AdversaryModel::WeightInflation { factor: INFLATION },
-        AdversaryModel::TargetedPartner {
-            magnitude: MAGNITUDE,
-        },
-        AdversaryModel::Equivocation {
-            magnitude: MAGNITUDE,
-        },
-    ];
-    for model in models {
+    // The other adversary models pinned at f = 10 % on the cycle engine.
+    for model in &ADVERSARIES[1..] {
         for robust in [false, true] {
-            results.push(run_cycle(&s, &args, model, 0.10, robust, threads));
+            results.push(run(&s, &args, "cycle", *model, 0.10, robust, threads));
         }
     }
 
@@ -579,14 +342,14 @@ fn run_determinism_checks(
         "cycle engine under adversary",
         threads,
         cycle.fingerprint,
-        |other| run_cycle(s, args, poisoning, 0.10, true, other).fingerprint,
+        |other| run(s, args, "cycle", poisoning, 0.10, true, other).fingerprint,
     );
     let event = find(results, "event", "value_poisoning", 0.10, true);
     assert_thread_invariant(
         "event engine under adversary",
         threads,
         event.fingerprint,
-        |other| run_event(s, args, poisoning, 0.10, true, other).fingerprint,
+        |other| run(s, args, "event", poisoning, 0.10, true, other).fingerprint,
     );
     println!(
         "determinism OK: threads {threads} == threads {other} on both engines \

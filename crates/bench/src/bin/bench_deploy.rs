@@ -86,8 +86,8 @@ fn main() {
     let check = args.extra("check").is_some();
     let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_deploy.json");
     let out = args.extra("out").unwrap_or(default_out).to_string();
-    let tick_ms: u64 = parse_extra(&args, "tick-ms").unwrap_or(40);
-    let scale: usize = parse_extra(&args, "scale").unwrap_or(0);
+    let tick_ms: u64 = args.extra_or("tick-ms", 40);
+    let scale: usize = args.extra_or("scale", 0);
 
     let nodes = args.nodes.clamp(2, MAX_DEPLOY_NODES);
     if nodes != args.nodes {
@@ -201,16 +201,6 @@ fn main() {
         run_checks(&sim_report.1, &results, &scale_result);
         println!("all deploy checks passed");
     }
-}
-
-fn parse_extra<T: std::str::FromStr>(args: &Args, key: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    args.extra_parsed(key).unwrap_or_else(|e| {
-        eprintln!("bench_deploy: {e}");
-        std::process::exit(2);
-    })
 }
 
 /// Clamps the scale sweep to the fd budget: every node holds a listener

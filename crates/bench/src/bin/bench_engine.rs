@@ -21,17 +21,15 @@
 //! fingerprint is bit-identical). The standard `--seed` / `--lambda` /
 //! `--rounds` flags also apply.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use adam2_bench::{
-    adam2_engine_with, assert_thread_invariant, export_telemetry, fnv_mix, maybe_attach_telemetry,
-    setup, start_instance, take_flag, Args, BenchReport, ExperimentSetup,
+    adam2_engine_with, adam2_event_engine_with, assert_thread_invariant, event_instance,
+    export_telemetry, fnv_mix, maybe_attach_telemetry, setup, start_instance, take_flag, Args,
+    BenchReport, ExperimentSetup,
 };
-use adam2_core::{
-    uniform_points, Adam2Config, Adam2Protocol, AsyncAdam2, InstanceId, InstanceMeta,
-};
-use adam2_sim::{Engine, EventConfig, EventEngine, LatencyModel, RunManifest};
+use adam2_core::{Adam2Config, Adam2Protocol};
+use adam2_sim::{Engine, LatencyModel, RunManifest};
 use adam2_traces::Attribute;
 
 /// One event-engine run reduced to the numbers the bench reports plus a
@@ -83,30 +81,16 @@ fn cycle_fingerprint(engine: &Engine<Adam2Protocol>) -> u64 {
 /// throughput numbers and a bit-exact fingerprint.
 fn run_event(
     s: &ExperimentSetup,
-    nodes: usize,
     args: &Args,
     period: u64,
     rounds: u64,
     threads: usize,
 ) -> EventRun {
-    let proto = AsyncAdam2::with_population(period, s.population.values().to_vec(), {
-        let pop = s.population.clone();
-        move |rng| pop.draw_fresh(rng)
+    let mut engine = adam2_event_engine_with(s, period, None, args.seed, |c| {
+        c.with_latency(LatencyModel::Uniform { min: 10, max: 60 })
+            .with_threads(threads)
     });
-    let config = EventConfig::new(nodes, args.seed)
-        .with_gossip_period(period)
-        .with_latency(LatencyModel::Uniform { min: 10, max: 60 })
-        .with_threads(threads);
-    let mut engine = EventEngine::new(config, proto);
-    let thresholds = uniform_points(s.truth.min(), s.truth.max(), args.lambda);
-    let meta = Arc::new(InstanceMeta {
-        id: InstanceId::derive(0, 0, 1),
-        thresholds: thresholds.into(),
-        verify_thresholds: Vec::new().into(),
-        start_round: 0,
-        end_round: rounds,
-        multi: false,
-    });
+    let meta = event_instance(&s.truth, args.lambda, rounds);
     engine.with_ctx(|proto, ctx| {
         let initiator = ctx.nodes.random_id(ctx.rng).expect("population non-empty");
         proto.start_instance(initiator, meta.clone(), ctx)
@@ -261,7 +245,7 @@ fn main() {
             continue;
         }
         let s = setup(Attribute::Ram, nodes, args.seed);
-        let event = |threads| run_event(&s, nodes, &args, period, event_rounds, threads);
+        let event = |threads| run_event(&s, &args, period, event_rounds, threads);
         let run = event(threads);
         assert!(
             run.coverage >= 0.99,

@@ -1,6 +1,6 @@
 //! Fault-injection matrix: Err_a and mass-conservation drift per scenario.
 //!
-//! Replays four canned [`FaultScenario`]s — fault-free, a 20 % burst loss,
+//! Replays the four canned [`FAULT_SCENARIOS`] — fault-free, a 20 % burst loss,
 //! burst loss plus a 10-round overlay bisection, and a crash–recover wave —
 //! against one 35-round Adam2 instance, each with the two-phase exchange
 //! repair off and on, plus one self-healing run (restart-on-bad-verify)
@@ -11,15 +11,14 @@
 //! invariants and exit non-zero on violation — used by CI's fault-matrix
 //! job). The standard `--nodes` / `--seed` / `--lambda` flags also apply.
 
+use adam2_bench::scenario::{fault_scenario, telemetry_counter, FAULT_SCENARIOS, ROUNDS};
 use adam2_bench::{
     adam2_engine_with, evaluate_estimates, export_telemetry, run_instance_audited, setup,
     start_instance, Args, BenchReport, AUDIT_FRACTION, AUDIT_WEIGHT,
 };
 use adam2_core::Adam2Config;
-use adam2_sim::{Engine, ExchangeRepair, FaultScenario, PartitionKind, RunManifest, SimTelemetry};
+use adam2_sim::{Engine, ExchangeRepair, RunManifest, SimTelemetry};
 use adam2_traces::Attribute;
-
-const ROUNDS: u64 = 35;
 
 /// Extra fault-free rounds after finalisation so crash-recovered
 /// (estimate-less) nodes can bootstrap their estimate from the completed
@@ -40,20 +39,6 @@ struct ScenarioResult {
     bootstraps: u64,
 }
 
-fn scenario_of(name: &str, seed: u64) -> Option<FaultScenario> {
-    match name {
-        "fault_free" => None,
-        "burst20" => Some(FaultScenario::new(seed).with_burst_loss(5, 15, 0.2)),
-        "burst20_partition10" => Some(
-            FaultScenario::new(seed)
-                .with_burst_loss(5, 15, 0.2)
-                .with_partition(10, 20, PartitionKind::Bisect),
-        ),
-        "crash_recover" => Some(FaultScenario::new(seed).with_crash_recover(8, 16, 0.1)),
-        _ => unreachable!("unknown scenario {name}"),
-    }
-}
-
 fn main() {
     let args = Args::parse("bench_faults");
     // Extras are `--key value`; `--check 1` (any value) turns checking on.
@@ -72,13 +57,7 @@ fn main() {
     println!();
 
     let mut results: Vec<ScenarioResult> = Vec::new();
-    let names = [
-        "fault_free",
-        "burst20",
-        "burst20_partition10",
-        "crash_recover",
-    ];
-    for name in names {
+    for name in FAULT_SCENARIOS {
         for repair in [false, true] {
             let mut engine = adam2_engine_with(&s, base_config, args.seed, |c| {
                 if repair {
@@ -87,7 +66,7 @@ fn main() {
                     c
                 }
             });
-            if let Some(scenario) = scenario_of(name, args.seed) {
+            if let Some(scenario) = fault_scenario(name, args.seed) {
                 engine
                     .set_fault_scenario(scenario)
                     .expect("canned scenario is valid");
@@ -105,7 +84,7 @@ fn main() {
             c.with_repair(ExchangeRepair::enabled())
         });
         engine
-            .set_fault_scenario(scenario_of("burst20_partition10", args.seed).unwrap())
+            .set_fault_scenario(fault_scenario("burst20_partition10", args.seed).unwrap())
             .expect("valid");
         results.push(run_one(
             "burst20_partition10",
@@ -157,23 +136,19 @@ fn run_one(
     let auditor = run_instance_audited(&mut engine, &meta, rounds);
     let report = evaluate_estimates(&engine, &s.truth, args.sample_peers, args.seed);
     let last_round = engine.round() - 1;
-    let bootstraps = {
-        let t = engine.telemetry_mut().expect("telemetry attached above");
-        // Stamp the headline errors onto the final exported round so the
-        // JSONL series reproduces the BENCH_faults.json numbers.
-        t.annotate_round(
+    // Stamp the headline errors onto the final exported round so the
+    // JSONL series reproduces the BENCH_faults.json numbers.
+    engine
+        .telemetry_mut()
+        .expect("telemetry attached above")
+        .annotate_round(
             last_round,
             report.max_cdf,
             report.avg_cdf,
             f64::NAN,
             f64::NAN,
         );
-        t.telemetry()
-            .metrics
-            .counters()
-            .find(|(n, _)| *n == "estimate_bootstraps")
-            .map_or(0, |(_, v)| v)
-    };
+    let bootstraps = telemetry_counter(&engine, "estimate_bootstraps");
     if let Some(dir) = &args.telemetry {
         let label = format!(
             "{name}_{}{}",

@@ -8,14 +8,13 @@
 //! loss. Reports the converged error at the interpolation points — the
 //! quantity that is ~1e-15 in the atomic model — and over the whole CDF.
 
-use std::sync::Arc;
-
-use adam2_bench::{adam2_engine, fmt_err, start_instance, Args, Table};
-use adam2_core::{
-    discrete_errors_over, uniform_points, Adam2Config, AsyncAdam2, BootstrapKind, InstanceId,
-    InstanceMeta, InterpCdf, StepCdf,
+use adam2_bench::{
+    adam2_engine, adam2_event_engine_with, event_instance, fmt_err, start_instance, Args, Table,
 };
-use adam2_sim::{ChurnModel, EventConfig, EventEngine, LatencyModel};
+use adam2_core::{
+    discrete_errors_over, Adam2Config, AsyncAdam2, BootstrapKind, InterpCdf, StepCdf,
+};
+use adam2_sim::{ChurnModel, EventEngine, LatencyModel};
 use adam2_traces::Attribute;
 
 fn main() {
@@ -30,7 +29,6 @@ fn main() {
     let attr = args.attrs[0];
     let setup = adam2_bench::setup(attr, args.nodes, args.seed);
     let rounds = args.rounds.max(40);
-    let thresholds = uniform_points(setup.truth.min(), setup.truth.max(), args.lambda);
 
     let mut table = Table::new(vec![
         "execution model",
@@ -80,23 +78,10 @@ fn main() {
         ),
     ];
     for (label, latency, loss) in variants {
-        let proto = AsyncAdam2::with_population(period, setup.population.values().to_vec(), {
-            let pop = setup.population.clone();
-            move |rng| pop.draw_fresh(rng)
+        let mut engine = adam2_event_engine_with(&setup, period, None, args.seed, |c| {
+            c.with_latency(latency).with_loss_rate(loss)
         });
-        let config = EventConfig::new(args.nodes, args.seed)
-            .with_gossip_period(period)
-            .with_latency(latency)
-            .with_loss_rate(loss);
-        let mut engine = EventEngine::new(config, proto);
-        let meta = Arc::new(InstanceMeta {
-            id: InstanceId::derive(0, 0, 1),
-            thresholds: thresholds.clone().into(),
-            verify_thresholds: Vec::new().into(),
-            start_round: 0,
-            end_round: rounds,
-            multi: false,
-        });
+        let meta = event_instance(&setup.truth, args.lambda, rounds);
         engine.with_ctx(|proto, ctx| {
             let initiator = ctx.nodes.random_id(ctx.rng).expect("nodes");
             proto.start_instance(initiator, meta.clone(), ctx)

@@ -29,6 +29,7 @@ pub mod args;
 pub mod bench_report;
 pub mod report;
 pub mod runner;
+pub mod scenario;
 
 pub use args::{take_flag, Args};
 pub use bench_report::{
@@ -37,9 +38,10 @@ pub use bench_report::{
 };
 pub use report::{fmt_err, AsciiChart, Table};
 pub use runner::{
-    adam2_engine, adam2_engine_with, assert_thread_invariant, complete_instance, current_truth,
-    equidepth_engine, equidepth_truth, evaluate_equidepth_estimates, evaluate_estimates,
-    evaluate_peer_estimates, export_telemetry, fnv_mix, mass_defect, maybe_attach_telemetry,
-    run_instance_audited, run_instance_tracked, setup, start_instance, start_phase, ErrorReport,
-    ExperimentSetup, MassDefect, PeerEstimate, RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
+    adam2_engine, adam2_engine_with, adam2_event_engine_with, assert_thread_invariant,
+    complete_instance, current_truth, equidepth_engine, equidepth_truth,
+    evaluate_equidepth_estimates, evaluate_estimates, evaluate_peer_estimates, event_instance,
+    export_telemetry, fnv_mix, mass_defect, maybe_attach_telemetry, run_instance_audited,
+    run_instance_tracked, setup, start_instance, start_phase, ErrorReport, ExperimentSetup,
+    MassDefect, PeerEstimate, RoundSample, AUDIT_FRACTION, AUDIT_WEIGHT,
 };

@@ -8,11 +8,12 @@ use rand::RngExt as _;
 
 use adam2_baselines::{EquiDepthConfig, EquiDepthProtocol, PhaseMeta};
 use adam2_core::{
-    discrete_errors_over, Adam2Config, Adam2Protocol, AttrValue, InstanceMeta, InterpCdf, StepCdf,
+    discrete_errors_over, uniform_points, Adam2Config, Adam2Node, Adam2Protocol, AsyncAdam2,
+    AttrValue, InstanceId, InstanceMeta, InterpCdf, RobustPolicy, StepCdf,
 };
 use adam2_sim::{
-    derive_seed, seeded_rng, ChurnModel, Engine, EngineConfig, MassAuditor, NodeId, RunManifest,
-    SimTelemetry,
+    derive_seed, seeded_rng, ChurnModel, Engine, EngineConfig, EventConfig, EventEngine,
+    MassAuditor, NodeId, NodeSlab, RunManifest, SimTelemetry,
 };
 use adam2_traces::{Attribute, Population};
 
@@ -65,6 +66,44 @@ pub fn adam2_engine_with(
         derive_seed(seed, 0xE7_61),
     ));
     Engine::new(engine_config, proto)
+}
+
+/// The event-engine twin of [`adam2_engine_with`]: an [`AsyncAdam2`]
+/// engine over the population with gossip `period` (the protocol's ticks
+/// per round) and, if given, the robust merge. `configure` receives the
+/// base config (population size, `seed` as given, `period`) and layers
+/// latency, loss or thread counts on top.
+pub fn adam2_event_engine_with(
+    setup: &ExperimentSetup,
+    period: u64,
+    robust: Option<RobustPolicy>,
+    seed: u64,
+    configure: impl FnOnce(EventConfig) -> EventConfig,
+) -> EventEngine<AsyncAdam2> {
+    let pop = setup.population.clone();
+    let mut proto = AsyncAdam2::with_population(period, pop.values().to_vec(), move |rng| {
+        pop.draw_fresh(rng)
+    });
+    if let Some(policy) = robust {
+        proto = proto.with_robust(policy);
+    }
+    let config =
+        configure(EventConfig::new(setup.population.len(), seed).with_gossip_period(period));
+    EventEngine::new(config, proto)
+}
+
+/// The one instance an event-engine run starts by hand: `lambda` uniform
+/// points over `truth`'s range, no verification points, due at
+/// `end_round`.
+pub fn event_instance(truth: &StepCdf, lambda: usize, end_round: u64) -> Arc<InstanceMeta> {
+    Arc::new(InstanceMeta {
+        id: InstanceId::derive(0, 0, 1),
+        thresholds: uniform_points(truth.min(), truth.max(), lambda).into(),
+        verify_thresholds: Vec::new().into(),
+        start_round: 0,
+        end_round,
+        multi: false,
+    })
 }
 
 /// Builds an EquiDepth engine over the same population.
@@ -388,14 +427,15 @@ pub struct MassDefect {
     pub fraction: f64,
 }
 
-/// Measures the conservation defect of `meta`'s instance right now.
-pub fn mass_defect(engine: &Engine<Adam2Protocol>, meta: &InstanceMeta) -> MassDefect {
+/// Measures the conservation defect of `meta`'s instance right now, over
+/// the nodes of either engine.
+pub fn mass_defect(nodes: &NodeSlab<Adam2Node>, meta: &InstanceMeta) -> MassDefect {
     let lambda = meta.thresholds.len();
     let mut weight = 0.0f64;
     let mut fractions = vec![0.0f64; lambda];
     let mut indicators = vec![0.0f64; lambda];
     let mut participants = 0usize;
-    for (_, node) in engine.nodes().iter() {
+    for (_, node) in nodes.iter() {
         let Some(inst) = node.active_instance(meta.id) else {
             continue;
         };
@@ -441,7 +481,7 @@ pub fn run_instance_audited(
     auditor.observe(AUDIT_FRACTION, 0.0);
     for _ in 0..rounds {
         engine.run_round();
-        let defect = mass_defect(engine, meta);
+        let defect = mass_defect(engine.nodes(), meta);
         auditor.observe(AUDIT_WEIGHT, defect.weight);
         auditor.observe(AUDIT_FRACTION, defect.fraction);
         let completed = engine.round() - 1;

@@ -31,19 +31,18 @@
 use std::path::Path;
 use std::process::exit;
 
+use adam2_bench::scenario::{
+    adversary_name, adversary_scenario, fault_scenario, ADVERSARIES, FAULT_SCENARIOS, ROUNDS,
+};
 use adam2_bench::{take_flag, Args, BenchReport};
 use adam2_explore::campaign::{run_campaign, CampaignConfig, CampaignReport};
 use adam2_explore::corpus::{load_dir, replay, CorpusEntry};
-use adam2_explore::oracle::{ConfigKind, Oracle, OracleConfig, Verdict, ROUNDS};
+use adam2_explore::oracle::{ConfigKind, Oracle, OracleConfig, Verdict};
 use adam2_explore::shrink::strictly_smaller;
 use adam2_sim::{
     AdversaryModel, DriftModel, FaultEvent, FaultScenario, PartitionKind, RunManifest,
 };
 
-/// Mirrors `bench_byzantine`: poisoned components drawn from [0, 5).
-const MAGNITUDE: f64 = 5.0;
-/// Mirrors `bench_byzantine`: inflated aggregation weight.
-const INFLATION: f64 = 8.0;
 /// Byzantine fraction for the corpus attack seeds.
 const BYZANTINE_FRACTION: f64 = 0.1;
 
@@ -108,21 +107,14 @@ fn describe(scenario: &FaultScenario) -> String {
                 fraction,
                 model,
             } => {
-                let lie = match model {
-                    AdversaryModel::ValuePoisoning { magnitude } => {
-                        format!("value_poisoning mag {magnitude:.1}")
-                    }
-                    AdversaryModel::WeightInflation { factor } => {
-                        format!("weight_inflation factor {factor:.1}")
-                    }
-                    AdversaryModel::TargetedPartner { magnitude } => {
-                        format!("targeted_partner mag {magnitude:.1}")
-                    }
-                    AdversaryModel::Equivocation { magnitude } => {
-                        format!("equivocation mag {magnitude:.1}")
-                    }
+                let strength = match model {
+                    AdversaryModel::WeightInflation { factor } => format!("factor {factor:.1}"),
+                    AdversaryModel::ValuePoisoning { magnitude }
+                    | AdversaryModel::TargetedPartner { magnitude }
+                    | AdversaryModel::Equivocation { magnitude } => format!("mag {magnitude:.1}"),
                 };
-                format!("adversary {from_round}..{to_round} frac {fraction:.2} {lie}")
+                let name = adversary_name(model);
+                format!("adversary {from_round}..{to_round} frac {fraction:.2} {name} {strength}")
             }
             FaultEvent::Drift {
                 from_round,
@@ -231,62 +223,24 @@ fn render(args: &Args, iters: usize, workers: usize, results: &[ConfigResult]) -
 /// drift ramp starts at round 4, while the instance is still spreading
 /// (a later ramp replays as the fault-free run).
 fn seed_corpus_scenarios(seed: u64) -> Vec<(String, ConfigKind, Option<FaultScenario>)> {
-    let attack_until = |to_round: u64, model: AdversaryModel| {
-        FaultScenario::new(seed).with_adversary(0, to_round, BYZANTINE_FRACTION, model)
-    };
-    let attack = |model: AdversaryModel| attack_until(ROUNDS + 3, model);
-    vec![
-        ("vanilla_fault_free".into(), ConfigKind::Vanilla, None),
+    let faults = FAULT_SCENARIOS.iter().map(|name| {
         (
-            "vanilla_burst20".into(),
+            format!("vanilla_{name}"),
             ConfigKind::Vanilla,
-            Some(FaultScenario::new(seed).with_burst_loss(5, 15, 0.2)),
-        ),
-        (
-            "vanilla_burst20_partition10".into(),
-            ConfigKind::Vanilla,
-            Some(
-                FaultScenario::new(seed)
-                    .with_burst_loss(5, 15, 0.2)
-                    .with_partition(10, 20, PartitionKind::Bisect),
-            ),
-        ),
-        (
-            "vanilla_crash_recover".into(),
-            ConfigKind::Vanilla,
-            Some(FaultScenario::new(seed).with_crash_recover(8, 16, 0.1)),
-        ),
-        (
-            "hardened_value_poisoning".into(),
-            ConfigKind::Hardened,
-            Some(attack(AdversaryModel::ValuePoisoning {
-                magnitude: MAGNITUDE,
-            })),
-        ),
-        (
-            "hardened_weight_inflation".into(),
-            ConfigKind::Hardened,
-            Some(attack(AdversaryModel::WeightInflation {
-                factor: INFLATION,
-            })),
-        ),
-        (
-            "hardened_targeted_partner".into(),
-            ConfigKind::Hardened,
-            Some(attack_until(
-                30,
-                AdversaryModel::TargetedPartner {
-                    magnitude: MAGNITUDE,
-                },
-            )),
-        ),
-        (
-            "hardened_equivocation".into(),
-            ConfigKind::Hardened,
-            Some(attack(AdversaryModel::Equivocation {
-                magnitude: MAGNITUDE,
-            })),
-        ),
+            fault_scenario(name, seed),
+        )
+    });
+    let attacks = ADVERSARIES.iter().map(|&model| {
+        let attack = match model {
+            AdversaryModel::TargetedPartner { .. } => {
+                FaultScenario::new(seed).with_adversary(0, 30, BYZANTINE_FRACTION, model)
+            }
+            _ => adversary_scenario(seed, BYZANTINE_FRACTION, model),
+        };
+        let name = format!("hardened_{}", adversary_name(model));
+        (name, ConfigKind::Hardened, Some(attack))
+    });
+    let drifts = [
         // The streaming oracle path: drifted attributes waive the
         // fraction audit (estimates go stale by design) while weight
         // conservation stays a hard invariant.
@@ -313,7 +267,8 @@ fn seed_corpus_scenarios(seed: u64) -> Vec<(String, ConfigKind, Option<FaultScen
             ConfigKind::Hardened,
             Some(FaultScenario::new(seed).with_drift(10, 11, DriftModel::Step { shift: 500.0 })),
         ),
-    ]
+    ];
+    faults.chain(attacks).chain(drifts).collect()
 }
 
 fn entry_for(name: String, oracle: &Oracle, scenario: FaultScenario) -> CorpusEntry {

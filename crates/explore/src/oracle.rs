@@ -30,30 +30,25 @@
 //! expected to clear the mutator's entire bounded scenario envelope.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
+use adam2_bench::scenario::{
+    robust_policy, run_cycle_scenario, run_event_scenario, ScenarioRun, ROUNDS,
+};
 use adam2_bench::{
-    adam2_engine_with, evaluate_peer_estimates, run_instance_audited, setup, ErrorReport,
-    ExperimentSetup, PeerEstimate, AUDIT_FRACTION, AUDIT_WEIGHT,
+    adam2_engine_with, setup, ErrorReport, ExperimentSetup, AUDIT_FRACTION, AUDIT_WEIGHT,
 };
-use adam2_core::{
-    uniform_points, Adam2Config, Adam2Node, AsyncAdam2, InstanceId, InstanceMeta, RobustPolicy,
-};
-use adam2_sim::{
-    ActiveAdversary, EventConfig, EventEngine, ExchangeRepair, FaultEvent, FaultScenario,
-    LatencyModel, MassAuditor, MassViolation, NodeId, NodeSlab, RoundSnapshot, SimTelemetry,
-};
+use adam2_core::Adam2Config;
+use adam2_sim::{ExchangeRepair, FaultEvent, FaultScenario, MassViolation, RoundSnapshot};
 use adam2_traces::Attribute;
 
 use crate::coverage::behaviour_signature;
 
-/// Gossip rounds per instance (matches `bench_faults`/`bench_byzantine`).
-pub const ROUNDS: u64 = 35;
 /// Extra rounds after the instance deadline so recovered nodes can
 /// bootstrap estimates before the final evaluation.
 pub const SETTLE_ROUNDS: u64 = 4;
 /// Weight-mass drift above this is a violation (repaired runs hold
-/// ~1e-15; unrepaired 20% burst leaks ~4.5e-2).
+/// ~1e-15; the unrepaired 20 % burst drifts by 1.40e-1 at 10^4 nodes in
+/// `BENCH_faults.json`, and corpus `vanilla_burst20` expects inflation).
 pub const WEIGHT_TOLERANCE: f64 = 1e-9;
 /// Fraction-mass drift above this is a violation (looser than weight:
 /// the defect is a sum of λ components, each carrying fp rounding).
@@ -64,17 +59,6 @@ pub const FRACTION_TOLERANCE: f64 = 1e-6;
 pub const REGRESSION_FACTOR: f64 = 6.0;
 /// See [`REGRESSION_FACTOR`].
 pub const REGRESSION_FLOOR: f64 = 0.05;
-/// The robust merge influence cap used by the hardened config (mirrors
-/// `bench_byzantine`).
-pub const INFLUENCE_CAP: f64 = 0.25;
-/// Event-engine ticks per gossip round (mirrors `bench_byzantine`).
-pub const PERIOD: u64 = 200;
-/// Period boundaries sampled for the event-engine mass audit, counted
-/// back from the instance deadline. The async network's one-sided
-/// absorbs leave mass in flight at any instant — early in the run the
-/// initiator's whole unit weight can be airborne — so only late
-/// boundaries, after the defect has frozen, are meaningful.
-pub const EVENT_AUDIT_BOUNDARIES: u64 = 3;
 /// Event-engine weight-mass tolerance. Snapshot-based one-sided
 /// absorption is only *approximately* conservative under concurrency
 /// (the documented `AsyncAdam2` caveat): interleaved exchanges during
@@ -273,51 +257,26 @@ impl Oracle {
     }
 }
 
-/// FNV-1a over the little-endian bytes of `v`, folded into `h` (the same
-/// digest `bench_byzantine` uses, so fingerprints are comparable).
-pub fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The first adversary window's membership oracle, if the scenario has
-/// one. The mutator never emits more than one adversary event; hand-
-/// written corpus entries with several windows are judged against the
-/// first (earlier honest-set changes are not modelled).
-pub fn adversary_of(scenario: &FaultScenario) -> Option<ActiveAdversary> {
-    scenario.events.iter().find_map(|event| match event {
-        FaultEvent::Adversary { from_round, .. } => scenario.adversary_at(*from_round),
-        _ => None,
-    })
-}
-
-/// Lowest honest slot (assumed-honest initiator, worst case for the
-/// targeted-partner model whose victim is the lowest live slot).
-pub fn honest_initiator(ids: &[NodeId], adversary: Option<&ActiveAdversary>) -> NodeId {
-    *ids.iter()
-        .filter(|id| adversary.is_none_or(|adv| !adv.is_byzantine(id.slot())))
-        .min_by_key(|id| id.slot())
-        .expect("at least one honest node")
-}
-
-/// Which mass audits are real invariants of this run (see the module
-/// docs). Weight mass is value-independent, so attribute drift leaves it
-/// a hard invariant; the fraction audit compares enrolled indicator
-/// contributions against indicators *recomputed from current values*, so
-/// a drift window makes the comparison read stale-by-design estimates as
-/// a defect — drifted runs keep the weight audit and drop the fraction
-/// audit.
-#[derive(Debug, Clone, Copy)]
-struct MassEligibility {
-    weight: bool,
-    fraction: bool,
-}
-
-fn mass_eligibility_for(scenario: Option<&FaultScenario>, healed: u64) -> MassEligibility {
-    let base = healed == 0
+/// Judges `run`, whose honest peers scored `report`: mass against
+/// `tolerances` (weight, fraction) where the scenario makes mass an
+/// invariant, then convergence, then Err_a against `baseline_err` (`None`
+/// skips the regression check — used for the baseline run itself).
+fn judge(
+    scenario: Option<&FaultScenario>,
+    run: &ScenarioRun,
+    report: ErrorReport,
+    tolerances: (f64, f64),
+    baseline_err: Option<f64>,
+    signature: Vec<u64>,
+) -> RunOutcome {
+    // Which mass audits are real invariants of this run (see the module
+    // docs). Weight mass is value-independent, so attribute drift leaves
+    // it a hard invariant; the fraction audit compares enrolled indicator
+    // contributions against indicators *recomputed from current values*,
+    // so a drift window makes it read stale-by-design estimates as a
+    // defect — drifted runs keep the weight audit and drop the fraction
+    // audit.
+    let mass = run.healed == 0
         && scenario.is_none_or(|sc| {
             !sc.events.iter().any(|e| {
                 matches!(
@@ -326,53 +285,47 @@ fn mass_eligibility_for(scenario: Option<&FaultScenario>, healed: u64) -> MassEl
                 )
             })
         });
-    MassEligibility {
-        weight: base,
-        fraction: base && scenario.is_none_or(|sc| !sc.has_drift()),
-    }
-}
-
-/// Judges the auditor + evaluation results shared by the cycle and event
-/// paths. `baseline_err` of `None` skips the regression check (used for
-/// the baseline run itself).
-#[allow(clippy::too_many_arguments)]
-fn judge(
-    mass_eligible: MassEligibility,
-    weight_drift: Option<f64>,
-    weight_violation: Option<MassViolation>,
-    fraction_drift: Option<f64>,
-    fraction_violation: Option<MassViolation>,
-    err_a: f64,
-    peers_without_estimate: usize,
-    baseline_err: Option<f64>,
-) -> (Verdict, f64) {
-    if mass_eligible.weight {
-        if let Some(kind) = weight_violation {
-            let verdict = match kind {
-                MassViolation::Inflation => Verdict::MassInflation,
-                MassViolation::Leakage => Verdict::MassLeakage,
-            };
-            return (verdict, weight_drift.unwrap_or(f64::NAN));
+    let audits = [
+        (mass, AUDIT_WEIGHT, tolerances.0),
+        (
+            mass && scenario.is_none_or(|sc| !sc.has_drift()),
+            AUDIT_FRACTION,
+            tolerances.1,
+        ),
+    ];
+    let violation = audits.into_iter().find_map(|(eligible, key, tolerance)| {
+        let kind = run
+            .auditor
+            .worst_violation_of(key, tolerance)
+            .filter(|_| eligible)?;
+        let verdict = match kind {
+            MassViolation::Inflation => Verdict::MassInflation,
+            MassViolation::Leakage => Verdict::MassLeakage,
+        };
+        Some((verdict, run.auditor.worst_drift_of(key).unwrap_or(f64::NAN)))
+    });
+    let missing = report.peers_without_estimate;
+    let (verdict, detail) = if let Some(violation) = violation {
+        violation
+    } else if missing > 0 {
+        (Verdict::NonConvergence, missing as f64)
+    } else {
+        match baseline_err {
+            Some(base) if report.avg_cdf > base * REGRESSION_FACTOR + REGRESSION_FLOOR => {
+                (Verdict::ErrRegression, report.avg_cdf / base)
+            }
+            _ => (Verdict::Clear, 0.0),
         }
+    };
+    RunOutcome {
+        verdict,
+        detail,
+        err_a: report.avg_cdf,
+        fingerprint: run.peers.fingerprint(),
+        signature,
+        healed: run.healed,
+        peers_without_estimate: missing,
     }
-    if mass_eligible.fraction {
-        if let Some(kind) = fraction_violation {
-            let verdict = match kind {
-                MassViolation::Inflation => Verdict::MassInflation,
-                MassViolation::Leakage => Verdict::MassLeakage,
-            };
-            return (verdict, fraction_drift.unwrap_or(f64::NAN));
-        }
-    }
-    if peers_without_estimate > 0 {
-        return (Verdict::NonConvergence, peers_without_estimate as f64);
-    }
-    if let Some(base) = baseline_err {
-        if err_a > base * REGRESSION_FACTOR + REGRESSION_FLOOR {
-            return (Verdict::ErrRegression, err_a / base);
-        }
-    }
-    (Verdict::Clear, 0.0)
 }
 
 fn run_cycle(
@@ -387,11 +340,7 @@ fn run_cycle(
         .with_rounds_per_instance(ROUNDS);
     if hardened {
         proto_config = proto_config
-            .with_robust(
-                RobustPolicy::new()
-                    .with_trim_fraction(0.0)
-                    .with_influence_cap(INFLUENCE_CAP),
-            )
+            .with_robust(robust_policy())
             .with_verify_points(10)
             .with_self_heal(1e-15, 1);
     }
@@ -402,159 +351,33 @@ fn run_cycle(
             c
         }
     });
-    engine.attach_telemetry(SimTelemetry::new());
-    let adversary = scenario.and_then(adversary_of);
-    if let Some(sc) = scenario {
-        engine
-            .set_fault_scenario(sc.clone())
-            .expect("oracle inputs are pre-validated scenarios");
-    }
-    let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-    let initiator = honest_initiator(&ids, adversary.as_ref());
-    let meta = engine
-        .with_ctx(|proto, ctx| proto.start_instance(initiator, ctx))
-        .expect("instance start");
     // A self-heal restart needs its extended deadline to pass before it
     // finalises, so hardened runs get a second instance epoch.
-    let total_rounds = if hardened {
-        2 * ROUNDS + 1 + SETTLE_ROUNDS
-    } else {
-        ROUNDS + 1 + SETTLE_ROUNDS
-    };
-    let auditor = run_instance_audited(&mut engine, &meta, total_rounds);
-    let healed = engine.protocol().healed_count();
-
-    let (peers, n_hats) = collect_peers(engine.nodes());
-    let report = score_honest(&peers, adversary.as_ref(), s, config);
-    let fingerprint = fingerprint_of(&peers, &n_hats);
-
-    let snapshots: Vec<RoundSnapshot> = engine
-        .telemetry_mut()
-        .map(|t| t.telemetry().snapshots().to_vec())
-        .unwrap_or_default();
+    let epochs = if hardened { 2 } else { 1 };
+    let run = run_cycle_scenario(&mut engine, scenario, epochs * ROUNDS + 1 + SETTLE_ROUNDS);
+    let snapshots: &[RoundSnapshot] = engine
+        .telemetry()
+        .map_or(&[], |t| t.telemetry().snapshots());
+    let report = run.peers.score(&s.truth, config.sample_peers, config.seed);
     let signature = behaviour_signature(
-        &snapshots,
+        snapshots,
         report.avg_cdf,
-        healed,
+        run.healed,
         report.peers_without_estimate,
     );
-
     // Judge the *worst excursion*, not the final reading: once the
     // instance completes it leaves the accounting scope and the defect
     // reads 0 again, but the drift while it was live already corrupted
     // the estimates derived from it (`bench_faults` reports the same
     // max-excursion statistic).
-    let mass_eligible = mass_eligibility_for(scenario, healed);
-    let (verdict, detail) = judge(
-        mass_eligible,
-        auditor.worst_drift_of(AUDIT_WEIGHT),
-        auditor.worst_violation_of(AUDIT_WEIGHT, WEIGHT_TOLERANCE),
-        auditor.worst_drift_of(AUDIT_FRACTION),
-        auditor.worst_violation_of(AUDIT_FRACTION, FRACTION_TOLERANCE),
-        report.avg_cdf,
-        report.peers_without_estimate,
+    judge(
+        scenario,
+        &run,
+        report,
+        (WEIGHT_TOLERANCE, FRACTION_TOLERANCE),
         baseline_err,
-    );
-    RunOutcome {
-        verdict,
-        detail,
-        err_a: report.avg_cdf,
-        fingerprint,
         signature,
-        healed,
-        peers_without_estimate: report.peers_without_estimate,
-    }
-}
-
-/// Final per-peer state (slot + optional estimate) and n̂ samples, shared
-/// by the cycle and event paths (both engines expose the same
-/// [`Adam2Node`] slab).
-fn collect_peers(nodes: &NodeSlab<Adam2Node>) -> PeerStates {
-    let peers: Vec<(usize, Option<PeerEstimate>)> = nodes
-        .iter()
-        .map(|(id, node)| {
-            let est = node.estimate().map(|est| PeerEstimate {
-                instance: est.instance.as_u64(),
-                thresholds: est.thresholds.clone(),
-                fractions: est.fractions.clone(),
-                min: est.min,
-                max: est.max,
-            });
-            (id.slot(), est)
-        })
-        .collect();
-    let n_hats: Vec<Option<f64>> = nodes
-        .iter()
-        .map(|(_, node)| node.estimate().and_then(|est| est.n_hat))
-        .collect();
-    (peers, n_hats)
-}
-
-type PeerStates = (Vec<(usize, Option<PeerEstimate>)>, Vec<Option<f64>>);
-
-/// Err_a over the honest peers only (a Byzantine node's estimate is not
-/// an invariant the protocol owes anyone).
-fn score_honest(
-    peers: &[(usize, Option<PeerEstimate>)],
-    adversary: Option<&ActiveAdversary>,
-    s: &ExperimentSetup,
-    config: &OracleConfig,
-) -> ErrorReport {
-    let honest: Vec<Option<PeerEstimate>> = peers
-        .iter()
-        .filter(|(slot, _)| adversary.is_none_or(|adv| !adv.is_byzantine(*slot)))
-        .map(|(_, est)| est.clone())
-        .collect();
-    evaluate_peer_estimates(&honest, &s.truth, config.sample_peers, config.seed)
-}
-
-/// FNV-1a digest over every peer's final state (same construction as
-/// `bench_byzantine`): two runs with equal fingerprints took
-/// byte-identical trajectories.
-fn fingerprint_of(peers: &[(usize, Option<PeerEstimate>)], n_hats: &[Option<f64>]) -> u64 {
-    let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-    for (slot, est) in peers {
-        fingerprint = mix(fingerprint, *slot as u64);
-        let Some(est) = est else { continue };
-        for f in &est.fractions {
-            fingerprint = mix(fingerprint, f.to_bits());
-        }
-        fingerprint = mix(fingerprint, est.min.to_bits());
-        fingerprint = mix(fingerprint, est.max.to_bits());
-    }
-    for n_hat in n_hats.iter().flatten() {
-        fingerprint = mix(fingerprint, n_hat.to_bits());
-    }
-    fingerprint
-}
-
-/// The event-engine counterpart of `adam2_bench::mass_defect`: aggregate
-/// weight and fraction mass of `meta`'s instance over the whole slab.
-fn event_mass_defect(engine: &EventEngine<AsyncAdam2>, meta: &InstanceMeta) -> (f64, f64) {
-    let lambda = meta.thresholds.len();
-    let mut weight = 0.0f64;
-    let mut fractions = vec![0.0f64; lambda];
-    let mut indicators = vec![0.0f64; lambda];
-    let mut participants = 0usize;
-    for (_, node) in engine.nodes().iter() {
-        let Some(inst) = node.active_instance(meta.id) else {
-            continue;
-        };
-        participants += 1;
-        weight += inst.weight;
-        for (acc, f) in fractions.iter_mut().zip(&inst.fractions) {
-            *acc += f;
-        }
-        for (acc, t) in indicators.iter_mut().zip(meta.thresholds.iter()) {
-            *acc += node.value().indicator(*t);
-        }
-    }
-    let fraction = fractions
-        .iter()
-        .zip(&indicators)
-        .map(|(f, x)| (f - x).abs())
-        .fold(0.0f64, f64::max);
-    (if participants > 0 { weight - 1.0 } else { 0.0 }, fraction)
+    )
 }
 
 impl Oracle {
@@ -562,7 +385,7 @@ impl Oracle {
     /// cross-engine check, closing the PR 5 parity gap): same population,
     /// same invariants, judged from period-boundary mass samples because
     /// the async network's one-sided absorbs keep mass in flight at any
-    /// instant — see [`EVENT_AUDIT_BOUNDARIES`].
+    /// instant — see [`run_event_scenario`].
     ///
     /// `Hardened` here means the robust bounded-influence merge (exchange
     /// repair and self-healing are cycle-engine defenses; the async
@@ -577,85 +400,30 @@ impl Oracle {
         baseline_err: Option<f64>,
     ) -> RunOutcome {
         let config = &self.config;
-        let s = &self.setup;
-        let hardened = config.kind == ConfigKind::Hardened;
-        let mut proto = AsyncAdam2::with_population(PERIOD, s.population.values().to_vec(), {
-            let pop = s.population.clone();
-            move |rng| pop.draw_fresh(rng)
-        });
-        if hardened {
-            proto = proto.with_robust(
-                RobustPolicy::new()
-                    .with_trim_fraction(0.0)
-                    .with_influence_cap(INFLUENCE_CAP),
-            );
-        }
-        let event_config = EventConfig::new(s.population.len(), config.seed)
-            .with_gossip_period(PERIOD)
-            .with_latency(LatencyModel::Uniform { min: 5, max: 40 })
-            .with_threads(threads);
-        let mut engine = EventEngine::new(event_config, proto);
-        let adversary = scenario.and_then(adversary_of);
-        if let Some(sc) = scenario {
-            engine
-                .set_fault_scenario(sc.clone())
-                .expect("oracle inputs are pre-validated scenarios");
-        }
-        let thresholds = uniform_points(s.truth.min(), s.truth.max(), config.lambda);
-        let meta = Arc::new(InstanceMeta {
-            id: InstanceId::derive(0, 0, 1),
-            thresholds: thresholds.into(),
-            verify_thresholds: Vec::new().into(),
-            start_round: 0,
-            end_round: ROUNDS,
-            multi: false,
-        });
-        let ids: Vec<NodeId> = engine.nodes().iter().map(|(id, _)| id).collect();
-        let initiator = honest_initiator(&ids, adversary.as_ref());
-        engine.with_ctx(|proto, ctx| proto.start_instance(initiator, meta.clone(), ctx));
-
-        let mut auditor = MassAuditor::new();
-        auditor.observe(AUDIT_WEIGHT, 0.0);
-        auditor.observe(AUDIT_FRACTION, 0.0);
-        for k in (ROUNDS - EVENT_AUDIT_BOUNDARIES)..ROUNDS {
-            engine.run_until_parallel(k * PERIOD);
-            let (weight, fraction) = event_mass_defect(&engine, &meta);
-            auditor.observe(AUDIT_WEIGHT, weight);
-            auditor.observe(AUDIT_FRACTION, fraction);
-        }
-        engine.run_until_parallel(PERIOD * (ROUNDS + 1 + SETTLE_ROUNDS));
-
-        let (peers, n_hats) = collect_peers(engine.nodes());
-        let report = score_honest(&peers, adversary.as_ref(), s, config);
-        let fingerprint = fingerprint_of(&peers, &n_hats);
-
-        let mass_eligible = mass_eligibility_for(scenario, 0);
-        let (verdict, detail) = judge(
-            mass_eligible,
-            auditor.worst_drift_of(AUDIT_WEIGHT),
-            auditor.worst_violation_of(AUDIT_WEIGHT, EVENT_WEIGHT_TOLERANCE),
-            auditor.worst_drift_of(AUDIT_FRACTION),
-            auditor.worst_violation_of(
-                AUDIT_FRACTION,
-                EVENT_FRACTION_TOLERANCE_PER_NODE * config.nodes as f64,
-            ),
-            report.avg_cdf,
-            report.peers_without_estimate,
-            baseline_err,
+        let run = run_event_scenario(
+            &self.setup,
+            config.lambda,
+            config.seed,
+            (config.kind == ConfigKind::Hardened).then(robust_policy),
+            scenario,
+            threads,
+            ROUNDS + 1 + SETTLE_ROUNDS,
         );
-        RunOutcome {
-            verdict,
-            detail,
-            err_a: report.avg_cdf,
-            fingerprint,
-            // The event engine's telemetry is tick-granular; the
-            // behaviour signature is a cycle-path concept and stays
-            // empty here (the campaign only explores on the cycle
-            // engine).
-            signature: Vec::new(),
-            healed: 0,
-            peers_without_estimate: report.peers_without_estimate,
-        }
+        let report = run
+            .peers
+            .score(&self.setup.truth, config.sample_peers, config.seed);
+        let fraction_tolerance = EVENT_FRACTION_TOLERANCE_PER_NODE * config.nodes as f64;
+        // The event engine's telemetry is tick-granular; the behaviour
+        // signature is a cycle-path concept and stays empty here (the
+        // campaign only explores on the cycle engine).
+        judge(
+            scenario,
+            &run,
+            report,
+            (EVENT_WEIGHT_TOLERANCE, fraction_tolerance),
+            baseline_err,
+            Vec::new(),
+        )
     }
 }
 

@@ -236,13 +236,11 @@ pub struct MassAuditor {
 #[derive(Debug, Clone, Copy)]
 struct MassComponent {
     baseline: f64,
-    last: f64,
     max_abs_drift: f64,
     /// Most negative signed drift ever observed (≤ 0).
     min_drift: f64,
     /// Most positive signed drift ever observed (≥ 0).
     max_drift: f64,
-    observations: u64,
 }
 
 impl MassAuditor {
@@ -257,14 +255,10 @@ impl MassAuditor {
     pub fn observe(&mut self, key: u64, value: f64) {
         let entry = self.components.entry(key).or_insert(MassComponent {
             baseline: value,
-            last: value,
             max_abs_drift: 0.0,
             min_drift: 0.0,
             max_drift: 0.0,
-            observations: 0,
         });
-        entry.observations += 1;
-        entry.last = value;
         let signed = value - entry.baseline;
         entry.min_drift = entry.min_drift.min(signed);
         entry.max_drift = entry.max_drift.max(signed);
@@ -283,23 +277,16 @@ impl MassAuditor {
             .fold(0.0, f64::max)
     }
 
-    /// Signed drift of component `key`'s latest observation from its
-    /// baseline, if the component was observed.
-    pub fn drift_of(&self, key: u64) -> Option<f64> {
-        self.components.get(&key).map(|c| c.last - c.baseline)
-    }
-
     /// Largest absolute drift ever seen on component `key`.
     pub fn max_drift_of(&self, key: u64) -> Option<f64> {
         self.components.get(&key).map(|c| c.max_abs_drift)
     }
 
     /// The *signed* drift of component `key`'s worst excursion — the
-    /// observation farthest from baseline in either direction. Unlike
-    /// [`drift_of`](Self::drift_of) this does not forgive a violation
+    /// observation farthest from baseline in either direction. A violation
     /// that later returns to baseline (e.g. an instance completing and
-    /// leaving the accounting scope): the excursion already corrupted
-    /// every estimate derived while it was live.
+    /// leaving the accounting scope) is not forgiven: the excursion
+    /// already corrupted every estimate derived while it was live.
     pub fn worst_drift_of(&self, key: u64) -> Option<f64> {
         self.components.get(&key).map(|c| {
             if -c.min_drift > c.max_drift {
@@ -310,9 +297,13 @@ impl MassAuditor {
         })
     }
 
-    /// Classifies component `key`'s *worst excursion* against `tolerance`
-    /// — the transient-intolerant counterpart of
-    /// [`violation_of`](Self::violation_of).
+    /// Classifies component `key`'s *worst excursion* against `tolerance`:
+    /// `None` while it stays within `tolerance`, otherwise which
+    /// *direction* the conservation broke in. Weight inflation (a
+    /// Byzantine node claiming aggregation weight it was never assigned)
+    /// and leakage (an interrupted exchange destroying mass) are different
+    /// attacks with different defenses, so they are reported as distinct
+    /// kinds.
     pub fn worst_violation_of(&self, key: u64, tolerance: f64) -> Option<MassViolation> {
         let drift = self.worst_drift_of(key)?;
         if drift > tolerance {
@@ -323,53 +314,10 @@ impl MassAuditor {
             None
         }
     }
-
-    /// Number of observed components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Forgets everything (e.g. between experiment phases).
-    pub fn reset(&mut self) {
-        self.components.clear();
-    }
-
-    /// Classifies component `key`'s latest observation against its
-    /// baseline: `None` while the signed drift stays within `tolerance`,
-    /// otherwise which *direction* the conservation broke in. Weight
-    /// inflation (a Byzantine node claiming aggregation weight it was
-    /// never assigned) and leakage (an interrupted exchange destroying
-    /// mass) are different attacks with different defenses, so they are
-    /// reported as distinct kinds.
-    pub fn violation_of(&self, key: u64, tolerance: f64) -> Option<MassViolation> {
-        let drift = self.drift_of(key)?;
-        if drift > tolerance {
-            Some(MassViolation::Inflation)
-        } else if drift < -tolerance {
-            Some(MassViolation::Leakage)
-        } else {
-            None
-        }
-    }
-
-    /// Every component currently in violation, as `(key, kind, signed
-    /// drift)` sorted by key.
-    pub fn violations(&self, tolerance: f64) -> Vec<(u64, MassViolation, f64)> {
-        let mut out: Vec<(u64, MassViolation, f64)> = self
-            .components
-            .keys()
-            .filter_map(|&key| {
-                let kind = self.violation_of(key, tolerance)?;
-                Some((key, kind, self.drift_of(key).expect("component observed")))
-            })
-            .collect();
-        out.sort_by_key(|&(key, _, _)| key);
-        out
-    }
 }
 
 /// The direction a conservation invariant broke in, as classified by
-/// [`MassAuditor::violation_of`].
+/// [`MassAuditor::worst_violation_of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MassViolation {
     /// The sum rose above its baseline: mass was created, e.g. a Byzantine
@@ -618,8 +566,7 @@ mod tests {
         // return NaN.
         let auditor = MassAuditor::new();
         assert_eq!(auditor.max_drift(), 0.0);
-        assert_eq!(auditor.component_count(), 0);
-        assert_eq!(auditor.drift_of(0), None);
+        assert_eq!(auditor.worst_drift_of(0), None);
         assert_eq!(auditor.max_drift_of(0), None);
     }
 
@@ -632,24 +579,23 @@ mod tests {
         for _ in 0..5 {
             auditor.observe(42, 1.0);
         }
-        assert_eq!(auditor.drift_of(42), Some(0.0));
+        assert_eq!(auditor.worst_drift_of(42), Some(0.0));
         assert_eq!(auditor.max_drift_of(42), Some(0.0));
         assert_eq!(auditor.max_drift(), 0.0);
-        assert_eq!(auditor.component_count(), 1);
     }
 
     #[test]
     fn mass_auditor_post_abort_rollback_round_keeps_peak_drift() {
         // An aborted exchange rolls state back before the next round, so
         // the *latest* drift returns to the baseline — but the auditor must
-        // remember the mid-abort excursion in `max_drift_of` so the
-        // invariant check still flags transiently destroyed mass.
+        // remember the mid-abort excursion so the invariant check still
+        // flags transiently destroyed mass.
         let mut auditor = MassAuditor::new();
         auditor.observe(3, 50.0); // baseline
         auditor.observe(3, 47.5); // abort destroyed mass mid-round
         auditor.observe(3, 50.0); // rollback round restored it
-        assert_eq!(auditor.drift_of(3), Some(0.0), "rollback restores mass");
         assert_eq!(auditor.max_drift_of(3), Some(2.5), "excursion remembered");
+        assert_eq!(auditor.worst_drift_of(3), Some(-2.5));
         assert_eq!(auditor.max_drift(), 2.5);
     }
 
@@ -662,15 +608,11 @@ mod tests {
         assert_eq!(auditor.max_drift(), 0.0);
         auditor.observe(0, 99.5);
         auditor.observe(0, 100.25);
-        assert_eq!(auditor.drift_of(0), Some(0.25));
         assert_eq!(auditor.max_drift_of(0), Some(0.5));
-        assert_eq!(auditor.drift_of(1), Some(0.0));
+        assert_eq!(auditor.worst_drift_of(0), Some(-0.5));
+        assert_eq!(auditor.max_drift_of(1), Some(0.0));
         assert_eq!(auditor.max_drift(), 0.5);
-        assert_eq!(auditor.component_count(), 2);
-        assert_eq!(auditor.drift_of(7), None);
-        auditor.reset();
-        assert_eq!(auditor.component_count(), 0);
-        assert_eq!(auditor.max_drift(), 0.0);
+        assert_eq!(auditor.max_drift_of(7), None);
     }
 
     #[test]
@@ -682,10 +624,10 @@ mod tests {
         auditor.observe(0, 1.0); // Σw baseline of one instance
         auditor.observe(0, 5.0); // adversary set w = 5 somewhere
         assert_eq!(
-            auditor.violation_of(0, 1e-9),
+            auditor.worst_violation_of(0, 1e-9),
             Some(MassViolation::Inflation)
         );
-        assert_eq!(auditor.drift_of(0), Some(4.0));
+        assert_eq!(auditor.worst_drift_of(0), Some(4.0));
     }
 
     #[test]
@@ -693,8 +635,11 @@ mod tests {
         let mut auditor = MassAuditor::new();
         auditor.observe(0, 1.0);
         auditor.observe(0, 0.75); // response lost after request applied
-        assert_eq!(auditor.violation_of(0, 1e-9), Some(MassViolation::Leakage));
-        assert_eq!(auditor.drift_of(0), Some(-0.25));
+        assert_eq!(
+            auditor.worst_violation_of(0, 1e-9),
+            Some(MassViolation::Leakage)
+        );
+        assert_eq!(auditor.worst_drift_of(0), Some(-0.25));
     }
 
     #[test]
@@ -706,8 +651,6 @@ mod tests {
         auditor.observe(0, 0.0);
         auditor.observe(0, -0.04); // leak while the instance runs
         auditor.observe(0, 0.0); // instance due: defect reads 0 again
-        assert_eq!(auditor.drift_of(0), Some(0.0));
-        assert_eq!(auditor.violation_of(0, 1e-9), None, "last-value forgives");
         assert_eq!(auditor.worst_drift_of(0), Some(-0.04));
         assert_eq!(
             auditor.worst_violation_of(0, 1e-9),
@@ -723,25 +666,5 @@ mod tests {
         );
         assert_eq!(auditor.worst_violation_of(0, 1.0), None, "tolerance");
         assert_eq!(auditor.worst_drift_of(5), None, "unknown component");
-    }
-
-    #[test]
-    fn mass_auditor_violations_respect_tolerance_and_sort_by_key() {
-        let mut auditor = MassAuditor::new();
-        auditor.observe(2, 1.0);
-        auditor.observe(2, 1.0 + 5e-13); // float noise, inside tolerance
-        auditor.observe(9, 1.0);
-        auditor.observe(9, 0.5);
-        auditor.observe(4, 1.0);
-        auditor.observe(4, 2.0);
-        assert_eq!(auditor.violation_of(2, 1e-12), None);
-        assert_eq!(auditor.violation_of(77, 1e-12), None, "unknown component");
-        assert_eq!(
-            auditor.violations(1e-12),
-            vec![
-                (4, MassViolation::Inflation, 1.0),
-                (9, MassViolation::Leakage, -0.5),
-            ]
-        );
     }
 }

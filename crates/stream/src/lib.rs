@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use adam2_bench::{adam2_engine_with, current_truth, start_instance, ExperimentSetup};
+use adam2_bench::{adam2_engine_with, current_truth, fnv_mix, start_instance, ExperimentSetup};
 use adam2_core::{
     discrete_errors_over, Adam2Config, Adam2Protocol, BlendedTracker, DistributionEstimate,
     DriftController, FadeConfig, InstanceMeta, InterpCdf,
@@ -211,15 +211,6 @@ pub struct StreamReport {
     /// FNV-1a digest over the full per-round error series; bit-identical
     /// replay at any thread count reproduces it exactly.
     pub fingerprint: u64,
-}
-
-/// FNV-1a over the little-endian bytes of `v`, folded into `h`.
-fn mix(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Runs overlapping Adam2 instances on a staggered schedule over a
@@ -422,11 +413,11 @@ impl InstancePipeline {
         let time_avg_err_max = self.samples.iter().map(|s| s.err_max).sum::<f64>() / n;
         let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
         for s in &self.samples {
-            fingerprint = mix(fingerprint, s.round);
-            fingerprint = mix(fingerprint, s.err_max.to_bits());
-            fingerprint = mix(fingerprint, s.err_avg.to_bits());
-            fingerprint = mix(fingerprint, s.tracked as u64);
-            fingerprint = mix(fingerprint, s.period);
+            fingerprint = fnv_mix(fingerprint, s.round);
+            fingerprint = fnv_mix(fingerprint, s.err_max.to_bits());
+            fingerprint = fnv_mix(fingerprint, s.err_avg.to_bits());
+            fingerprint = fnv_mix(fingerprint, s.tracked as u64);
+            fingerprint = fnv_mix(fingerprint, s.period);
         }
         let mean_divergence = if self.divergences.is_empty() {
             f64::NAN
