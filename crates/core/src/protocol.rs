@@ -28,8 +28,8 @@ use rand::rngs::StdRng;
 use rand::RngExt as _;
 
 use adam2_sim::{
-    AdversaryModel, Ctx, DriftOp, ExchangeFate, ExchangeTraffic, LocalReport, NodeId,
-    PlannedAttack, PlannedExchange, Protocol,
+    prefetch, AdversaryModel, Ctx, DriftOp, ExchangeFate, ExchangeTraffic, LocalReport, NodeId,
+    PlannedAttack, PlannedExchange, PrefetchStage, Protocol,
 };
 
 use crate::confidence::verification_thresholds;
@@ -839,6 +839,21 @@ impl Protocol for Adam2Protocol {
             .record_heal_bump(ctx.round, id.slot() as u32, report.restarts);
         if report.wants_sequential {
             self.start_instance(id, ctx);
+        }
+    }
+
+    /// The instance buffer, then every instance's fraction vectors: the
+    /// two pointer hops an exchange takes from the node to the state it
+    /// averages. A node running no instance has nothing to hint.
+    fn prefetch(&self, node: &Adam2Node, stage: PrefetchStage) {
+        match stage {
+            PrefetchStage::Headers => prefetch(&node.instances),
+            PrefetchStage::Bodies => {
+                for instance in &node.instances {
+                    prefetch(&instance.fractions);
+                    prefetch(&instance.verify_fractions);
+                }
+            }
         }
     }
 

@@ -139,6 +139,20 @@ pub trait Protocol: Sync {
         partner: &mut Self::Node,
     ) -> ExchangeTraffic;
 
+    /// Hints the CPU to start loading the part of `node` that `stage` names,
+    /// a few exchanges before [`apply`](Protocol::apply) reads it (see
+    /// [`PrefetchStage`]); implementations call [`prefetch`] on it.
+    ///
+    /// The hook only reads, and only to hint: it must change nothing a
+    /// result depends on. It may see a node whose exchange is later
+    /// skipped, and a node that earlier exchanges of the round change
+    /// before its own is applied. It runs on the thread that applies the
+    /// exchange, possibly concurrently for slot-disjoint nodes. The default
+    /// does nothing.
+    fn prefetch(&self, node: &Self::Node, stage: PrefetchStage) {
+        let _ = (node, stage);
+    }
+
     /// Called after a node joined a running system (churn replacement),
     /// with the node already registered in the overlay. The default does
     /// nothing; protocols can use it to bootstrap the newcomer from its
@@ -161,6 +175,39 @@ pub trait Protocol: Sync {
     fn drift_node(&mut self, id: NodeId, node: &mut Self::Node, op: DriftOp, rng: &mut StdRng) {
         let _ = (id, node, op, rng);
     }
+}
+
+/// Which part of a node's state [`Protocol::prefetch`] hints: the apply
+/// walker hints a planned exchange's slab payloads `3 D` exchanges before
+/// applying it, its [`Headers`](PrefetchStage::Headers) `2 D` before and its
+/// [`Bodies`](PrefetchStage::Bodies) `D` before, so each stage can follow the
+/// pointers the previous one loaded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefetchStage {
+    /// What the node's own fields point at (for Adam2: the instance buffer).
+    Headers,
+    /// What the headers point at (for Adam2: the fraction vectors).
+    Bodies,
+}
+
+/// Hints the CPU to pull every cache line of `data` into cache. A hint has
+/// no architectural effect: it never faults and changes no value. Does
+/// nothing off x86-64.
+#[inline]
+pub fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    if !data.is_empty() {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let skew = data.as_ptr() as usize % 64;
+        let first = data.as_ptr().cast::<i8>().wrapping_sub(skew);
+        for offset in (0..skew + std::mem::size_of_val(data)).step_by(64) {
+            // SAFETY: SSE is part of the x86-64 baseline, and a prefetch
+            // neither dereferences its address nor faults on it.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
 }
 
 /// Result of one node's [`Protocol::local`] step.
@@ -349,6 +396,81 @@ impl<N> Ctx<'_, N> {
     /// to a real decentralised node — protocols must estimate it).
     pub fn live_count(&self) -> usize {
         self.nodes.len()
+    }
+}
+
+/// Exchanges between two hint stages of [`walk_prefetched`]: far enough
+/// ahead that a miss to memory completes before its data is needed, close
+/// enough that the hinted lines are still cached when it is.
+const PREFETCH_DISTANCE: usize = 6;
+
+/// One step of [`walk_prefetched`] for one planned exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WalkStep {
+    /// Hint both nodes' slab payloads.
+    Payloads,
+    /// Hint one [`Protocol::prefetch`] stage of both nodes.
+    Hint(PrefetchStage),
+    /// Apply the exchange.
+    Apply,
+}
+
+/// Applies `exchanges` in order, software-pipelined: just before exchange
+/// `k` is applied, exchange `k + 3 D` gets its payload hint, `k + 2 D` its
+/// header hint and `k + D` its body hint (`D` = [`PREFETCH_DISTANCE`]), so
+/// every exchange gets each hint once, in that order, before it is applied.
+/// Hints never change state, so the applies are those of a plain loop.
+fn walk_prefetched<'p>(
+    exchanges: impl Iterator<Item = &'p PlannedExchange> + Clone,
+    mut step: impl FnMut(&'p PlannedExchange, WalkStep),
+) {
+    const D: usize = PREFETCH_DISTANCE;
+    let mut payloads = exchanges.clone();
+    let mut headers = exchanges.clone();
+    let mut bodies = exchanges.clone();
+    let mut applies = exchanges;
+    for lead in 0.. {
+        if let Some(p) = payloads.next() {
+            step(p, WalkStep::Payloads);
+        }
+        if lead >= D {
+            if let Some(p) = headers.next() {
+                step(p, WalkStep::Hint(PrefetchStage::Headers));
+            }
+        }
+        if lead >= 2 * D {
+            if let Some(p) = bodies.next() {
+                step(p, WalkStep::Hint(PrefetchStage::Bodies));
+            }
+        }
+        if lead >= 3 * D {
+            let Some(p) = applies.next() else { return };
+            step(p, WalkStep::Apply);
+        }
+    }
+}
+
+/// Issues one hint step for both nodes of `p`, reading their payload slots
+/// through `slot`.
+fn hint_exchange<'n, P: Protocol>(
+    protocol: &P,
+    p: &PlannedExchange,
+    step: WalkStep,
+    slot: impl Fn(usize) -> &'n Option<P::Node>,
+) where
+    P::Node: 'n,
+{
+    for id in [p.initiator, p.partner] {
+        let payload = slot(id.slot());
+        match step {
+            WalkStep::Payloads => prefetch(std::slice::from_ref(payload)),
+            WalkStep::Hint(stage) => {
+                if let Some(node) = payload {
+                    protocol.prefetch(node, stage);
+                }
+            }
+            WalkStep::Apply => {}
+        }
     }
 }
 
@@ -910,9 +1032,10 @@ impl<P: Protocol> Engine<P> {
 
         // Apply.
         if threads <= 1 {
-            for p in buf.plans.iter().flatten() {
-                self.apply_one(p);
-            }
+            walk_prefetched(buf.plans.iter().flatten(), |p, step| match step {
+                WalkStep::Apply => self.apply_one(p),
+                hint => hint_exchange(&self.protocol, p, hint, |s| self.nodes.peek_slot(s)),
+            });
         } else {
             buf.sort_by_batch();
             self.apply_coloured(&buf, threads.min(widest as usize).max(1));
@@ -974,8 +1097,20 @@ impl<P: Protocol> Engine<P> {
                 let mine = &batch[(w * chunk).min(batch.len())..((w + 1) * chunk).min(batch.len())];
                 if failure.is_none() {
                     let applied = panic::catch_unwind(AssertUnwindSafe(|| {
-                        for &i in mine {
-                            let p = buf.plans[i as usize].as_ref().expect("coloured");
+                        let exchanges = mine
+                            .iter()
+                            .map(|&i| buf.plans[i as usize].as_ref().expect("coloured"));
+                        walk_prefetched(exchanges, |p, step| {
+                            if step != WalkStep::Apply {
+                                // SAFETY: a hint reads only slots of this
+                                // worker's share of the batch, which no other
+                                // worker touches until the barrier, and no
+                                // borrow of this worker's applies outlives
+                                // its apply.
+                                return hint_exchange(protocol, p, step, |s| unsafe {
+                                    nodes.peek_slot(s)
+                                });
+                            }
                             // SAFETY: slots within one batch are pairwise
                             // distinct by construction, and the barrier
                             // keeps batches apart, so these two borrows and
@@ -983,7 +1118,7 @@ impl<P: Protocol> Engine<P> {
                             // accesses to their slots.
                             let pair =
                                 unsafe { (nodes.get_mut(p.initiator), nodes.get_mut(p.partner)) };
-                            let (Some(a), Some(b)) = pair else { continue };
+                            let (Some(a), Some(b)) = pair else { return };
                             let traffic = protocol.apply(p, round, a, b);
                             if let Some((ts, (hreq, hresp))) = &mut tshard {
                                 ts.record_traffic(&traffic, *hreq, *hresp);
@@ -995,7 +1130,7 @@ impl<P: Protocol> Engine<P> {
                                 bytes += sent as u64;
                                 msgs += 1;
                             });
-                        }
+                        });
                     }));
                     failure = applied.err();
                 }
@@ -1701,6 +1836,139 @@ mod tests {
             let everyone = AdversaryModel::TargetedPartner { magnitude: 1.0 };
             let scenario = FaultScenario::new(5).with_adversary(0, 10, 1.0, everyone);
             assert_serial_equals_coloured(config, Some(&scenario), 10);
+        }
+    }
+
+    /// Plans of `len` exchanges, exchange `k` initiated by slot `k`, with a
+    /// `None` after every exchange whose slot is a multiple of 3.
+    fn interleaved_plans(len: usize) -> Vec<Option<PlannedExchange>> {
+        let mut plans = vec![None];
+        for k in 0..len as u32 {
+            plans.push(Some(PlannedExchange {
+                initiator: NodeId::for_tests(k, 0),
+                partner: NodeId::for_tests(k + 1, 0),
+                fate: ExchangeFate::Complete,
+                request_msgs: 1,
+                response_msgs: 1,
+                attack: None,
+            }));
+            if k % 3 == 0 {
+                plans.push(None);
+            }
+        }
+        plans
+    }
+
+    /// Walks `exchanges` and checks that it applies them once each in
+    /// iteration order, and hints exchange `j` at each stage exactly once,
+    /// when `j - 3 D` (payloads), `j - 2 D` (headers) or `j - D` (bodies)
+    /// exchanges, but at least none, have been applied.
+    fn assert_walk<'p>(exchanges: impl Iterator<Item = &'p PlannedExchange> + Clone) {
+        const D: usize = PREFETCH_DISTANCE;
+        let plain: Vec<usize> = exchanges.clone().map(|p| p.initiator.slot()).collect();
+        let mut applied = Vec::new();
+        let mut hinted: Vec<[Option<usize>; 3]> = vec![[None; 3]; plain.len()];
+        walk_prefetched(exchanges, |p, step| {
+            let j = plain.iter().position(|&s| s == p.initiator.slot()).unwrap();
+            let stage = match step {
+                WalkStep::Apply => return applied.push(p.initiator.slot()),
+                WalkStep::Payloads => 0,
+                WalkStep::Hint(PrefetchStage::Headers) => 1,
+                WalkStep::Hint(PrefetchStage::Bodies) => 2,
+            };
+            assert_eq!(
+                hinted[j][stage], None,
+                "exchange {j} hinted twice at {step:?}"
+            );
+            hinted[j][stage] = Some(applied.len());
+        });
+        assert_eq!(applied, plain, "not the plain loop's applies");
+        for (j, at) in hinted.iter().enumerate() {
+            let lead = [3 * D, 2 * D, D].map(|d| Some(j.saturating_sub(d)));
+            assert_eq!(*at, lead, "exchange {j} of {}: hinted after", plain.len());
+        }
+    }
+
+    #[test]
+    fn the_walker_applies_the_plain_loop_and_hints_each_exchange_at_its_distances() {
+        const D: usize = PREFETCH_DISTANCE;
+        for len in [0, 1, D - 1, D, 3 * D, 3 * D + 1] {
+            let plans = interleaved_plans(len);
+            assert_walk(plans.iter().flatten());
+            // A coloured share: plan indices in a non-slot order.
+            let mut order: Vec<u32> = (0..plans.len() as u32)
+                .filter(|&i| plans[i as usize].is_some())
+                .collect();
+            order.reverse();
+            order.rotate_left(len / 2);
+            assert_walk(order.iter().map(|&i| plans[i as usize].as_ref().unwrap()));
+        }
+    }
+
+    /// [`Averaging`] with a [`Protocol::prefetch`] that counts its calls per
+    /// stage.
+    struct Hinted {
+        inner: Averaging,
+        hints: [std::sync::atomic::AtomicU64; 2],
+    }
+
+    impl Protocol for Hinted {
+        type Node = f64;
+
+        fn make_node(&mut self, rng: &mut StdRng) -> f64 {
+            self.inner.make_node(rng)
+        }
+
+        fn apply(
+            &self,
+            plan: &PlannedExchange,
+            round: u64,
+            a: &mut f64,
+            b: &mut f64,
+        ) -> ExchangeTraffic {
+            self.inner.apply(plan, round, a, b)
+        }
+
+        fn prefetch(&self, _node: &f64, stage: PrefetchStage) {
+            let counter = &self.hints[stage as usize];
+            counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn the_prefetch_hook_runs_on_both_apply_paths_and_changes_nothing() {
+        let config = EngineConfig::new(300, 31)
+            .with_churn(ChurnModel::uniform(0.02))
+            .with_loss_rate(0.1);
+        let (plain, _) = observe(config, Some(&crash_scenario()), false, 12);
+        for threads in [1, 3] {
+            let protocol = Hinted {
+                inner: Averaging { next_value: 0.0 },
+                hints: Default::default(),
+            };
+            let mut engine = Engine::new(config.with_threads(threads), protocol);
+            engine.set_fault_scenario(crash_scenario()).unwrap();
+            let mut exchanges = 0;
+            for _ in 0..12 {
+                engine.run_round();
+                exchanges += engine.buffers.plans.iter().flatten().count() as u64;
+            }
+            let values: Vec<_> = engine
+                .nodes()
+                .iter()
+                .map(|(id, v)| (id.slot(), v.to_bits()))
+                .collect();
+            assert_eq!(
+                values, plain.values,
+                "threads={threads}: the hook changed the run"
+            );
+            let totals = (engine.net().total_bytes(), engine.net().total_msgs());
+            assert_eq!(totals, plain.totals, "threads={threads}");
+            // Every planned exchange's two nodes, once per stage.
+            for counter in &engine.protocol().hints {
+                let hints = counter.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(hints, 2 * exchanges, "threads={threads}");
+            }
         }
     }
 

@@ -73,8 +73,8 @@ pub use wheel::TimerWheel;
 
 pub use churn::ChurnModel;
 pub use engine::{
-    Ctx, Engine, EngineConfig, ExchangeFate, ExchangeRepair, ExchangeTraffic, LocalReport,
-    PlannedExchange, Protocol, SimConfigError,
+    prefetch, Ctx, Engine, EngineConfig, ExchangeFate, ExchangeRepair, ExchangeTraffic,
+    LocalReport, PlannedExchange, PrefetchStage, Protocol, SimConfigError,
 };
 pub use event::{AsyncProtocol, BatchCtx, EventConfig, EventCtx, EventEngine, LatencyModel};
 pub use faults::{

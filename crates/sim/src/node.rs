@@ -372,6 +372,17 @@ impl<N> NodeSlab<N> {
         });
     }
 
+    /// The payload slot `slot`, live or not, with no generation check: the
+    /// apply walker reads it only to hint the CPU, and a stale slot costs
+    /// nothing but a wasted hint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.slot_count()`.
+    pub(crate) fn peek_slot(&self, slot: usize) -> &Option<N> {
+        &self.payload[slot]
+    }
+
     /// An unsynchronised shared handle over the payload column, for the
     /// parallel apply phase where the *caller* guarantees disjointness
     /// (each slot touched by at most one thread at a time).
@@ -502,6 +513,22 @@ impl<'a, N> RawSlots<'a, N> {
             return None;
         }
         (*self.ptr.add(id.slot())).as_mut()
+    }
+
+    /// Shared, read-only access to the payload slot `slot`, live or not, with
+    /// no generation check (see [`NodeSlab::peek_slot`]).
+    ///
+    /// # Safety
+    ///
+    /// No exclusive reference to the same slot may be alive for the duration
+    /// of the returned borrow.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub(crate) unsafe fn peek_slot(&self, slot: usize) -> &'a Option<N> {
+        assert!(slot < self.meta.len(), "slot {slot} out of range");
+        &*self.ptr.add(slot)
     }
 }
 
