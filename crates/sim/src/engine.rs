@@ -11,7 +11,8 @@
 //! 3. **absorb** — the local reports are folded into shared protocol
 //!    state in slot order ([`Protocol::absorb`]),
 //! 4. **apply** — the planned exchanges are applied *in slot order*
-//!    ([`Protocol::apply`]).
+//!    ([`Protocol::apply`]), each one's state hinted into cache a few
+//!    exchanges ahead ([`Protocol::prefetch`]).
 //!
 //! That serial order is the round's definition, and with
 //! [`EngineConfig::threads`] ≤ 1 it is executed literally: one loop over
@@ -1097,20 +1098,7 @@ impl<P: Protocol> Engine<P> {
                 let mine = &batch[(w * chunk).min(batch.len())..((w + 1) * chunk).min(batch.len())];
                 if failure.is_none() {
                     let applied = panic::catch_unwind(AssertUnwindSafe(|| {
-                        let exchanges = mine
-                            .iter()
-                            .map(|&i| buf.plans[i as usize].as_ref().expect("coloured"));
-                        walk_prefetched(exchanges, |p, step| {
-                            if step != WalkStep::Apply {
-                                // SAFETY: a hint reads only slots of this
-                                // worker's share of the batch, which no other
-                                // worker touches until the barrier, and no
-                                // borrow of this worker's applies outlives
-                                // its apply.
-                                return hint_exchange(protocol, p, step, |s| unsafe {
-                                    nodes.peek_slot(s)
-                                });
-                            }
+                        let mut apply = |p: &PlannedExchange| {
                             // SAFETY: slots within one batch are pairwise
                             // distinct by construction, and the barrier
                             // keeps batches apart, so these two borrows and
@@ -1130,6 +1118,19 @@ impl<P: Protocol> Engine<P> {
                                 bytes += sent as u64;
                                 msgs += 1;
                             });
+                        };
+                        let exchanges = mine
+                            .iter()
+                            .map(|&i| buf.plans[i as usize].as_ref().expect("coloured"));
+                        walk_prefetched(exchanges, |p, step| match step {
+                            WalkStep::Apply => apply(p),
+                            // SAFETY: the walker hints only exchanges of
+                            // this worker's share of the batch, whose slots
+                            // no other worker touches before the barrier, and
+                            // no borrow taken by `apply` outlives it.
+                            hint => {
+                                hint_exchange(protocol, p, hint, |s| unsafe { nodes.peek_slot(s) })
+                            }
                         });
                     }));
                     failure = applied.err();
