@@ -842,9 +842,8 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    /// The instance buffer, then every instance's fraction vectors: the
-    /// two pointer hops an exchange takes from the node to the state it
-    /// averages. A node running no instance has nothing to hint.
+    /// The instance buffer, then every instance's fraction vectors; a node
+    /// running no instance has nothing to hint.
     fn prefetch(&self, node: &Adam2Node, stage: PrefetchStage) {
         match stage {
             PrefetchStage::Headers => prefetch(&node.instances),

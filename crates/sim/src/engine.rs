@@ -11,8 +11,7 @@
 //! 3. **absorb** — the local reports are folded into shared protocol
 //!    state in slot order ([`Protocol::absorb`]),
 //! 4. **apply** — the planned exchanges are applied *in slot order*
-//!    ([`Protocol::apply`]), each one's state hinted into cache a few
-//!    exchanges ahead ([`Protocol::prefetch`]).
+//!    ([`Protocol::apply`]), hinting state ahead ([`Protocol::prefetch`]).
 //!
 //! That serial order is the round's definition, and with
 //! [`EngineConfig::threads`] ≤ 1 it is executed literally: one loop over
@@ -140,16 +139,10 @@ pub trait Protocol: Sync {
         partner: &mut Self::Node,
     ) -> ExchangeTraffic;
 
-    /// Hints the CPU to start loading the part of `node` that `stage` names,
-    /// a few exchanges before [`apply`](Protocol::apply) reads it (see
-    /// [`PrefetchStage`]); implementations call [`prefetch`] on it.
-    ///
-    /// The hook only reads, and only to hint: it must change nothing a
-    /// result depends on. It may see a node whose exchange is later
-    /// skipped, and a node that earlier exchanges of the round change
-    /// before its own is applied. It runs on the thread that applies the
-    /// exchange, possibly concurrently for slot-disjoint nodes. The default
-    /// does nothing.
+    /// Calls [`prefetch`] on the part of `node` that `stage` names, a few
+    /// exchanges before [`apply`](Protocol::apply) reads it, on the applying
+    /// thread. It only reads, and may see a node whose exchange is later
+    /// skipped or changed first by earlier ones. The default does nothing.
     fn prefetch(&self, node: &Self::Node, stage: PrefetchStage) {
         let _ = (node, stage);
     }
@@ -178,11 +171,8 @@ pub trait Protocol: Sync {
     }
 }
 
-/// Which part of a node's state [`Protocol::prefetch`] hints: the apply
-/// walker hints a planned exchange's slab payloads `3 D` exchanges before
-/// applying it, its [`Headers`](PrefetchStage::Headers) `2 D` before and its
-/// [`Bodies`](PrefetchStage::Bodies) `D` before, so each stage can follow the
-/// pointers the previous one loaded.
+/// Which part of a node's state [`Protocol::prefetch`] hints. Each stage
+/// follows the pointers that the one before loaded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchStage {
     /// What the node's own fields point at (for Adam2: the instance buffer).
@@ -400,34 +390,25 @@ impl<N> Ctx<'_, N> {
     }
 }
 
-/// Exchanges between two hint stages of [`walk_prefetched`]: far enough
-/// ahead that a miss to memory completes before its data is needed, close
-/// enough that the hinted lines are still cached when it is.
+/// Exchanges between two hint stages of [`walk_prefetched`].
 const PREFETCH_DISTANCE: usize = 6;
 
-/// Live nodes from which [`walk_prefetched`] hints. A smaller population's
-/// state stays in a core's own caches, where the hints cost more than they
-/// hide: one Adam2 round at 10³ nodes took 28 % longer with them, one at
-/// 5 000 the same, one at 10⁴ 20 % less (2-vCPU host).
+/// Live nodes from which [`walk_prefetched`] hints: an Adam2 round with
+/// hints took 28 % longer at 10³ nodes, as long at 5 000 and 20 % less at
+/// 10⁴, as a smaller population's state stays in a core's own caches.
 const PREFETCH_MIN_NODES: usize = 8192;
 
-/// One step of [`walk_prefetched`] for one planned exchange.
+/// One step of [`walk_prefetched`]: hint both nodes' payloads or a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WalkStep {
-    /// Hint both nodes' slab payloads.
     Payloads,
-    /// Hint one [`Protocol::prefetch`] stage of both nodes.
     Hint(PrefetchStage),
-    /// Apply the exchange.
     Apply,
 }
 
-/// Applies `exchanges` in order. With `hint` it is software-pipelined:
-/// just before exchange `k` is applied, exchange `k + 3 D` gets its payload
-/// hint, `k + 2 D` its header hint and `k + D` its body hint (`D` =
-/// [`PREFETCH_DISTANCE`]), so every exchange gets each hint once, in that
-/// order, before it is applied. Hints never change state, so the applies
-/// are those of a plain loop either way.
+/// Applies `exchanges` in order. With `hint`, just before exchange `k` is
+/// applied, `k + 3 D` gets its payload hint, `k + 2 D` its header hint and
+/// `k + D` its body hint (`D` = [`PREFETCH_DISTANCE`]); hints change nothing.
 fn walk_prefetched<'p>(
     exchanges: impl Iterator<Item = &'p PlannedExchange> + Clone,
     hint: bool,
@@ -462,26 +443,18 @@ fn walk_prefetched<'p>(
     }
 }
 
-/// Issues one hint step for both nodes of `p`, reading their payload slots
-/// through `slot`.
-fn hint_exchange<'n, P: Protocol>(
-    protocol: &P,
+/// Issues one hint step for both nodes of `p`, whose payloads `slot` reads.
+fn hint_exchange<'n, N: 'n>(
+    protocol: &impl Protocol<Node = N>,
     p: &PlannedExchange,
     step: WalkStep,
-    slot: impl Fn(usize) -> &'n Option<P::Node>,
-) where
-    P::Node: 'n,
-{
+    slot: impl Fn(usize) -> &'n Option<N>,
+) {
     for id in [p.initiator, p.partner] {
-        let payload = slot(id.slot());
-        match step {
-            WalkStep::Payloads => prefetch(std::slice::from_ref(payload)),
-            WalkStep::Hint(stage) => {
-                if let Some(node) = payload {
-                    protocol.prefetch(node, stage);
-                }
-            }
-            WalkStep::Apply => {}
+        match (step, slot(id.slot())) {
+            (WalkStep::Payloads, payload) => prefetch(std::slice::from_ref(payload)),
+            (WalkStep::Hint(stage), Some(node)) => protocol.prefetch(node, stage),
+            _ => {}
         }
     }
 }
@@ -1043,15 +1016,15 @@ impl<P: Protocol> Engine<P> {
         }
 
         // Apply.
+        let hint = self.nodes.len() >= PREFETCH_MIN_NODES;
         if threads <= 1 {
-            let hint = self.nodes.len() >= PREFETCH_MIN_NODES;
             walk_prefetched(buf.plans.iter().flatten(), hint, |p, step| match step {
                 WalkStep::Apply => self.apply_one(p),
                 hint => hint_exchange(&self.protocol, p, hint, |s| self.nodes.peek_slot(s)),
             });
         } else {
             buf.sort_by_batch();
-            self.apply_coloured(&buf, threads.min(widest as usize).max(1));
+            self.apply_coloured(&buf, threads.min(widest as usize).max(1), hint);
         }
         self.buffers = buf;
 
@@ -1084,17 +1057,16 @@ impl<P: Protocol> Engine<P> {
     /// fork–join, the caller's thread being the last worker.
     ///
     /// Every worker walks the batches in order, applies its contiguous share
-    /// of each, then waits at a barrier: the next batch may touch slots this
-    /// one wrote. Slots within a batch are distinct, so node states and
+    /// of each ([`walk_prefetched`]), then waits at a barrier: the next batch
+    /// may touch slots this one wrote. Slots within a batch are distinct, so node states and
     /// per-slot traffic are written in place without locks; each worker sums
     /// its own traffic totals and records into its own telemetry shard,
     /// folded in worker order after the join. A worker whose `apply` panics
     /// applies nothing more but keeps meeting the barrier, so the others
     /// cannot hang; the panic is raised again once all have joined.
-    fn apply_coloured(&mut self, buf: &RoundBuffers, workers: usize) {
+    fn apply_coloured(&mut self, buf: &RoundBuffers, workers: usize, hint: bool) {
         let round = self.round;
         let protocol = &self.protocol;
-        let hint = self.nodes.len() >= PREFETCH_MIN_NODES;
         let nodes = self.nodes.raw_slots();
         let per_slot = self.net.raw_per_slot();
         let telemetry = (self.telemetry.as_deref()).map(|t| (t.shard(), t.traffic_histograms()));
@@ -1137,10 +1109,9 @@ impl<P: Protocol> Engine<P> {
                             .map(|&i| buf.plans[i as usize].as_ref().expect("coloured"));
                         walk_prefetched(exchanges, hint, |p, step| match step {
                             WalkStep::Apply => apply(p),
-                            // SAFETY: the walker hints only exchanges of
-                            // this worker's share of the batch, whose slots
-                            // no other worker touches before the barrier, and
-                            // no borrow taken by `apply` outlives it.
+                            // SAFETY: later slots of this share of the batch
+                            // belong to this worker alone until the barrier,
+                            // and no borrow taken by `apply` outlives it.
                             hint => {
                                 hint_exchange(protocol, p, hint, |s| unsafe { nodes.peek_slot(s) })
                             }

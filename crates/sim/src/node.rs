@@ -372,13 +372,8 @@ impl<N> NodeSlab<N> {
         });
     }
 
-    /// The payload slot `slot`, live or not, with no generation check: the
-    /// apply walker reads it only to hint the CPU, and a stale slot costs
-    /// nothing but a wasted hint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot >= self.slot_count()`.
+    /// The payload slot `slot` with no generation check, for cache hints:
+    /// a stale slot costs one wasted hint. Panics if `slot` is out of range.
     pub(crate) fn peek_slot(&self, slot: usize) -> &Option<N> {
         &self.payload[slot]
     }
@@ -515,17 +510,11 @@ impl<'a, N> RawSlots<'a, N> {
         (*self.ptr.add(id.slot())).as_mut()
     }
 
-    /// Shared, read-only access to the payload slot `slot`, live or not, with
-    /// no generation check (see [`NodeSlab::peek_slot`]).
+    /// Shared, read-only [`NodeSlab::peek_slot`].
     ///
     /// # Safety
     ///
-    /// No exclusive reference to the same slot may be alive for the duration
-    /// of the returned borrow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
+    /// No exclusive borrow of the slot may be alive while the result is.
     pub(crate) unsafe fn peek_slot(&self, slot: usize) -> &'a Option<N> {
         assert!(slot < self.meta.len(), "slot {slot} out of range");
         &*self.ptr.add(slot)
