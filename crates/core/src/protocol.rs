@@ -842,8 +842,7 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    /// The instance buffer, then every instance's fraction vectors; a node
-    /// running no instance has nothing to hint.
+    /// The instance buffer, then every instance's fraction vectors.
     fn prefetch(&self, node: &Adam2Node, stage: PrefetchStage) {
         match stage {
             PrefetchStage::Headers => prefetch(&node.instances),

@@ -38,7 +38,7 @@ use crate::faults::{
 use crate::node::{NodeId, NodeSlab};
 use crate::overlay::{Overlay, OverlayConfig};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
-use crate::stats::NetStats;
+use crate::stats::{NetStats, NodeTraffic};
 use crate::telemetry::{SimTelemetry, TelemetryHandle};
 
 /// Error returned when a simulator configuration is invalid (see
@@ -140,9 +140,8 @@ pub trait Protocol: Sync {
     ) -> ExchangeTraffic;
 
     /// Calls [`prefetch`] on the part of `node` that `stage` names, a few
-    /// exchanges before [`apply`](Protocol::apply) reads it, on the applying
-    /// thread. It only reads, and may see a node whose exchange is later
-    /// skipped or changed first by earlier ones. The default does nothing.
+    /// exchanges before [`apply`](Protocol::apply) reads it. It only reads; the
+    /// exchange may be skipped, or earlier ones change `node` first.
     fn prefetch(&self, node: &Self::Node, stage: PrefetchStage) {
         let _ = (node, stage);
     }
@@ -171,8 +170,7 @@ pub trait Protocol: Sync {
     }
 }
 
-/// Which part of a node's state [`Protocol::prefetch`] hints. Each stage
-/// follows the pointers that the one before loaded.
+/// The part of a node's state [`Protocol::prefetch`] hints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchStage {
     /// What the node's own fields point at (for Adam2: the instance buffer).
@@ -181,10 +179,10 @@ pub enum PrefetchStage {
     Bodies,
 }
 
-/// Hints the CPU to pull every cache line of `data` into cache. A hint has
-/// no architectural effect: it never faults and changes no value. Does
-/// nothing off x86-64.
+/// Hints the CPU to pull every cache line of `data` into cache. A hint
+/// never faults and changes no value. Does nothing off x86-64.
 #[inline]
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub fn prefetch<T>(data: &[T]) {
     #[cfg(target_arch = "x86_64")]
     if !data.is_empty() {
@@ -197,8 +195,6 @@ pub fn prefetch<T>(data: &[T]) {
             unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset)) };
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = data;
 }
 
 /// Result of one node's [`Protocol::local`] step.
@@ -393,12 +389,11 @@ impl<N> Ctx<'_, N> {
 /// Exchanges between two hint stages of [`walk_prefetched`].
 const PREFETCH_DISTANCE: usize = 6;
 
-/// Live nodes from which [`walk_prefetched`] hints: an Adam2 round with
-/// hints took 28 % longer at 10³ nodes, as long at 5 000 and 20 % less at
-/// 10⁴, as a smaller population's state stays in a core's own caches.
+/// Live nodes from which [`walk_prefetched`] hints. Below, state stays cached:
+/// hinted Adam2 rounds took +28 % at 10³ nodes, ±0 at 5 000, −20 % at 10⁴.
 const PREFETCH_MIN_NODES: usize = 8192;
 
-/// One step of [`walk_prefetched`]: hint both nodes' payloads or a stage.
+/// One step of [`walk_prefetched`]: hint both nodes' slots or a stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WalkStep {
     Payloads,
@@ -414,46 +409,36 @@ fn walk_prefetched<'p>(
     hint: bool,
     mut step: impl FnMut(&'p PlannedExchange, WalkStep),
 ) {
-    const D: usize = PREFETCH_DISTANCE;
+    use {PrefetchStage::*, WalkStep::*};
     if !hint {
-        return exchanges.for_each(|p| step(p, WalkStep::Apply));
+        return exchanges.for_each(|p| step(p, Apply));
     }
-    let mut payloads = exchanges.clone();
-    let mut headers = exchanges.clone();
-    let mut bodies = exchanges.clone();
-    let mut applies = exchanges;
+    let mut stages = [Payloads, Hint(Headers), Hint(Bodies), Apply].map(|s| (s, exchanges.clone()));
     for lead in 0.. {
-        if let Some(p) = payloads.next() {
-            step(p, WalkStep::Payloads);
-        }
-        if lead >= D {
-            if let Some(p) = headers.next() {
-                step(p, WalkStep::Hint(PrefetchStage::Headers));
+        for (s, ahead) in stages.iter_mut().take(lead / PREFETCH_DISTANCE + 1) {
+            match ahead.next() {
+                Some(p) => step(p, *s),
+                None if *s == Apply => return,
+                None => {}
             }
-        }
-        if lead >= 2 * D {
-            if let Some(p) = bodies.next() {
-                step(p, WalkStep::Hint(PrefetchStage::Bodies));
-            }
-        }
-        if lead >= 3 * D {
-            let Some(p) = applies.next() else { return };
-            step(p, WalkStep::Apply);
         }
     }
 }
 
-/// Issues one hint step for both nodes of `p`, whose payloads `slot` reads.
+/// One hint step for both nodes of `p`, whose payload and traffic `slot` reads.
 fn hint_exchange<'n, N: 'n>(
     protocol: &impl Protocol<Node = N>,
     p: &PlannedExchange,
     step: WalkStep,
-    slot: impl Fn(usize) -> &'n Option<N>,
+    slot: impl Fn(usize) -> (&'n Option<N>, &'n NodeTraffic),
 ) {
     for id in [p.initiator, p.partner] {
         match (step, slot(id.slot())) {
-            (WalkStep::Payloads, payload) => prefetch(std::slice::from_ref(payload)),
-            (WalkStep::Hint(stage), Some(node)) => protocol.prefetch(node, stage),
+            (WalkStep::Payloads, (payload, traffic)) => {
+                prefetch(std::slice::from_ref(payload));
+                prefetch(std::slice::from_ref(traffic));
+            }
+            (WalkStep::Hint(stage), (Some(node), _)) => protocol.prefetch(node, stage),
             _ => {}
         }
     }
@@ -1020,7 +1005,9 @@ impl<P: Protocol> Engine<P> {
         if threads <= 1 {
             walk_prefetched(buf.plans.iter().flatten(), hint, |p, step| match step {
                 WalkStep::Apply => self.apply_one(p),
-                hint => hint_exchange(&self.protocol, p, hint, |s| self.nodes.peek_slot(s)),
+                hint => hint_exchange(&self.protocol, p, hint, |s| {
+                    (self.nodes.peek_slot(s), self.net.peek_slot(s))
+                }),
             });
         } else {
             buf.sort_by_batch();
@@ -1058,12 +1045,12 @@ impl<P: Protocol> Engine<P> {
     ///
     /// Every worker walks the batches in order, applies its contiguous share
     /// of each ([`walk_prefetched`]), then waits at a barrier: the next batch
-    /// may touch slots this one wrote. Slots within a batch are distinct, so node states and
-    /// per-slot traffic are written in place without locks; each worker sums
-    /// its own traffic totals and records into its own telemetry shard,
-    /// folded in worker order after the join. A worker whose `apply` panics
-    /// applies nothing more but keeps meeting the barrier, so the others
-    /// cannot hang; the panic is raised again once all have joined.
+    /// may touch slots this one wrote. Slots within a batch are distinct, so
+    /// node states and per-slot traffic are written in place without locks;
+    /// each worker sums its own traffic totals and records into its own
+    /// telemetry shard, folded in worker order after the join. A worker whose
+    /// `apply` panics applies nothing more but keeps meeting the barrier, so
+    /// the others cannot hang; the panic is raised again once all have joined.
     fn apply_coloured(&mut self, buf: &RoundBuffers, workers: usize, hint: bool) {
         let round = self.round;
         let protocol = &self.protocol;
@@ -1110,11 +1097,11 @@ impl<P: Protocol> Engine<P> {
                         walk_prefetched(exchanges, hint, |p, step| match step {
                             WalkStep::Apply => apply(p),
                             // SAFETY: later slots of this share of the batch
-                            // belong to this worker alone until the barrier,
-                            // and no borrow taken by `apply` outlives it.
-                            hint => {
-                                hint_exchange(protocol, p, hint, |s| unsafe { nodes.peek_slot(s) })
-                            }
+                            // (node and traffic) are this worker's alone until
+                            // the barrier; no borrow by `apply` outlives it.
+                            hint => hint_exchange(protocol, p, hint, |s| unsafe {
+                                (nodes.peek_slot(s), per_slot.peek_slot(s))
+                            }),
                         });
                     }));
                     failure = applied.err();
@@ -1884,7 +1871,7 @@ mod tests {
     #[test]
     fn the_walker_applies_the_plain_loop_and_hints_each_exchange_at_its_distances() {
         const D: usize = PREFETCH_DISTANCE;
-        for len in [0, 1, D - 1, D, 3 * D, 3 * D + 1] {
+        for len in [0, 1, D - 1, D, 3 * D, 3 * D + 1, 5 * D] {
             let plans = interleaved_plans(len);
             assert_walk(plans.iter().flatten());
             // A coloured share: plan indices in a non-slot order.

@@ -372,8 +372,7 @@ impl<N> NodeSlab<N> {
         });
     }
 
-    /// The payload slot `slot` with no generation check, for cache hints:
-    /// a stale slot costs one wasted hint. Panics if `slot` is out of range.
+    /// Payload slot `slot` with no generation check, for cache hints.
     pub(crate) fn peek_slot(&self, slot: usize) -> &Option<N> {
         &self.payload[slot]
     }

@@ -103,6 +103,11 @@ impl NetStats {
         self.round_msgs += 1;
     }
 
+    /// The counters of `slot`, for cache hints. Panics past the table.
+    pub(crate) fn peek_slot(&self, slot: usize) -> &NodeTraffic {
+        &self.per_slot[slot]
+    }
+
     /// Traffic counters for a node.
     pub fn node(&self, id: NodeId) -> NodeTraffic {
         self.per_slot.get(id.slot()).copied().unwrap_or_default()
@@ -207,6 +212,16 @@ impl RawTraffic<'_> {
         let receiver = &mut *self.ptr.add(to.slot());
         receiver.recv_bytes += bytes;
         receiver.recv_msgs += 1;
+    }
+
+    /// Shared, read-only [`NetStats::peek_slot`].
+    ///
+    /// # Safety
+    ///
+    /// No other thread may charge `slot` while the result is alive.
+    pub(crate) unsafe fn peek_slot(&self, slot: usize) -> &NodeTraffic {
+        assert!(slot < self.len, "slot out of range");
+        &*self.ptr.add(slot)
     }
 }
 
