@@ -44,7 +44,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-const NODES: usize = 2000;
+/// Above the population from which the engine's apply walker hints the
+/// next exchanges' state, so the measured rounds run that walker.
+const NODES: usize = 10_000;
 const LAMBDA: usize = 50;
 const VERIFY_POINTS: usize = 20;
 const ROUNDS: u64 = 30;
