@@ -390,7 +390,7 @@ impl<N> Ctx<'_, N> {
 const PREFETCH_DISTANCE: usize = 6;
 
 /// Live nodes from which [`walk_prefetched`] hints. Below, state stays cached:
-/// hinted Adam2 rounds took +28 % at 10³ nodes, ±0 at 5 000, −20 % at 10⁴.
+/// hinted Adam2 rounds took +28 % at 10³ nodes, ±0 at 5 000, less at 10⁴.
 const PREFETCH_MIN_NODES: usize = 8192;
 
 /// One step of [`walk_prefetched`]: hint both nodes' slots or a stage.
@@ -402,7 +402,7 @@ enum WalkStep {
 }
 
 /// Applies `exchanges` in order. With `hint`, just before exchange `k` is
-/// applied, `k + 3 D` gets its payload hint, `k + 2 D` its header hint and
+/// applied, `k + 3 D` gets its slot hint, `k + 2 D` its header hint and
 /// `k + D` its body hint (`D` = [`PREFETCH_DISTANCE`]); hints change nothing.
 fn walk_prefetched<'p>(
     exchanges: impl Iterator<Item = &'p PlannedExchange> + Clone,

@@ -218,7 +218,7 @@ impl RawTraffic<'_> {
     ///
     /// # Safety
     ///
-    /// No other thread may charge `slot` while the result is alive.
+    /// Nothing may charge `slot` while the result is alive.
     pub(crate) unsafe fn peek_slot(&self, slot: usize) -> &NodeTraffic {
         assert!(slot < self.len, "slot out of range");
         &*self.ptr.add(slot)
