@@ -1,10 +1,12 @@
 //! Cycle-engine throughput at one thread and at `T`, plus the event-engine
 //! scaling curve.
 //!
-//! Part 1 measures `Engine::run_round` at 1 thread (the slot-order loop)
-//! against `T` threads (the same plan as a coloured schedule) on an Adam2
-//! simulation with one spread λ=50 instance, for N ∈ {1k, 10k, 100k}, and
-//! fails unless both legs end in the same fingerprint. Part 2 runs a full
+//! Part 1 measures `Engine::run_round` at 1 thread (the plan as one batch
+//! in slot order) against `T` threads (the same plan as a coloured
+//! schedule) on an Adam2 simulation with one spread λ=50 instance, for
+//! N ∈ {1k, 10k, 100k}, and fails unless both legs end in the same
+//! fingerprint. A leg whose measured rounds take under 0.5 s is timed as
+//! the median of 5 runs, each on a fresh engine. Part 2 runs a full
 //! Adam2 instance on the event-driven engine
 //! (`EventEngine::run_until_parallel`) for N ∈ {10k, 100k, 1M}, reporting
 //! simulated ticks/sec, delivered
@@ -45,6 +47,26 @@ struct EventRun {
 fn measured_rounds(nodes: usize) -> u64 {
     // Keep each measurement in the seconds range across three decades.
     ((2_000_000 / nodes) as u64).clamp(5, 50)
+}
+
+/// Measured rounds that take less than this many seconds are timed again.
+const MIN_TIMED_SECS: f64 = 0.5;
+
+/// Fresh-engine repetitions whose median times a short leg.
+const SHORT_LEG_REPEATS: usize = 5;
+
+/// Runs `leg` (seconds of its measured rounds, engine) once and returns its
+/// engine; the time is that run's, or, if it took under [`MIN_TIMED_SECS`],
+/// the median over [`SHORT_LEG_REPEATS`] runs, each on a fresh engine.
+fn timed_leg<E>(mut leg: impl FnMut() -> (f64, E)) -> (f64, E) {
+    let (secs, engine) = leg();
+    if secs >= MIN_TIMED_SECS {
+        return (secs, engine);
+    }
+    let mut times = vec![secs];
+    times.extend((1..SHORT_LEG_REPEATS).map(|_| leg().0));
+    times.sort_by(f64::total_cmp);
+    (times[SHORT_LEG_REPEATS / 2], engine)
 }
 
 /// Peak resident set size of this process (VmHWM), in bytes.
@@ -194,8 +216,8 @@ fn main() {
                 engine.run_rounds(rounds);
                 (t0.elapsed().as_secs_f64(), engine)
             };
-            let (t1_secs, t1) = leg(1, None);
-            let (tn_secs, mut tn) = leg(threads, args.telemetry.as_ref());
+            let (t1_secs, t1) = timed_leg(|| leg(1, None));
+            let (tn_secs, mut tn) = timed_leg(|| leg(threads, args.telemetry.as_ref()));
             if let Some(dir) = &args.telemetry {
                 export_telemetry(
                     &mut tn,

@@ -13,12 +13,13 @@
 //! 4. **apply** — the planned exchanges are applied *in slot order*
 //!    ([`Protocol::apply`]), hinting state ahead ([`Protocol::prefetch`]).
 //!
-//! That serial order is the round's definition, and with
-//! [`EngineConfig::threads`] ≤ 1 it is executed literally: one loop over
-//! the plan. With more threads the same plan is coloured into
-//! slot-disjoint batches, and one set of workers walks the batches in
-//! order, each applying its share of a batch before a barrier releases the
-//! next. The greedy colouring gives two exchanges that share a node
+//! That serial order is the round's definition, and one function applies
+//! the plan at every thread count. With [`EngineConfig::threads`] ≤ 1 it
+//! gets the whole plan, in slot order, as a single batch and applies it
+//! inline. With more threads the same plan is coloured into slot-disjoint
+//! batches, and one set of workers walks the batches in order, each
+//! applying its share of a batch before a barrier releases the next. The
+//! greedy colouring gives two exchanges that share a node
 //! increasing batch numbers in slot order, and exchanges that share no node
 //! commute (`apply` takes `&self`, traffic counters are integer sums) — so
 //! batch-major order is a parallel schedule of slot order, and results are
@@ -35,10 +36,10 @@ use crate::executor;
 use crate::faults::{
     ActiveAdversary, DriftOp, FaultHost, FaultRuntime, FaultScenario, FaultTrace, PlannedAttack,
 };
-use crate::node::{NodeId, NodeSlab};
+use crate::node::{NodeId, NodeSlab, RawSlots};
 use crate::overlay::{Overlay, OverlayConfig};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
-use crate::stats::{NetStats, NodeTraffic};
+use crate::stats::{NetStats, RawTraffic};
 use crate::telemetry::{SimTelemetry, TelemetryHandle};
 
 /// Error returned when a simulator configuration is invalid (see
@@ -140,8 +141,10 @@ pub trait Protocol: Sync {
     ) -> ExchangeTraffic;
 
     /// Calls [`prefetch`] on the part of `node` that `stage` names, a few
-    /// exchanges before [`apply`](Protocol::apply) reads it. It only reads; the
-    /// exchange may be skipped, or earlier ones change `node` first.
+    /// exchanges before [`apply`](Protocol::apply) reads it, on the thread
+    /// that will apply the exchange, at every thread count once the
+    /// population outgrows a core's caches. It only reads; the exchange may
+    /// be skipped, or earlier ones change `node` first.
     fn prefetch(&self, node: &Self::Node, stage: PrefetchStage) {
         let _ = (node, stage);
     }
@@ -425,29 +428,33 @@ fn walk_prefetched<'p>(
     }
 }
 
-/// One hint step for both nodes of `p`, whose payload and traffic `slot` reads.
-fn hint_exchange<'n, N: 'n>(
+/// One hint step for both nodes of `p`: their payloads and traffic counters,
+/// or a stage of their state.
+///
+/// # Safety
+///
+/// No exclusive borrow of either node's slot or counters may be alive.
+unsafe fn hint_exchange<N>(
     protocol: &impl Protocol<Node = N>,
     p: &PlannedExchange,
     step: WalkStep,
-    slot: impl Fn(usize) -> (&'n Option<N>, &'n NodeTraffic),
+    nodes: &RawSlots<'_, N>,
+    per_slot: &RawTraffic<'_>,
 ) {
-    for id in [p.initiator, p.partner] {
-        match (step, slot(id.slot())) {
-            (WalkStep::Payloads, (payload, traffic)) => {
+    for slot in [p.initiator.slot(), p.partner.slot()] {
+        match (step, nodes.peek_slot(slot)) {
+            (WalkStep::Payloads, payload) => {
                 prefetch(std::slice::from_ref(payload));
-                prefetch(std::slice::from_ref(traffic));
+                prefetch(std::slice::from_ref(per_slot.peek_slot(slot)));
             }
-            (WalkStep::Hint(stage), (Some(node), _)) => protocol.prefetch(node, stage),
+            (WalkStep::Hint(stage), Some(node)) => protocol.prefetch(node, stage),
             _ => {}
         }
     }
 }
 
 /// Charges the traffic of one applied exchange through `charge(from, to,
-/// bytes)` — [`NetStats::charge_message`] on the driving thread, the
-/// per-slot table's raw handle on a worker — once per transmission
-/// recorded in the plan.
+/// bytes)`, once per transmission recorded in the plan.
 fn charge_traffic(
     plan: &PlannedExchange,
     traffic: ExchangeTraffic,
@@ -764,6 +771,23 @@ impl RoundBuffers {
             }
         }
     }
+
+    /// Worker `w`'s contiguous share of each sorted batch, in batch order.
+    fn shares(
+        &self,
+        w: usize,
+        workers: usize,
+    ) -> impl Iterator<Item = impl Iterator<Item = &PlannedExchange> + Clone + '_> + '_ {
+        let mut start = 0;
+        self.batches.iter().map(move |&end| {
+            let batch = &self.order[start as usize..end as usize];
+            start = end;
+            let chunk = executor::chunk_len(batch.len(), workers);
+            let mine = &batch[(w * chunk).min(batch.len())..((w + 1) * chunk).min(batch.len())];
+            mine.iter()
+                .map(|&i| self.plans[i as usize].as_ref().expect("coloured"))
+        })
+    }
 }
 
 /// The cycle-driven simulator.
@@ -907,11 +931,11 @@ impl<P: Protocol> Engine<P> {
     /// engine RNG), then the local, plan, absorb and apply phases of the
     /// module documentation.
     ///
-    /// With one thread every phase runs inline and apply is a loop over
-    /// the plan. With more, local and plan run slot-chunked across threads
-    /// and apply walks the plan's colouring batch by batch in one fork–join
-    /// (see `apply_coloured`). The outcome is the serial one, bit for bit,
-    /// at every thread count.
+    /// With one thread every phase runs inline and apply walks the plan as
+    /// one batch. With more, local and plan run slot-chunked across threads
+    /// and apply walks the plan's colouring batch by batch in one fork–join.
+    /// Both go through `apply_batches`, and the outcome is the serial one,
+    /// bit for bit, at every thread count.
     pub fn run_round(&mut self) {
         let threads = self.resolved_threads();
         self.net.begin_round();
@@ -1000,18 +1024,15 @@ impl<P: Protocol> Engine<P> {
             t.record_inflight_exchanges(u64::from(widest));
         }
 
-        // Apply.
+        // Apply: the plan in slot order as one batch at one thread, its
+        // coloured batches at more.
         let hint = self.nodes.len() >= PREFETCH_MIN_NODES;
-        if threads <= 1 {
-            walk_prefetched(buf.plans.iter().flatten(), hint, |p, step| match step {
-                WalkStep::Apply => self.apply_one(p),
-                hint => hint_exchange(&self.protocol, p, hint, |s| {
-                    (self.nodes.peek_slot(s), self.net.peek_slot(s))
-                }),
-            });
-        } else {
+        if threads > 1 {
             buf.sort_by_batch();
-            self.apply_coloured(&buf, threads.min(widest as usize).max(1), hint);
+            let workers = threads.min(widest as usize).max(1);
+            self.apply_batches(workers, hint, |w| buf.shares(w, workers));
+        } else {
+            self.apply_batches(1, hint, |_| std::iter::once(buf.plans.iter().flatten()));
         }
         self.buffers = buf;
 
@@ -1026,32 +1047,27 @@ impl<P: Protocol> Engine<P> {
         self.round += 1;
     }
 
-    /// Applies one planned exchange on the driving thread.
-    fn apply_one(&mut self, p: &PlannedExchange) {
-        let Some((a, b)) = self.nodes.pair_mut(p.initiator, p.partner) else {
-            return;
-        };
-        let traffic = self.protocol.apply(p, self.round, a, b);
-        charge_traffic(p, traffic, |from, to, bytes| {
-            self.net.charge_message(from, to, bytes)
-        });
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.record_exchange_traffic(&traffic);
-        }
-    }
-
-    /// Applies the sorted, coloured plan on `workers` threads in one
-    /// fork–join, the caller's thread being the last worker.
+    /// Applies the plan on `workers` threads in one fork–join, the caller's
+    /// thread being the last worker; one worker runs inline and spawns
+    /// nothing.
     ///
-    /// Every worker walks the batches in order, applies its contiguous share
-    /// of each ([`walk_prefetched`]), then waits at a barrier: the next batch
-    /// may touch slots this one wrote. Slots within a batch are distinct, so
-    /// node states and per-slot traffic are written in place without locks;
-    /// each worker sums its own traffic totals and records into its own
-    /// telemetry shard, folded in worker order after the join. A worker whose
-    /// `apply` panics applies nothing more but keeps meeting the barrier, so
-    /// the others cannot hang; the panic is raised again once all have joined.
-    fn apply_coloured(&mut self, buf: &RoundBuffers, workers: usize, hint: bool) {
+    /// `shares(w)` yields worker `w`'s share of each batch, in batch order.
+    /// Every worker applies its share of a batch ([`walk_prefetched`]), then
+    /// waits at a barrier: the next batch may touch slots this one wrote. Node
+    /// states and per-slot traffic are written in place without locks; each
+    /// worker sums its own traffic totals and records into its own telemetry
+    /// shard, folded in worker order after the join. A worker whose `apply`
+    /// panics applies nothing more but keeps meeting the barrier, so the
+    /// others cannot hang; the panic is raised again once all have joined.
+    fn apply_batches<'p, S, B>(
+        &mut self,
+        workers: usize,
+        hint: bool,
+        shares: impl Fn(usize) -> S + Sync,
+    ) where
+        S: Iterator<Item = B>,
+        B: Iterator<Item = &'p PlannedExchange> + Clone,
+    {
         let round = self.round;
         let protocol = &self.protocol;
         let nodes = self.nodes.raw_slots();
@@ -1062,20 +1078,19 @@ impl<P: Protocol> Engine<P> {
             let (mut bytes, mut msgs) = (0u64, 0u64);
             let mut tshard = telemetry.clone();
             let mut failure = None;
-            let mut start = 0;
-            for &end in &buf.batches {
-                let batch = &buf.order[start as usize..end as usize];
-                start = end;
-                let chunk = executor::chunk_len(batch.len(), workers);
-                let mine = &batch[(w * chunk).min(batch.len())..((w + 1) * chunk).min(batch.len())];
+            for share in shares(w) {
                 if failure.is_none() {
                     let applied = panic::catch_unwind(AssertUnwindSafe(|| {
                         let mut apply = |p: &PlannedExchange| {
-                            // SAFETY: slots within one batch are pairwise
-                            // distinct by construction, and the barrier
-                            // keeps batches apart, so these two borrows and
-                            // the traffic charges below are the only live
-                            // accesses to their slots.
+                            if p.initiator.slot() == p.partner.slot() {
+                                return;
+                            }
+                            // SAFETY: a worker applies its exchanges one after
+                            // another and these two slots are distinct, so
+                            // the two borrows are the only live ones of their
+                            // slots on this worker; other workers' shares of
+                            // the batch hold other slots, and the barrier
+                            // keeps batches apart.
                             let pair =
                                 unsafe { (nodes.get_mut(p.initiator), nodes.get_mut(p.partner)) };
                             let (Some(a), Some(b)) = pair else { return };
@@ -1091,17 +1106,12 @@ impl<P: Protocol> Engine<P> {
                                 msgs += 1;
                             });
                         };
-                        let exchanges = mine
-                            .iter()
-                            .map(|&i| buf.plans[i as usize].as_ref().expect("coloured"));
-                        walk_prefetched(exchanges, hint, |p, step| match step {
+                        walk_prefetched(share, hint, |p, step| match step {
                             WalkStep::Apply => apply(p),
-                            // SAFETY: later slots of this share of the batch
-                            // (node and traffic) are this worker's alone until
-                            // the barrier; no borrow by `apply` outlives it.
-                            hint => hint_exchange(protocol, p, hint, |s| unsafe {
-                                (nodes.peek_slot(s), per_slot.peek_slot(s))
-                            }),
+                            // SAFETY: no borrow by `apply` outlives it, and a
+                            // later slot of this share of the batch is this
+                            // worker's alone until the barrier.
+                            hint => unsafe { hint_exchange(protocol, p, hint, &nodes, &per_slot) },
                         });
                     }));
                     failure = applied.err();
@@ -1110,19 +1120,23 @@ impl<P: Protocol> Engine<P> {
             }
             (bytes, msgs, tshard, failure)
         };
-        let outcomes: Vec<_> = std::thread::scope(|scope| {
-            let work = &work;
-            let spawned: Vec<_> = (0..workers - 1)
-                .map(|w| scope.spawn(move || work(w)))
-                .collect();
-            let last = work(workers - 1);
-            spawned
-                .into_iter()
-                .map(|h| h.join().expect("apply worker panicked"))
-                .chain(std::iter::once(last))
-                .collect()
-        });
-        for (bytes, msgs, tshard, failure) in outcomes {
+        let (spawned, last) = if workers == 1 {
+            (Vec::new(), work(0))
+        } else {
+            std::thread::scope(|scope| {
+                let work = &work;
+                let spawned: Vec<_> = (0..workers - 1)
+                    .map(|w| scope.spawn(move || work(w)))
+                    .collect();
+                let last = work(workers - 1);
+                let joined = spawned
+                    .into_iter()
+                    .map(|h| h.join().expect("apply worker panicked"))
+                    .collect();
+                (joined, last)
+            })
+        };
+        for (bytes, msgs, tshard, failure) in spawned.into_iter().chain([last]) {
             if let Some(payload) = failure {
                 panic::resume_unwind(payload);
             }
@@ -1724,7 +1738,7 @@ mod tests {
 
     #[test]
     fn a_panicking_apply_surfaces_instead_of_hanging_the_workers() {
-        for threads in [2, 3] {
+        for threads in [1, 2, 3] {
             for slot in [0, 77, 199] {
                 let (tx, rx) = std::sync::mpsc::channel();
                 std::thread::spawn(move || {
@@ -1739,6 +1753,36 @@ mod tests {
                 assert!(failed, "threads={threads} slot={slot}: panic swallowed");
             }
         }
+    }
+
+    #[test]
+    fn apply_gives_initiator_then_partner_and_skips_same_or_stale_pairs() {
+        let mut engine = Engine::new(EngineConfig::new(3, 1), ApplyOnly::default());
+        let ids = engine.nodes().id_vec();
+        engine.nodes_mut().remove(ids[2]);
+        let fresh = engine.nodes_mut().insert(0); // ids[2]'s slot, newer generation
+        let exchange = |initiator, partner| PlannedExchange {
+            initiator,
+            partner,
+            fate: ExchangeFate::Complete,
+            request_msgs: 1,
+            response_msgs: 1,
+            attack: None,
+        };
+        let plans = [
+            exchange(ids[0], ids[1]),
+            exchange(ids[1], ids[0]),
+            exchange(ids[1], ids[0]),
+            exchange(ids[0], ids[0]),
+            exchange(ids[0], ids[2]),
+            exchange(ids[2], ids[1]),
+            exchange(fresh, ids[1]),
+        ];
+        engine.apply_batches(1, false, |_| std::iter::once(plans.iter()));
+        // `ApplyOnly` counts on its first node: the initiator's.
+        let counts = [ids[0], ids[1], fresh].map(|id| engine.nodes().get(id).copied());
+        assert_eq!(counts, [Some(1), Some(2), Some(1)]);
+        assert_eq!(engine.net().total_msgs(), 8, "four exchanges applied");
     }
 
     #[test]

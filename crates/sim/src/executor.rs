@@ -10,9 +10,9 @@
 //! engine batches ticks into windows and a threaded cycle round forks
 //! exactly three times: once each for local and plan, and once for all of
 //! apply's batches, its workers meeting at a barrier between batches
-//! (`Engine::apply_coloured`). For `threads <= 1` all helpers degrade to
-//! inline calls with zero spawn overhead, so the engines run on any
-//! machine.
+//! (`Engine::apply_batches`, which spawns its own workers). For
+//! `threads <= 1` the helpers here and that apply call their work inline
+//! with zero spawn overhead, so the engines run on any machine.
 //!
 //! Determinism note: chunk boundaries depend on the thread count, but every
 //! closure the engine passes here derives its randomness from the item's

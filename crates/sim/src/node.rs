@@ -205,26 +205,6 @@ impl<N> NodeSlab<N> {
         self.payload[id.slot as usize].as_mut()
     }
 
-    /// Exclusive access to two *distinct* nodes at once, as needed for an
-    /// atomic push–pull gossip exchange.
-    ///
-    /// Returns `None` if the ids are equal, either is stale, or either is
-    /// dead.
-    pub fn pair_mut(&mut self, a: NodeId, b: NodeId) -> Option<(&mut N, &mut N)> {
-        if a.slot == b.slot || !self.contains(a) || !self.contains(b) {
-            return None;
-        }
-        let (lo, hi) = if a.slot < b.slot { (a, b) } else { (b, a) };
-        let (head, tail) = self.payload.split_at_mut(hi.slot as usize);
-        let lo_ref = head[lo.slot as usize].as_mut()?;
-        let hi_ref = tail[0].as_mut()?;
-        if a.slot < b.slot {
-            Some((lo_ref, hi_ref))
-        } else {
-            Some((hi_ref, lo_ref))
-        }
-    }
-
     /// The id of the live node in `slot`, if any.
     pub fn id_at_slot(&self, slot: usize) -> Option<NodeId> {
         let m = self.meta.get(slot)?;
@@ -372,14 +352,9 @@ impl<N> NodeSlab<N> {
         });
     }
 
-    /// Payload slot `slot` with no generation check, for cache hints.
-    pub(crate) fn peek_slot(&self, slot: usize) -> &Option<N> {
-        &self.payload[slot]
-    }
-
     /// An unsynchronised shared handle over the payload column, for the
-    /// parallel apply phase where the *caller* guarantees disjointness
-    /// (each slot touched by at most one thread at a time).
+    /// apply phase, where the *caller* guarantees disjointness (each slot
+    /// borrowed by at most one thread, and once, at a time).
     pub(crate) fn raw_slots(&mut self) -> RawSlots<'_, N> {
         RawSlots {
             meta: &self.meta,
@@ -485,10 +460,10 @@ pub(crate) struct RawSlots<'a, N> {
     _marker: std::marker::PhantomData<&'a mut N>,
 }
 
-// One RawSlots is shared across the scoped workers of a threaded apply
-// phase, which meet at a barrier between batches; the engine guarantees
-// the payload slots they dereference within one batch are disjoint. The
-// metadata side is a plain shared slice.
+// One RawSlots is shared across the scoped workers of an apply phase on
+// more than one thread, which meet at a barrier between batches; the engine
+// guarantees the payload slots they dereference within one batch are
+// disjoint. The metadata side is a plain shared slice.
 unsafe impl<N: Send> Sync for RawSlots<'_, N> {}
 unsafe impl<N: Send> Send for RawSlots<'_, N> {}
 
@@ -509,7 +484,8 @@ impl<'a, N> RawSlots<'a, N> {
         (*self.ptr.add(id.slot())).as_mut()
     }
 
-    /// Shared, read-only [`NodeSlab::peek_slot`].
+    /// Payload slot `slot`, shared, with no generation check (for cache
+    /// hints).
     ///
     /// # Safety
     ///
@@ -552,30 +528,6 @@ mod tests {
         assert_eq!(slab.get(b), Some(&2));
         assert!(!slab.contains(a));
         assert!(slab.contains(b));
-    }
-
-    #[test]
-    fn pair_mut_gives_both_nodes_in_argument_order() {
-        let mut slab = NodeSlab::new();
-        let a = slab.insert(1);
-        let b = slab.insert(2);
-        {
-            let (x, y) = slab.pair_mut(a, b).unwrap();
-            assert_eq!((*x, *y), (1, 2));
-            *x = 100;
-        }
-        let (y, x) = slab.pair_mut(b, a).unwrap();
-        assert_eq!((*y, *x), (2, 100));
-    }
-
-    #[test]
-    fn pair_mut_rejects_same_or_stale() {
-        let mut slab = NodeSlab::new();
-        let a = slab.insert(1);
-        let b = slab.insert(2);
-        assert!(slab.pair_mut(a, a).is_none());
-        slab.remove(b);
-        assert!(slab.pair_mut(a, b).is_none());
     }
 
     #[test]
@@ -659,9 +611,12 @@ mod tests {
         let b = slab.insert(2);
         slab.remove(a);
         let c = slab.insert(3); // reuses a's slot with a newer generation
+        let d = slab.insert(4);
+        slab.remove(d);
         let raw = slab.raw_slots();
         unsafe {
             assert_eq!(raw.get_mut(a), None, "stale id rejected");
+            assert_eq!(raw.get_mut(d), None, "dead slot rejected");
             assert_eq!(raw.get_mut(b).map(|n| *n), Some(2));
             assert_eq!(raw.get_mut(c).map(|n| *n), Some(3));
         }

@@ -73,22 +73,6 @@ impl NetStats {
         self.round_msgs = 0;
     }
 
-    /// Records one symmetric push–pull exchange: `from` sends a request of
-    /// `request_bytes` to `to`, which replies with `response_bytes`.
-    ///
-    /// Charges two messages (one in each direction), as in the paper's cost
-    /// model.
-    pub fn charge_exchange(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        request_bytes: usize,
-        response_bytes: usize,
-    ) {
-        self.charge_message(from, to, request_bytes);
-        self.charge_message(to, from, response_bytes);
-    }
-
     /// Records a single one-way message of `bytes` from `from` to `to`.
     pub fn charge_message(&mut self, from: NodeId, to: NodeId, bytes: usize) {
         let bytes = bytes as u64;
@@ -101,11 +85,6 @@ impl NetStats {
         self.total_msgs += 1;
         self.round_bytes += bytes;
         self.round_msgs += 1;
-    }
-
-    /// The counters of `slot`, for cache hints. Panics past the table.
-    pub(crate) fn peek_slot(&self, slot: usize) -> &NodeTraffic {
-        &self.per_slot[slot]
     }
 
     /// Traffic counters for a node.
@@ -178,7 +157,7 @@ impl NetStats {
 }
 
 /// Shared handle that charges [`NetStats`]'s per-slot counters by raw
-/// pointer, for the threaded apply phase (the traffic twin of the node
+/// pointer, for the apply phase (the traffic twin of the node
 /// slab's raw payload handle). It never grows the table.
 pub(crate) struct RawTraffic<'a> {
     ptr: *mut NodeTraffic,
@@ -186,9 +165,9 @@ pub(crate) struct RawTraffic<'a> {
     _marker: std::marker::PhantomData<&'a mut NodeTraffic>,
 }
 
-// One RawTraffic is shared across the scoped workers of a threaded apply
-// phase; the engine guarantees that the slots they charge concurrently are
-// disjoint.
+// One RawTraffic is shared across the scoped workers of an apply phase on
+// more than one thread; the engine guarantees that the slots they charge
+// concurrently are disjoint.
 unsafe impl Sync for RawTraffic<'_> {}
 unsafe impl Send for RawTraffic<'_> {}
 
@@ -214,7 +193,8 @@ impl RawTraffic<'_> {
         receiver.recv_msgs += 1;
     }
 
-    /// Shared, read-only [`NetStats::peek_slot`].
+    /// The counters of `slot`, shared (for cache hints). Panics past the
+    /// table.
     ///
     /// # Safety
     ///
@@ -462,7 +442,8 @@ mod tests {
         let b = slab.insert(());
         let mut net = NetStats::new();
         net.begin_round();
-        net.charge_exchange(a, b, 100, 50);
+        net.charge_message(a, b, 100);
+        net.charge_message(b, a, 50);
         assert_eq!(net.total_msgs(), 2);
         assert_eq!(net.total_bytes(), 150);
         assert_eq!(net.round_bytes(), 150);
@@ -511,7 +492,8 @@ mod tests {
         let mut direct = NetStats::new();
         direct.ensure_slots(slab.slot_count());
         direct.begin_round();
-        direct.charge_exchange(a, b, 100, 50);
+        direct.charge_message(a, b, 100);
+        direct.charge_message(b, a, 50);
         direct.charge_message(c, a, 30);
 
         let mut raw = NetStats::new();

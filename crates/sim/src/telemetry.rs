@@ -11,9 +11,9 @@
 //!
 //! **Determinism rule:** nothing in this module touches any engine RNG or
 //! simulation state; recording is purely observational, so runs with and
-//! without telemetry attached are bit-identical. On the threaded apply
-//! path each worker records into one [`TelemetryShard`] per round, merged
-//! in worker order; because counter and histogram merges are commutative
+//! without telemetry attached are bit-identical. In the apply phase each
+//! worker (one at one thread) records into one [`TelemetryShard`] per
+//! round, merged in worker order; because counter and histogram merges are commutative
 //! sums, merged totals are thread-count invariant.
 
 use adam2_telemetry::{
@@ -181,37 +181,6 @@ impl SimTelemetry {
         }
     }
 
-    /// Records the traffic-derived half of one exchange: message-size
-    /// histograms and estimate bootstraps. Shardable (see
-    /// [`TelemetryShard::record_traffic`]).
-    pub fn record_exchange_traffic(&mut self, traffic: &ExchangeTraffic) {
-        if let Some(bytes) = traffic.request {
-            self.inner
-                .metrics
-                .record(self.h_request_bytes, bytes as u64);
-        }
-        if let Some(bytes) = traffic.response {
-            self.inner
-                .metrics
-                .record(self.h_response_bytes, bytes as u64);
-        }
-        let bootstraps = u64::from(traffic.bootstraps.count_ones());
-        if bootstraps > 0 {
-            self.scratch.bootstraps += bootstraps;
-            self.inner.metrics.add(self.c_bootstraps, bootstraps);
-        }
-        if traffic.robust_rejects > 0 {
-            let n = u64::from(traffic.robust_rejects);
-            self.scratch.robust_rejects += n;
-            self.inner.metrics.add(self.c_robust_rejects, n);
-        }
-        if traffic.robust_trims > 0 {
-            let n = u64::from(traffic.robust_trims);
-            self.scratch.robust_trims += n;
-            self.inner.metrics.add(self.c_robust_trims, n);
-        }
-    }
-
     /// Records `n` exchanges being applied concurrently (the cycle
     /// engine's widest conflict-free batch, at any thread count, or the
     /// deploy runtime's live in-flight count). The per-round peak lands in
@@ -305,7 +274,7 @@ impl SimTelemetry {
         self.inner.metrics.add(self.c_async_duplicated, 1);
     }
 
-    /// Creates a worker-local shard for the threaded apply path.
+    /// Creates a worker-local shard for the apply phase.
     pub fn shard(&self) -> TelemetryShard {
         TelemetryShard {
             metrics: self.inner.metrics.shard(),
@@ -413,7 +382,7 @@ impl SimTelemetry {
     }
 }
 
-/// Worker-local telemetry shard for the threaded apply path: sharded
+/// Worker-local telemetry shard for the apply phase: sharded
 /// metrics plus the bootstrap tally, merged in chunk order by
 /// [`SimTelemetry::merge_shard`].
 #[derive(Debug, Clone)]
@@ -425,7 +394,9 @@ pub struct TelemetryShard {
 }
 
 impl TelemetryShard {
-    /// Shard-side twin of [`SimTelemetry::record_exchange_traffic`].
+    /// Records the traffic-derived half of one exchange: message-size
+    /// histograms (the handles of [`SimTelemetry::traffic_histograms`]),
+    /// estimate bootstraps and robust-merge rejects and trims.
     pub fn record_traffic(
         &mut self,
         traffic: &ExchangeTraffic,
