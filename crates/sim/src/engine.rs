@@ -1523,7 +1523,7 @@ mod tests {
         (observed, exported)
     }
 
-    /// The serial slot-order loop (1 thread) and its coloured schedule
+    /// The plan applied in slot order (1 thread) and as its coloured schedule
     /// (2 and 3 threads) leave the same node state, traffic tables, fault
     /// trace and exported telemetry, and attaching telemetry changes none
     /// of the first three. Returns the serial run.
