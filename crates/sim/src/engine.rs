@@ -1072,7 +1072,7 @@ impl<P: Protocol> Engine<P> {
         let protocol = &self.protocol;
         let nodes = self.nodes.raw_slots();
         let per_slot = self.net.raw_per_slot();
-        let telemetry = (self.telemetry.as_deref()).map(|t| (t.shard(), t.traffic_histograms()));
+        let telemetry = self.telemetry.as_deref().map(SimTelemetry::shard);
         let barrier = Barrier::new(workers);
         let work = |w: usize| {
             let (mut bytes, mut msgs) = (0u64, 0u64);
@@ -1095,8 +1095,8 @@ impl<P: Protocol> Engine<P> {
                                 unsafe { (nodes.get_mut(p.initiator), nodes.get_mut(p.partner)) };
                             let (Some(a), Some(b)) = pair else { return };
                             let traffic = protocol.apply(p, round, a, b);
-                            if let Some((ts, (hreq, hresp))) = &mut tshard {
-                                ts.record_traffic(&traffic, *hreq, *hresp);
+                            if let Some(ts) = &mut tshard {
+                                ts.record_traffic(&traffic);
                             }
                             charge_traffic(p, traffic, |from, to, sent| {
                                 // SAFETY: as above; `from` and `to` are this
@@ -1141,7 +1141,7 @@ impl<P: Protocol> Engine<P> {
                 panic::resume_unwind(payload);
             }
             self.net.add_totals(bytes, msgs);
-            if let (Some(t), Some((ts, _))) = (self.telemetry.as_deref_mut(), &tshard) {
+            if let (Some(t), Some(ts)) = (self.telemetry.as_deref_mut(), &tshard) {
                 t.merge_shard(ts);
             }
         }

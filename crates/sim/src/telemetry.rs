@@ -13,8 +13,8 @@
 //! simulation state; recording is purely observational, so runs with and
 //! without telemetry attached are bit-identical. In the apply phase each
 //! worker (one at one thread) records into one [`TelemetryShard`] per
-//! round, merged in worker order; because counter and histogram merges are commutative
-//! sums, merged totals are thread-count invariant.
+//! round, merged in worker order; because counter and histogram merges are
+//! commutative sums, merged totals are thread-count invariant.
 
 use adam2_telemetry::{
     CounterId, Event, EventKind, GaugeId, HistogramId, MetricShard, RoundSnapshot, RunManifest,
@@ -278,6 +278,8 @@ impl SimTelemetry {
     pub fn shard(&self) -> TelemetryShard {
         TelemetryShard {
             metrics: self.inner.metrics.shard(),
+            request_bytes: self.h_request_bytes,
+            response_bytes: self.h_response_bytes,
             bootstraps: 0,
             robust_rejects: 0,
             robust_trims: 0,
@@ -388,6 +390,8 @@ impl SimTelemetry {
 #[derive(Debug, Clone)]
 pub struct TelemetryShard {
     metrics: MetricShard,
+    request_bytes: HistogramId,
+    response_bytes: HistogramId,
     bootstraps: u64,
     robust_rejects: u64,
     robust_trims: u64,
@@ -395,30 +399,17 @@ pub struct TelemetryShard {
 
 impl TelemetryShard {
     /// Records the traffic-derived half of one exchange: message-size
-    /// histograms (the handles of [`SimTelemetry::traffic_histograms`]),
-    /// estimate bootstraps and robust-merge rejects and trims.
-    pub fn record_traffic(
-        &mut self,
-        traffic: &ExchangeTraffic,
-        request_bytes: HistogramId,
-        response_bytes: HistogramId,
-    ) {
+    /// histograms, estimate bootstraps and robust-merge rejects and trims.
+    pub fn record_traffic(&mut self, traffic: &ExchangeTraffic) {
         if let Some(bytes) = traffic.request {
-            self.metrics.record(request_bytes, bytes as u64);
+            self.metrics.record(self.request_bytes, bytes as u64);
         }
         if let Some(bytes) = traffic.response {
-            self.metrics.record(response_bytes, bytes as u64);
+            self.metrics.record(self.response_bytes, bytes as u64);
         }
         self.bootstraps += u64::from(traffic.bootstraps.count_ones());
         self.robust_rejects += u64::from(traffic.robust_rejects);
         self.robust_trims += u64::from(traffic.robust_trims);
-    }
-}
-
-impl SimTelemetry {
-    /// Histogram handles a [`TelemetryShard`] records message sizes into.
-    pub fn traffic_histograms(&self) -> (HistogramId, HistogramId) {
-        (self.h_request_bytes, self.h_response_bytes)
     }
 }
 
@@ -529,19 +520,14 @@ mod tests {
     #[test]
     fn shard_traffic_merges_into_round() {
         let mut t = SimTelemetry::new();
-        let (hreq, hresp) = t.traffic_histograms();
         let mut shard = t.shard();
-        shard.record_traffic(
-            &ExchangeTraffic {
-                request: Some(16),
-                response: Some(32),
-                bootstraps: 0b11,
-                robust_rejects: 2,
-                robust_trims: 5,
-            },
-            hreq,
-            hresp,
-        );
+        shard.record_traffic(&ExchangeTraffic {
+            request: Some(16),
+            response: Some(32),
+            bootstraps: 0b11,
+            robust_rejects: 2,
+            robust_trims: 5,
+        });
         t.merge_shard(&shard);
         t.end_round(0, 2, 48, 2);
         assert_eq!(t.telemetry().snapshots()[0].bootstraps, 2);
