@@ -114,6 +114,7 @@ pub const BENCH_LAYOUTS: &[BenchLayout] = &[
                     ("msgs_per_sec", Num),
                     ("coverage", Num),
                     ("completed", Uint),
+                    ("fingerprint", Str),
                     ("peak_rss_bytes", Uint),
                     ("peak_rss_bytes_per_node", Num),
                 ],

@@ -40,11 +40,13 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use adam2_sim::{ActiveAdversary, AsyncProtocol, BatchCtx, DriftOp, EventCtx, NodeId};
+use adam2_sim::{
+    ActiveAdversary, AsyncProtocol, BatchCtx, DriftOp, EventCtx, NodeId, PrefetchStage,
+};
 
 use crate::config::RobustPolicy;
 use crate::instance::{AttrValue, InstanceLocal, InstanceMeta};
-use crate::protocol::{corrupt_node, Adam2Node, ExchangeOutcome};
+use crate::protocol::{corrupt_node, prefetch_instances, Adam2Node, ExchangeOutcome};
 use crate::wire::GossipMessage;
 
 /// A gossip message of the asynchronous protocol, in memory (entries keep
@@ -302,6 +304,15 @@ impl AsyncProtocol for AsyncAdam2 {
         }
         report.robust_rejects += u64::from(outcome.robust_rejects);
         report.robust_trims += u64::from(outcome.robust_trims);
+    }
+
+    fn prefetch(&self, node: &Adam2Node, stage: PrefetchStage) {
+        prefetch_instances(&node.instances, stage);
+    }
+
+    fn prefetch_message(&self, message: &Adam2Message, stage: PrefetchStage) {
+        let (Adam2Message::Request(msg) | Adam2Message::Response(msg)) = message;
+        prefetch_instances(&msg.instances, stage);
     }
 
     fn absorb_report(&mut self, report: AsyncBatchReport) {

@@ -527,6 +527,21 @@ pub fn gossip_exchange_response_lost_with(
 /// directive resolved by the fault injector). The corruption stream is
 /// seeded per directive, so replays are bit-identical on every execution
 /// path.
+/// Hints an instance list, a node's or a message's: the buffer itself at
+/// [`PrefetchStage::Headers`], every instance's fraction vectors at
+/// [`PrefetchStage::Bodies`].
+pub(crate) fn prefetch_instances(instances: &[InstanceLocal], stage: PrefetchStage) {
+    match stage {
+        PrefetchStage::Headers => prefetch(instances),
+        PrefetchStage::Bodies => {
+            for instance in instances {
+                prefetch(&instance.fractions);
+                prefetch(&instance.verify_fractions);
+            }
+        }
+    }
+}
+
 pub(crate) fn corrupt_node(node: &mut Adam2Node, model: AdversaryModel, seed: u64, round: u64) {
     let mut rng = adam2_sim::seeded_rng(seed);
     for inst in node.instances.iter_mut().filter(|i| !i.is_due(round)) {
@@ -842,17 +857,8 @@ impl Protocol for Adam2Protocol {
         }
     }
 
-    /// The instance buffer, then every instance's fraction vectors.
     fn prefetch(&self, node: &Adam2Node, stage: PrefetchStage) {
-        match stage {
-            PrefetchStage::Headers => prefetch(&node.instances),
-            PrefetchStage::Bodies => {
-                for instance in &node.instances {
-                    prefetch(&instance.fractions);
-                    prefetch(&instance.verify_fractions);
-                }
-            }
-        }
+        prefetch_instances(&node.instances, stage);
     }
 
     /// The planned push–pull exchange itself, one state transition per

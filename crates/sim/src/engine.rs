@@ -173,10 +173,13 @@ pub trait Protocol: Sync {
     }
 }
 
-/// The part of a node's state [`Protocol::prefetch`] hints.
+/// The part of a node's state [`Protocol::prefetch`] hints, or of a node's
+/// or a message's state the event engine's hooks hint
+/// ([`AsyncProtocol::prefetch`](crate::AsyncProtocol::prefetch)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetchStage {
-    /// What the node's own fields point at (for Adam2: the instance buffer).
+    /// What the node's own fields point at (for Adam2: the instance buffer,
+    /// or a message's entry buffer).
     Headers,
     /// What the headers point at (for Adam2: the fraction vectors).
     Bodies,
@@ -389,38 +392,40 @@ impl<N> Ctx<'_, N> {
     }
 }
 
-/// Exchanges between two hint stages of [`walk_prefetched`].
-const PREFETCH_DISTANCE: usize = 6;
+/// Items between two hint stages of [`walk_prefetched`].
+pub(crate) const PREFETCH_DISTANCE: usize = 6;
 
-/// Live nodes from which [`walk_prefetched`] hints. Below, state stays cached:
+/// Live nodes from which both engines hint. Below, state stays cached:
 /// hinted Adam2 rounds took +28 % at 10³ nodes, ±0 at 5 000, less at 10⁴.
-const PREFETCH_MIN_NODES: usize = 8192;
+pub(crate) const PREFETCH_MIN_NODES: usize = 8192;
 
-/// One step of [`walk_prefetched`]: hint both nodes' slots or a stage.
+/// One step of [`walk_prefetched`]: hint an item's slots or a stage of its
+/// state, or apply it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WalkStep {
+pub(crate) enum WalkStep {
     Payloads,
     Hint(PrefetchStage),
     Apply,
 }
 
-/// Applies `exchanges` in order. With `hint`, just before exchange `k` is
+/// Applies `items` in order: the planned exchanges of a cycle round, or the
+/// events of an event-engine window. With `hint`, just before item `k` is
 /// applied, `k + 3 D` gets its slot hint, `k + 2 D` its header hint and
 /// `k + D` its body hint (`D` = [`PREFETCH_DISTANCE`]); hints change nothing.
-fn walk_prefetched<'p>(
-    exchanges: impl Iterator<Item = &'p PlannedExchange> + Clone,
+pub(crate) fn walk_prefetched<T>(
+    items: impl Iterator<Item = T> + Clone,
     hint: bool,
-    mut step: impl FnMut(&'p PlannedExchange, WalkStep),
+    mut step: impl FnMut(T, WalkStep),
 ) {
     use {PrefetchStage::*, WalkStep::*};
     if !hint {
-        return exchanges.for_each(|p| step(p, Apply));
+        return items.for_each(|item| step(item, Apply));
     }
-    let mut stages = [Payloads, Hint(Headers), Hint(Bodies), Apply].map(|s| (s, exchanges.clone()));
+    let mut stages = [Payloads, Hint(Headers), Hint(Bodies), Apply].map(|s| (s, items.clone()));
     for lead in 0.. {
         for (s, ahead) in stages.iter_mut().take(lead / PREFETCH_DISTANCE + 1) {
             match ahead.next() {
-                Some(p) => step(p, *s),
+                Some(item) => step(item, *s),
                 None if *s == Apply => return,
                 None => {}
             }

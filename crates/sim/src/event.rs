@@ -40,7 +40,8 @@
 //! a window's first tick, before the window is drained. The whole window
 //! can therefore be taken off the wheel up front: the pre-pass runs
 //! tick-major over it, each worker runs its shards' buckets tick by tick
-//! (one fork–join per window instead of one per tick — at 95 µs per
+//! (one walk per shard and window, see below; one fork–join per window
+//! instead of one per tick — at 95 µs per
 //! two-spawn scope and ≈ 300 events per tick that was a fifth of the wall
 //! time, and made a second thread a loss), and the merge replays the
 //! recorded effects tick by tick with `now` set to each tick in turn. The
@@ -53,6 +54,28 @@
 //! Debug builds assert that no merge-phase push lands at or before the
 //! last drained tick.
 //!
+//! # Phase 2: hiding memory latency
+//!
+//! At 10⁵ nodes an event's state is cold, and each load depends on the one
+//! before: the target's slab payload, then its instance buffer, then its
+//! fraction vectors; the message's entry buffer, then its fraction
+//! vectors. The window is drained before phase 2 starts, so every address
+//! a worker will read is known ahead. Each worker therefore hands each of
+//! its shards' windows to the cycle engine's apply walker
+//! (`walk_prefetched`, through `walk_window`) as one sequence of events
+//! in `(tick, seq)` order across the window's buckets — a bucket holds only
+//! ≈ 40 events at 10⁵ nodes, so a walk restarted in each bucket would
+//! spend half of it priming. Just before event `k` is handled, event
+//! `k + 3 D` gets its target's slab payload and its message's entry buffer
+//! hinted, `k + 2 D` the target's instance buffer and the message's
+//! fraction vectors ([`AsyncProtocol::prefetch`] /
+//! [`prefetch_message`](AsyncProtocol::prefetch_message)), and `k + D` the
+//! target's fraction vectors (`D` = 6). Below 8 192 live nodes
+//! (`PREFETCH_MIN_NODES`, the cycle engine's gate) the state stays cached
+//! and the walk is the plain loop. A hint has no architectural
+//! effect and the hooks only read, and the walk hands the events over in
+//! exactly the plain loop's order, so hinting changes no result.
+//!
 //! Duplicate suppression lives here and only here: a send the fault
 //! injector duplicated has exactly two copies in flight under one stamp,
 //! the pre-pass delivers the first to arrive and drops the second, and
@@ -64,9 +87,11 @@ use std::collections::{HashMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::RngExt as _;
 
-use crate::engine::SimConfigError;
+use crate::engine::{
+    prefetch, walk_prefetched, PrefetchStage, SimConfigError, WalkStep, PREFETCH_MIN_NODES,
+};
 use crate::faults::{ActiveAdversary, DriftOp, FaultHost, FaultRuntime, FaultScenario, FaultTrace};
-use crate::node::{NodeId, NodeSlab, PeerView};
+use crate::node::{NodeId, NodeSlab, PeerView, RawSlots};
 use crate::rng::{derive_seed, par_stream_rng, seeded_rng};
 use crate::stats::NetStats;
 use crate::telemetry::SimTelemetry;
@@ -276,6 +301,24 @@ pub trait AsyncProtocol {
         report: &mut Self::Report,
     );
 
+    /// Calls [`prefetch`](crate::prefetch) on the part of an event's target
+    /// `node` that `stage` names, a few events before a handler reads it,
+    /// on the thread that will handle the event, once the population
+    /// outgrows a core's caches; mirrors `Protocol::prefetch` on the cycle
+    /// engine. It only reads; the event may be skipped, or earlier ones
+    /// change `node` first. The default does nothing.
+    fn prefetch(&self, node: &Self::Node, stage: PrefetchStage) {
+        let _ = (node, stage);
+    }
+
+    /// The same for the part of a delivered `message` that `stage` names.
+    /// A message sits in its drained bucket, so its headers are hinted
+    /// together with the target's slot and its bodies with the target's
+    /// headers. The default does nothing.
+    fn prefetch_message(&self, message: &Self::Message, stage: PrefetchStage) {
+        let _ = (message, stage);
+    }
+
     /// Folds one shard's report into the protocol, in canonical shard
     /// order. Runs sequentially after the parallel phase, once per shard
     /// per lookahead window: a report accumulates every tick of its window
@@ -420,12 +463,114 @@ enum MergeOp<M> {
     TickEnd,
 }
 
+impl<M> Event<M> {
+    /// The node the event is handled at.
+    fn target(&self) -> NodeId {
+        match self {
+            Event::Timer(id) => *id,
+            Event::Deliver { to, .. } => *to,
+        }
+    }
+}
+
 /// One drained wheel bucket: `(seq stamp, event)` in stamp order.
 type Bucket<M> = VecDeque<(u64, Event<M>)>;
 
 /// One shard's batch-phase output: recorded effects in `(tick, seq)` order
-/// plus the shard's protocol report, accumulated over the window.
-type ShardBatch<M, R> = (VecDeque<MergeOp<M>>, R);
+/// plus the shard's protocol report, accumulated over the window; and the
+/// shard's bucket lengths, scratch of [`walk_window`].
+type ShardBatch<M, R> = (VecDeque<MergeOp<M>>, R, Vec<usize>);
+
+/// One step of [`walk_window`].
+enum WindowStep<'e, M> {
+    /// A hint step ([`WalkStep::Payloads`] or [`WalkStep::Hint`]) for an
+    /// event ahead.
+    Hint(&'e Event<M>, WalkStep),
+    /// Handle this event, with its tick and stamp.
+    Handle(u64, u64, Event<M>),
+    /// The next bucket of the window, in order, is done.
+    TickEnd,
+}
+
+/// Walks one shard's window, its bucket of each of `ticks` in turn,
+/// through [`walk_prefetched`]: one walk across bucket boundaries, so the
+/// hints run ahead into the next tick's bucket instead of priming again in
+/// each one. Every event is handed over by value in `(tick, seq)` order,
+/// and every bucket, empty or not, ends with its tick end. Leaves the
+/// buckets empty; `lens` is scratch.
+fn walk_window<M>(
+    ticks: &[u64],
+    buckets: &mut [Bucket<M>],
+    lens: &mut Vec<usize>,
+    hint: bool,
+    mut step: impl FnMut(WindowStep<'_, M>),
+) {
+    let buckets = &mut buckets[..ticks.len()];
+    lens.clear();
+    lens.extend(buckets.iter().map(VecDeque::len));
+    let positions = lens
+        .iter()
+        .enumerate()
+        .flat_map(|(nth, &len)| (0..len).map(move |i| (nth, i)));
+    let mut ended = 0;
+    walk_prefetched(positions, hint, |(nth, i), walk| {
+        let (seq, event) = &mut buckets[nth][i];
+        if walk != WalkStep::Apply {
+            return step(WindowStep::Hint(event, walk));
+        }
+        (ended..nth).for_each(|_| step(WindowStep::TickEnd));
+        ended = nth;
+        // A timer of the same target holds the place: the bucket is
+        // cleared below, and the hints never look behind the walk.
+        let event = std::mem::replace(event, Event::Timer(event.target()));
+        step(WindowStep::Handle(ticks[nth], *seq, event));
+    });
+    (ended..buckets.len()).for_each(|_| step(WindowStep::TickEnd));
+    buckets.iter_mut().for_each(VecDeque::clear);
+}
+
+/// One hint step for an event ahead: its target's slot and its message's
+/// headers, or the target's headers and the message's bodies, or the
+/// target's bodies.
+///
+/// # Safety
+///
+/// No exclusive borrow of the target's slot may be alive.
+unsafe fn hint_event<P: AsyncProtocol>(
+    protocol: &P,
+    event: &Event<P::Message>,
+    step: WalkStep,
+    nodes: &RawSlots<'_, P::Node>,
+) {
+    use PrefetchStage::*;
+    let slot = nodes.peek_slot(event.target().slot());
+    let message = match event {
+        Event::Deliver { message, .. } => Some(message),
+        Event::Timer(_) => None,
+    };
+    match step {
+        WalkStep::Payloads => {
+            prefetch(std::slice::from_ref(slot));
+            if let Some(message) = message {
+                protocol.prefetch_message(message, Headers);
+            }
+        }
+        WalkStep::Hint(Headers) => {
+            if let Some(node) = slot {
+                protocol.prefetch(node, Headers);
+            }
+            if let Some(message) = message {
+                protocol.prefetch_message(message, Bodies);
+            }
+        }
+        WalkStep::Hint(Bodies) => {
+            if let Some(node) = slot {
+                protocol.prefetch(node, Bodies);
+            }
+        }
+        WalkStep::Apply => {}
+    }
+}
 
 /// Per-window state of [`EventEngine::run_until_parallel`], reused from
 /// window to window so a steady-state window allocates nothing.
@@ -951,26 +1096,31 @@ where
 
             // Phase 2 (parallel): shards are slot-disjoint, so workers may
             // mutate their nodes through `RawSlots` without locks. Each
-            // worker walks its shards' buckets tick by tick; each event
-            // gets a counter-based RNG stream; effects are recorded as
-            // per-shard op queues instead of being applied.
+            // worker walks each of its shards' windows ([`walk_window`]),
+            // hinting state a few events ahead once the population outgrows
+            // the caches; each event gets a counter-based RNG stream;
+            // effects are recorded as per-shard op queues instead of being
+            // applied.
             {
+                let hint = self.nodes.len() >= PREFETCH_MIN_NODES;
                 let (view, raw) = self.nodes.batch_split();
                 let protocol = &self.protocol;
                 let ticks = ticks.as_slice();
                 crate::executor::par_zip(buckets, batches, threads, |_base, work, out| {
-                    for (shard, (ops, report)) in work.iter_mut().zip(out.iter_mut()) {
-                        for (&tick, bucket) in ticks.iter().zip(shard.iter_mut()) {
-                            while let Some((seq, event)) = bucket.pop_front() {
-                                let target = match &event {
-                                    Event::Timer(id) => *id,
-                                    Event::Deliver { to, .. } => *to,
-                                };
+                    for (shard, (ops, report, lens)) in work.iter_mut().zip(out.iter_mut()) {
+                        walk_window(ticks, shard, lens, hint, |step| match step {
+                            // SAFETY: no borrow by a handler outlives it, and
+                            // this worker alone owns the shard's slots.
+                            WindowStep::Hint(event, walk) => unsafe {
+                                hint_event(protocol, event, walk, &raw)
+                            },
+                            WindowStep::Handle(tick, seq, event) => {
+                                let target = event.target();
                                 // SAFETY: this worker exclusively owns every
                                 // slot of its shards; the pre-pass kept only
                                 // live targets.
                                 let Some(node) = (unsafe { raw.get_mut(target) }) else {
-                                    continue;
+                                    return;
                                 };
                                 let mut ctx = BatchCtx {
                                     now: tick,
@@ -997,8 +1147,8 @@ where
                                         .on_message(to, node, from, message, &mut ctx, report),
                                 }
                             }
-                            ops.push_back(MergeOp::TickEnd);
-                        }
+                            WindowStep::TickEnd => ops.push_back(MergeOp::TickEnd),
+                        });
                     }
                 });
             }
@@ -1011,7 +1161,7 @@ where
             let (loss_rate, extra_delay, dup_rate) = self.fault_params();
             for &tick in ticks.iter() {
                 self.now = tick;
-                for (ops, _) in batches.iter_mut() {
+                for (ops, _, _) in batches.iter_mut() {
                     while let Some(op) = ops.pop_front() {
                         match op {
                             MergeOp::Send {
@@ -1035,7 +1185,7 @@ where
                     }
                 }
             }
-            for (_, report) in batches.iter_mut() {
+            for (_, report, _) in batches.iter_mut() {
                 self.protocol.absorb_report(std::mem::take(report));
             }
         }
@@ -1107,9 +1257,12 @@ impl<P: AsyncProtocol> std::fmt::Debug for EventEngine<P> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     /// Asynchronous push–pull averaging: the classic non-atomic variant.
+    #[derive(Default)]
     struct AsyncAveraging {
         next: f64,
     }
@@ -1687,6 +1840,211 @@ mod tests {
                         if telemetry {
                             assert_eq!(snapshots, base_snapshots, "{case}");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A hand-built window: buckets of `lens` events in order, event `j`
+    /// (counted across buckets) targeting slot `j`, stamped `j`; even ones
+    /// deliveries carrying `j`, odd ones timers.
+    fn hand_built_window(lens: &[usize]) -> Vec<Bucket<usize>> {
+        let mut events = 0..;
+        let mut event = |_| {
+            let j = events.next().unwrap();
+            let id = NodeId::for_tests(j as u32, 0);
+            let event = match j % 2 {
+                0 => Event::Deliver {
+                    from: id,
+                    to: id,
+                    message: j,
+                    send_seq: j as u64,
+                },
+                _ => Event::Timer(id),
+            };
+            (j as u64, event)
+        };
+        lens.iter()
+            .map(|&len| (0..len).map(&mut event).collect())
+            .collect()
+    }
+
+    /// Walks a hand-built window with and without hints and checks that
+    /// both hand over its events once each, by value, in the plain loop's
+    /// order, each bucket's tick end after its events and before the next
+    /// bucket's; that only the hinted walk hints; and that it hints event
+    /// `j` at each stage exactly once, when `j - 3 D` (slot), `j - 2 D`
+    /// (headers) or `j - D` (bodies) events, but at least none, have been
+    /// handled — across bucket boundaries, empty buckets included.
+    #[test]
+    fn the_window_walk_handles_the_plain_loop_and_hints_each_event_at_its_distances() {
+        use crate::engine::PREFETCH_DISTANCE as D;
+        let lens = [0, 1, D - 1, 0, 3 * D + 1, 1, 0, 0, D - 1, 3 * D + 1, 1, 0];
+        let ticks: Vec<u64> = (0..lens.len() as u64).map(|nth| 100 + 3 * nth).collect();
+        let mut plain = Vec::new();
+        let mut j = 0;
+        for (&tick, &len) in ticks.iter().zip(&lens) {
+            plain.extend((j..j + len).map(|j| Some((tick, j))));
+            plain.push(None);
+            j += len;
+        }
+        let events = j;
+        for hint in [false, true] {
+            // A shard keeps the buckets of longer windows past `ticks`.
+            let mut buckets = hand_built_window(&lens);
+            buckets.push(VecDeque::new());
+            let mut handled = Vec::new();
+            let mut hinted = vec![[None; 3]; events];
+            let mut done = 0;
+            walk_window(
+                &ticks,
+                &mut buckets,
+                &mut Vec::new(),
+                hint,
+                |step| match step {
+                    WindowStep::Hint(event, walk) => {
+                        assert!(hint, "hinted without `hint`");
+                        let j = event.target().slot();
+                        let stage = match walk {
+                            WalkStep::Payloads => 0,
+                            WalkStep::Hint(PrefetchStage::Headers) => 1,
+                            WalkStep::Hint(PrefetchStage::Bodies) => 2,
+                            WalkStep::Apply => panic!("an apply step handed over as a hint"),
+                        };
+                        assert_eq!(hinted[j][stage], None, "event {j} hinted twice at {walk:?}");
+                        hinted[j][stage] = Some(done);
+                    }
+                    WindowStep::Handle(tick, seq, event) => {
+                        let j = event.target().slot();
+                        assert_eq!(seq, j as u64, "event {j}: wrong stamp");
+                        if let Event::Deliver { message, .. } = event {
+                            assert_eq!(message, j, "event {j}: wrong message");
+                        }
+                        handled.push(Some((tick, j)));
+                        done += 1;
+                    }
+                    WindowStep::TickEnd => handled.push(None),
+                },
+            );
+            assert_eq!(handled, plain, "hint={hint}: not the plain loop's order");
+            assert!(buckets.iter().all(VecDeque::is_empty), "buckets left full");
+            for (j, at) in hinted.iter().enumerate() {
+                let lead = [3 * D, 2 * D, D].map(|d| Some(j.saturating_sub(d)).filter(|_| hint));
+                assert_eq!(
+                    *at, lead,
+                    "hint={hint}: event {j} of {events}: hinted after"
+                );
+            }
+        }
+    }
+
+    /// [`AsyncAveraging`] with hint hooks that count their calls per stage
+    /// and handlers that count the events and messages they handle.
+    #[derive(Default)]
+    struct HintCounting {
+        inner: AsyncAveraging,
+        events: AtomicU64,
+        messages: AtomicU64,
+        node_hints: [AtomicU64; 2],
+        message_hints: [AtomicU64; 2],
+    }
+
+    impl AsyncProtocol for HintCounting {
+        type Node = f64;
+        type Message = Msg;
+        type Report = ();
+
+        fn make_node(&mut self, rng: &mut StdRng) -> f64 {
+            self.inner.make_node(rng)
+        }
+
+        fn on_timer(
+            &self,
+            id: NodeId,
+            node: &mut f64,
+            ctx: &mut BatchCtx<'_, '_, Msg>,
+            report: &mut (),
+        ) {
+            self.events.fetch_add(1, Ordering::Relaxed);
+            self.inner.on_timer(id, node, ctx, report);
+        }
+
+        fn on_message(
+            &self,
+            id: NodeId,
+            node: &mut f64,
+            from: NodeId,
+            message: Msg,
+            ctx: &mut BatchCtx<'_, '_, Msg>,
+            report: &mut (),
+        ) {
+            self.events.fetch_add(1, Ordering::Relaxed);
+            self.messages.fetch_add(1, Ordering::Relaxed);
+            self.inner.on_message(id, node, from, message, ctx, report);
+        }
+
+        fn prefetch(&self, _node: &f64, stage: PrefetchStage) {
+            self.node_hints[stage as usize].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn prefetch_message(&self, _message: &Msg, stage: PrefetchStage) {
+            self.message_hints[stage as usize].fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn absorb_report(&mut self, _report: ()) {}
+    }
+
+    /// Node values, counters and every live node's traffic of `engine`.
+    fn run_state<P: AsyncProtocol<Node = f64>>(engine: &EventEngine<P>) -> [u64; 6] {
+        let values = engine.nodes().iter();
+        let traffic = engine.nodes().iter().flat_map(|(id, _)| {
+            let t = engine.net().node(id);
+            [t.sent_bytes, t.recv_bytes, t.sent_msgs, t.recv_msgs]
+        });
+        [
+            fnv(values.flat_map(|(id, v)| [id.slot() as u64, v.to_bits()])),
+            fnv(traffic),
+            engine.net().total_bytes(),
+            engine.net().total_msgs(),
+            engine.delivered_count(),
+            engine.lost_count(),
+        ]
+    }
+
+    #[test]
+    fn the_hint_hooks_run_at_every_thread_count_and_change_nothing() {
+        // Twice the threshold, so that the crash wave of the fault matrix
+        // (20 %) leaves the population hinted; and a population below it.
+        for (n, hinted) in [(2 * PREFETCH_MIN_NODES, true), (300, false)] {
+            let config = EventConfig::new(n, 31)
+                .with_gossip_period(50)
+                .with_latency(LatencyModel::Uniform { min: 5, max: 30 })
+                .with_loss_rate(0.1);
+            let until = 50 * 5;
+            let mut plain = EventEngine::new(config, AsyncAveraging::default());
+            plain.set_fault_scenario(fault_matrix_scenario()).unwrap();
+            plain.run_until_parallel(until);
+            for threads in [1, 3] {
+                let config = config.with_threads(threads);
+                let mut engine = EventEngine::new(config, HintCounting::default());
+                engine.set_fault_scenario(fault_matrix_scenario()).unwrap();
+                engine.run_until_parallel(until);
+                assert_eq!(
+                    run_state(&engine),
+                    run_state(&plain),
+                    "n={n} threads={threads}: the hooks changed the run"
+                );
+                let p = engine.protocol();
+                let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                let (events, messages) = (count(&p.events), count(&p.messages));
+                assert!(messages > 0 && events > messages, "n={n}: nothing ran");
+                // Every handled event once per stage.
+                let expected = |handled| if hinted { handled } else { 0 };
+                for (hints, handled) in [(&p.node_hints, events), (&p.message_hints, messages)] {
+                    for stage in hints {
+                        let hints = count(stage);
+                        assert_eq!(hints, expected(handled), "n={n} threads={threads}");
                     }
                 }
             }
