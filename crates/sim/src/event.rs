@@ -1940,14 +1940,29 @@ mod tests {
     }
 
     /// [`AsyncAveraging`] with hint hooks that count their calls per stage
-    /// and handlers that count the events and messages they handle.
+    /// and handlers that count the events and messages they handle. With
+    /// `ordered`, each count checks that it never overtakes the stage that
+    /// runs before it: headers before bodies, bodies before handling.
     #[derive(Default)]
     struct HintCounting {
         inner: AsyncAveraging,
+        ordered: bool,
         events: AtomicU64,
         messages: AtomicU64,
         node_hints: [AtomicU64; 2],
         message_hints: [AtomicU64; 2],
+    }
+
+    impl HintCounting {
+        /// Counts one call in `count`; with `ordered`, no more of them may
+        /// have run than of `before`.
+        fn count(&self, count: &AtomicU64, before: Option<&AtomicU64>) {
+            let n = count.fetch_add(1, Ordering::SeqCst) + 1;
+            if let Some(before) = before.filter(|_| self.ordered) {
+                let ran = before.load(Ordering::SeqCst);
+                assert!(n <= ran, "a stage ran ahead of the one before it");
+            }
+        }
     }
 
     impl AsyncProtocol for HintCounting {
@@ -1966,7 +1981,7 @@ mod tests {
             ctx: &mut BatchCtx<'_, '_, Msg>,
             report: &mut (),
         ) {
-            self.events.fetch_add(1, Ordering::Relaxed);
+            self.count(&self.events, Some(&self.node_hints[1]));
             self.inner.on_timer(id, node, ctx, report);
         }
 
@@ -1979,17 +1994,19 @@ mod tests {
             ctx: &mut BatchCtx<'_, '_, Msg>,
             report: &mut (),
         ) {
-            self.events.fetch_add(1, Ordering::Relaxed);
-            self.messages.fetch_add(1, Ordering::Relaxed);
+            self.count(&self.events, Some(&self.node_hints[1]));
+            self.count(&self.messages, Some(&self.message_hints[1]));
             self.inner.on_message(id, node, from, message, ctx, report);
         }
 
         fn prefetch(&self, _node: &f64, stage: PrefetchStage) {
-            self.node_hints[stage as usize].fetch_add(1, Ordering::Relaxed);
+            let before = (stage == PrefetchStage::Bodies).then_some(&self.node_hints[0]);
+            self.count(&self.node_hints[stage as usize], before);
         }
 
         fn prefetch_message(&self, _message: &Msg, stage: PrefetchStage) {
-            self.message_hints[stage as usize].fetch_add(1, Ordering::Relaxed);
+            let before = (stage == PrefetchStage::Bodies).then_some(&self.message_hints[0]);
+            self.count(&self.message_hints[stage as usize], before);
         }
 
         fn absorb_report(&mut self, _report: ()) {}
@@ -2012,6 +2029,10 @@ mod tests {
         ]
     }
 
+    /// The hooks at threads 1 and 3 against a run without them, under loss
+    /// and the fault matrix's crash wave: the same node values, counters
+    /// and traffic; above the gate every handled event (message) meets each
+    /// node (message) stage once, in stage order, and below it none.
     #[test]
     fn the_hint_hooks_run_at_every_thread_count_and_change_nothing() {
         // Twice the threshold, so that the crash wave of the fault matrix
@@ -2027,7 +2048,11 @@ mod tests {
             plain.run_until_parallel(until);
             for threads in [1, 3] {
                 let config = config.with_threads(threads);
-                let mut engine = EventEngine::new(config, HintCounting::default());
+                let protocol = HintCounting {
+                    ordered: hinted,
+                    ..HintCounting::default()
+                };
+                let mut engine = EventEngine::new(config, protocol);
                 engine.set_fault_scenario(fault_matrix_scenario()).unwrap();
                 engine.run_until_parallel(until);
                 assert_eq!(
@@ -2039,7 +2064,6 @@ mod tests {
                 let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
                 let (events, messages) = (count(&p.events), count(&p.messages));
                 assert!(messages > 0 && events > messages, "n={n}: nothing ran");
-                // Every handled event once per stage.
                 let expected = |handled| if hinted { handled } else { 0 };
                 for (hints, handled) in [(&p.node_hints, events), (&p.message_hints, messages)] {
                     for stage in hints {
