@@ -522,11 +522,6 @@ pub fn gossip_exchange_response_lost_with(
     }
 }
 
-/// Applies a Byzantine corruption to `node`'s running-instance state just
-/// before its contribution enters an exchange (the [`PlannedAttack`]
-/// directive resolved by the fault injector). The corruption stream is
-/// seeded per directive, so replays are bit-identical on every execution
-/// path.
 /// Hints an instance list, a node's or a message's: the buffer itself at
 /// [`PrefetchStage::Headers`], every instance's fraction vectors at
 /// [`PrefetchStage::Bodies`].
@@ -542,6 +537,11 @@ pub(crate) fn prefetch_instances(instances: &[InstanceLocal], stage: PrefetchSta
     }
 }
 
+/// Applies a Byzantine corruption to `node`'s running-instance state just
+/// before its contribution enters an exchange (the [`PlannedAttack`]
+/// directive resolved by the fault injector). The corruption stream is
+/// seeded per directive, so replays are bit-identical on every execution
+/// path.
 pub(crate) fn corrupt_node(node: &mut Adam2Node, model: AdversaryModel, seed: u64, round: u64) {
     let mut rng = adam2_sim::seeded_rng(seed);
     for inst in node.instances.iter_mut().filter(|i| !i.is_due(round)) {
